@@ -16,8 +16,9 @@ import numpy as np
 
 from . import analytic, fourier, integrate, meson
 from .core import QubitModel
-from .fit import (DatasetFormatError, RankDeficientDesign, estimate_r,
-                  fit_fourier_modes, fit_result_to_json, load_dataset)
+from .fit import (DatasetFormatError, RankDeficientDesign, design_matrix,
+                  estimate_r, fit_fourier_modes, fit_result_to_json,
+                  load_dataset)
 
 EXIT_OK = 0
 EXIT_FLAG = 2
@@ -189,15 +190,15 @@ def cmd_fit(args) -> int:
     extraction = estimate_r(fit, amplitude_correction=args.amplitude)
     _write(Path(args.output_dir) / "fit.json",
            fit_result_to_json(fit, extraction))
-    ns = np.arange(args.n_harmonics + 1)
-    pred = np.cos(np.outer(data.t, ns) * data.omega) @ fit.coefficients
+    pred = design_matrix(data.t, data.omega, fit.n_harmonics) @ fit.coefficients
     rows = [[t, d, p, d - p, s]
             for t, d, p, s in zip(data.t, data.delta, pred, data.sigma)]
     _write(Path(args.output_dir) / "residuals.csv",
            _csv(["t_ps", "asymmetry", "fit", "residual", "sigma"], rows))
     # human-readable summary
     print(f"{'n':>3} {'d_n':>12} {'err':>12} {'p-value':>10}")
-    for n, v, e, p in zip(ns, fit.coefficients, fit.errors, fit.p_values):
+    for n, (v, e, p) in enumerate(zip(fit.coefficients, fit.errors,
+                                      fit.p_values)):
         print(f"{n:>3} {v:>12.6g} {e:>12.3g} {p:>10.3g}")
     print(f"chi2/dof = {fit.chi2:.4g}/{fit.dof}")
     if extraction.has_estimate:
@@ -290,7 +291,8 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (integrate.StepSizeUnderflow, RankDeficientDesign,
-            meson.UnphysicalObservables, np.linalg.LinAlgError) as exc:
+            meson.UnphysicalObservables, fourier.QuadratureNotConverged,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, argparse.ArgumentTypeError) as exc:

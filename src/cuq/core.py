@@ -40,6 +40,8 @@ def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a real 3-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"expected a finite 3-vector, got {v}")
     return v
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .analytic import cuq_projections, restore_units
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
@@ -29,6 +29,7 @@ __all__ = [
     "RankDeficientDesign",
     "load_dataset",
     "save_dataset",
+    "design_matrix",
     "fit_fourier_modes",
     "coefficient_pvalues",
     "estimate_r",
@@ -69,10 +70,13 @@ class AsymmetryDataset:
             raise ValueError("t, delta, sigma must be equal-length 1-D arrays")
         if len(t) and np.any(np.diff(t) <= 0.0):
             raise ValueError("t must be strictly increasing")
+        if not np.all(np.isfinite([t, d, s])):
+            raise ValueError("t, delta, sigma must be finite")
         if np.any(s <= 0.0):
             raise ValueError("every sigma must be positive")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, "
+                             f"got {self.omega}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "sigma", s)
@@ -105,6 +109,8 @@ def load_dataset(path, omega: float, label: str | None = None) -> AsymmetryDatas
                 t, d, s = (float(p) for p in parts)
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite((t, d, s))):
+                raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
             if s <= 0.0:
                 raise DatasetFormatError(f"{path}:{lineno}: sigma must be > 0")
             rows.append((t, d, s, lineno))
@@ -153,6 +159,11 @@ class FitResult:
                                coeff_errs=self.errors[1:])
 
 
+def design_matrix(t, omega: float, N: int) -> np.ndarray:
+    """Columns cos(n omega t) for n = 0..N, one row per time."""
+    return np.cos(np.outer(t, np.arange(N + 1)) * omega)
+
+
 def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     """chi^2-minimising fit of delta(t) against cos(n omega t), n = 0..N.
 
@@ -161,8 +172,7 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     """
     if len(data) < N + 2:
         raise ValueError(f"need at least {N + 2} points for N = {N} harmonics")
-    ns = np.arange(N + 1)
-    X = np.cos(np.outer(data.t, ns) * data.omega)
+    X = design_matrix(data.t, data.omega, N)
     Xw = X / data.sigma[:, None]
     yw = data.delta / data.sigma
     q, r = np.linalg.qr(Xw)
@@ -196,7 +206,7 @@ def coefficient_pvalues(fit: FitResult) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(fit.errors > 0.0,
                          fit.coefficients / fit.errors, np.nan)
-    return 2.0 * stats.t.sf(np.abs(tstat), df=fit.dof)
+    return 2.0 * stdtr(fit.dof, -np.abs(tstat))
 
 
 @dataclass(frozen=True)

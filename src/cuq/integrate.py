@@ -1,9 +1,10 @@
-"""Adaptive integration of the master evolution equation.
+"""Integration of the master evolution equation and its stationary state.
 
-A Dormand-Prince 5(4) embedded pair with a PI step-size controller and
-cubic Hermite dense output.  This integrator is the numerical oracle the
-closed-form results are validated against, so it deliberately shares no
-code with the analytic module.
+`evolve`, a Dormand-Prince 5(4) pair with a PI step-size controller and
+cubic Hermite dense output, is the numerical oracle the closed-form
+results are validated against, so it shares no code with the analytic
+module.  `evolve_to_asymptote` is spectral: it reads the limit off the
+linear generator, without integrating and without the analytic module.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlochState, QubitModel, bloch_derivative
+from .core import (IDENTITY2, SIGMA, BlochState, DensityMatrix, QubitModel,
+                   _as_vec3, density_from_bloch)
 
 __all__ = [
     "Trajectory",
@@ -65,12 +67,6 @@ class Trajectory:
     bs: np.ndarray       # shape (n, 3)
     derivs: np.ndarray   # db/dtau at the sample points, for Hermite interpolation
     controller_stats: dict = field(default_factory=dict)
-
-    @property
-    def samples(self) -> list[BlochState]:
-        # loosened eps: accepted steps may overshoot |b| = 1 by the local error
-        eps = max(1e-9, 10.0 * self.controller_stats.get("rel_tol", 1e-9))
-        return [BlochState(b, t, eps=eps) for t, b in zip(self.taus, self.bs)]
 
     @property
     def final(self) -> np.ndarray:
@@ -126,14 +122,12 @@ def _max_step(model: QubitModel) -> float:
 def evolve(model: QubitModel, b0, tau_end: float,
            rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> Trajectory:
     """Integrate db/dtau from b0 over [0, tau_end]."""
-    if not tau_end > 0.0:
-        raise ValueError("tau_end must be positive")
+    if not 0.0 < tau_end < np.inf:
+        raise ValueError(f"tau_end must be positive and finite, got {tau_end}")
     for tol in (rel_tol, abs_tol):
         if not (0.0 < tol <= 1e-2):
             raise ValueError(f"tolerance {tol} outside (0, 1e-2]")
-    b = np.asarray(b0, dtype=float).copy()
-    if b.shape != (3,):
-        raise ValueError("b0 must be a 3-vector")
+    b = _as_vec3(b0).copy()
 
     f = _rhs(model)
     h_max = min(_max_step(model), tau_end)
@@ -195,39 +189,28 @@ def evolve(model: QubitModel, b0, tau_end: float,
                       derivs=np.array(ders), controller_stats=stats)
 
 
-def evolve_to_asymptote(model: QubitModel, b0, settle_tol: float = 1e-8,
-                        max_tau: float = 1e4):
-    """Integrate until db/dtau stays below settle_tol over one tau-unit.
+def evolve_to_asymptote(model: QubitModel, b0):
+    """Limit of the Bloch vector started at b0, or NON_CONVERGENT.
 
-    Returns the settled Bloch vector, or NON_CONVERGENT when the running
-    peak of |db/dtau| fails to decay by 1% over 10 estimated periods (the
-    persistent-oscillation signature of a critical unstable qubit).
+    The state is e^{K tau} rho0 e^{K^dagger tau} normalised, K = n.sigma/2,
+    n = gamma + i e/r.  As (n.sigma)^2 = (n.n) I, e^{K tau} grows like
+    M = mu I + n.sigma, mu = sqrt(n.n) with Re mu >= 0, also at the
+    exceptional point mu = 0 (r = 1, e perpendicular to gamma) where K is
+    nilpotent.  Re mu = 0 != mu (e perpendicular to gamma, r < 1) keeps both
+    modes alive forever.  M has rank one: M rho0 M^dagger is a multiple of
+    M M^dagger unless it vanishes, when b0 is the repelling fixed point.
     """
-    if not settle_tol > 0.0:
-        raise ValueError("settle_tol must be positive")
-    if model.r < 1.0:
-        period = 2.0 * np.pi * model.r / np.sqrt(1.0 - model.r ** 2)
-    else:
-        period = 2.0 * np.pi * model.r  # rotation scale; no true period
-    window = max(period, 1.0)
-
-    b = np.asarray(b0, dtype=float)
-    tau = 0.0
-    peaks: list[float] = []
-    recent: list[tuple[float, float]] = []  # (tau, |db/dtau|)
-
-    while tau < max_tau:
-        chunk = min(window, max_tau - tau)
-        traj = evolve(model, b, chunk, rel_tol=1e-10, abs_tol=1e-13)
-        speeds = np.linalg.norm(traj.derivs, axis=1)
-        for dt, sp in zip(traj.taus, speeds):
-            recent.append((tau + dt, sp))
-        tau += traj.taus[-1]
-        b = traj.final
-        recent = [(t, sp) for t, sp in recent if t >= tau - 1.0]
-        if recent and max(sp for _, sp in recent) < settle_tol and tau >= 1.0:
-            return b
-        peaks.append(float(speeds.max()))
-        if len(peaks) >= 10 and peaks[-1] > 0.99 * peaks[-10]:
-            return NON_CONVERGENT
-    raise RuntimeError(f"no classification reached by max_tau={max_tau}")
+    state = BlochState(b0)
+    c = float(np.dot(model.e, model.gamma))
+    if abs(c) < 1e-10:  # rounding of a perpendicular geometry
+        c = 0.0
+    mu = np.sqrt(complex(1.0 - model.r ** -2, 2.0 * c / model.r))
+    if mu.real == 0.0 and mu != 0.0:
+        return NON_CONVERGENT
+    n = model.gamma + 1j * model.e / model.r
+    M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)
+    rho = M @ M.conj().T
+    weight = np.trace(M @ density_from_bloch(state).entries @ M.conj().T).real
+    if weight <= 1e-12 * np.trace(rho).real:
+        return state.b
+    return DensityMatrix(rho / np.trace(rho).real).bloch_vector

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import BlochState
 
@@ -105,33 +104,27 @@ class BlochInversion:
     forced_cuq_branch: bool = False  # Delta Gamma = 0 forces theta = +-90
 
 
-def _solve_v(A: float, B: float, Q: float) -> float:
-    """Root of the reduced scalar equation in v = r^2.
+def _solve_v(A: float, B: float, Q: float) -> tuple[float, float]:
+    """(v, 1 - v) for v = r^2, from the reduced constraint in closed form.
 
-    With A = dE^2 - dG^2/4 = 4|E|^2(1-v), B = dE*dG = 8|E|^2 r cos(theta)
-    and rs(v) = (1+v)(1-Q)/(2(1+Q)), the constraint (rc)^2 + (rs)^2 = v
-    closes in v alone.  |E|^2 > 0 restricts the search to v < 1 for A > 0
-    and v > 1 for A < 0.
+    With A = dE^2 - dG^2/4 = 4|E|^2(1-v), B = dE*dG = 8|E|^2 r cos(theta),
+    a = B/(2A) and k = (1-Q)/(2(1+Q)): r cos = a(1-v), r sin = k(1+v), and
+    (r cos)^2 + (r sin)^2 = v is the palindromic quadratic p v^2 - 2h v + p
+    = 0, p = a^2 + k^2, h = p + d, d = 1/2 - 2k^2 = 2Q/(1+Q)^2 > 0.  Its
+    roots v, 1/v are real; |E|^2 > 0 takes v < 1 for A > 0, v > 1 for A < 0.
+    1 - v is formed apart from v because it sets |E|^2 and cancels at r ~ 1.
     """
-
-    def rs(v: float) -> float:
-        return (1.0 + v) * (1.0 - Q) / (2.0 * (1.0 + Q))
-
-    def g(v: float) -> float:
-        rc = B * (1.0 - v) / (2.0 * A) if A != 0.0 else 0.0
-        return rc * rc + rs(v) ** 2 - v
-
     if A == 0.0:
-        return 1.0
-    lo, hi = (1e-16, 1.0 - 1e-14) if A > 0.0 else (1.0 + 1e-14, 100.0)
-    grid = np.linspace(lo, hi, 20001)
-    vals = np.array([g(v) for v in grid])
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
-        raise UnphysicalObservables(
-            "no Bloch parameterisation found for r in (0, 10]")
-    i = sign_change[0]
-    return brentq(g, grid[i], grid[i + 1], xtol=1e-16, rtol=8.9e-16)
+        return 1.0, 0.0
+    a = B / (2.0 * A)
+    p = a * a + ((1.0 - Q) / (2.0 * (1.0 + Q))) ** 2
+    d = 2.0 * Q / (1.0 + Q) ** 2  # h - p without the cancellation in k
+    gap = d + np.sqrt(d * (2.0 * a * a + 0.5))  # small root: p / (p + gap)
+    if not (0.0 < p < np.inf and 0.0 < gap < np.inf):
+        raise UnphysicalObservables("observables admit no r in (0, inf)")
+    if A > 0.0:
+        return p / (p + gap), gap / (p + gap)
+    return (p + gap) / p, -gap / p
 
 
 def bloch_from_observables(o: MesonObservables) -> BlochInversion:
@@ -144,11 +137,11 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
     Q = o.q_over_p ** 4
     A = o.delta_E ** 2 - o.delta_Gamma ** 2 / 4.0
     B = o.delta_E * o.delta_Gamma
-    v = _solve_v(A, B, Q)
+    v, one_minus_v = _solve_v(A, B, Q)
     r = float(np.sqrt(v))
     rs = (1.0 + v) * (1.0 - Q) / (2.0 * (1.0 + Q))
     if A != 0.0:
-        E2 = A / (4.0 * (1.0 - v))
+        E2 = A / (4.0 * one_minus_v)
         rc = B / (8.0 * E2)
     else:
         rc2 = max(v - rs * rs, 0.0)
@@ -157,10 +150,7 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
     if E2 <= 0.0:
         raise UnphysicalObservables("inverted |E|^2 is not positive")
     E_mag = float(np.sqrt(E2))
-    s, c = rs / r, rc / r
-    if abs(s) > 1.0 + 1e-9:
-        raise UnphysicalObservables("inverted sin(theta) exceeds unity")
-    s = float(np.clip(s, -1.0, 1.0))
+    s, c = float(np.clip(rs / r, -1.0, 1.0)), rc / r
     forced = o.delta_Gamma == 0.0
     theta = float(np.degrees(np.arctan2(s, c)))
     theta_mirror = float(np.degrees(np.arctan2(s, -c)))

@@ -96,7 +96,7 @@ def _orbit_r_and_amplitude(model, kappa, P):
     traj = evolve(model, kappa * model.e_cross_gamma, 2.02 * P,
                   rel_tol=1e-11, abs_tol=1e-13)
     taus = np.linspace(P, 2.0 * P, 4001)
-    R = max(abs(traj.interpolate(t) @ model.gamma) for t in taus)
+    R = np.max(np.abs(traj.interpolate(taus) @ model.gamma))
     spec = quadrature_spectrum(
         lambda t: float(traj.interpolate(P + t) @ model.e_cross_gamma),
         P, 2, SeriesKind.EVEN)

@@ -1,6 +1,9 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,10 @@ class TestSimulate:
         assert run(["--output-dir", str(tmp_path), "simulate",
                     "--r", "1.5", "--t-max", "2P"]) == 2
 
+    def test_infinite_horizon_is_flag_error(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "simulate",
+                    "--r", "0.5", "--t-max", "inf"]) == 2
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -67,6 +74,11 @@ class TestFourier:
     def test_rejects_overdamped(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "fourier",
                     "--r", "1.5"]) == 2
+
+    def test_unconverged_quadrature_is_numerical_error(self, tmp_path):
+        # q -> 1 as r -> 1: the trapezoid rule would need ~1e6 nodes
+        assert run(["--output-dir", str(tmp_path), "fourier",
+                    "--r", "0.999999999", "--n-max", "2"]) == 4
 
 
 class TestConvert:
@@ -110,6 +122,22 @@ class TestFit:
         assert run(["--output-dir", str(tmp_path), "fit",
                     "--data", str(bad), "--omega", "1.0"]) == 3
 
+    def test_non_finite_field_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t_ps,asymmetry,sigma\n0.0,0.1,0.1\n1.0,nan,0.1\n"
+                       "2.0,0.3,0.1\n3.0,0.2,0.1\n4.0,0.1,0.1\n")
+        assert run(["--output-dir", str(tmp_path), "fit",
+                    "--data", str(bad), "--omega", "1.0"]) == 3
+
+    def test_infinite_omega_is_flag_error(self, tmp_path):
+        # --omega is a flag: a non-finite value is a flag error
+        data = tmp_path / "data.csv"
+        save_dataset(synthesize_dataset(r=0.5, E_mag=1.0, n_points=12,
+                                        t_max=10.0, noise_sigma=0.01,
+                                        seed=0), data)
+        assert run(["--output-dir", str(tmp_path), "fit",
+                    "--data", str(data), "--omega", "inf"]) == 2
+
     def test_rank_deficiency_is_numerical_error(self, tmp_path):
         ds = synthesize_dataset(r=0.5, E_mag=1.0, n_points=12, t_max=1e-4,
                                 noise_sigma=0.0, seed=0)
@@ -137,3 +165,15 @@ class TestFlagErrors:
 
     def test_missing_required_flag(self):
         assert run(["simulate"]) == 2
+
+
+class TestImport:
+    def test_runtime_path_loads_only_scipy_special(self):
+        # each of these costs a large share of a cold CLI start
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import cuq; "
+                "print(','.join(m for m in ('scipy.stats', 'scipy.optimize', "
+                "'scipy.integrate') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == ""

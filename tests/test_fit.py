@@ -48,6 +48,14 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError):
             load_dataset(p, omega=1.0)
 
+    @pytest.mark.parametrize("row", ["1.0,nan,0.2", "inf,0.1,0.2",
+                                     "1.0,0.1,inf"])
+    def test_rejects_non_finite_value_with_line_number(self, tmp_path, row):
+        p = tmp_path / "a.csv"
+        p.write_text(f"t_ps,asymmetry,sigma\n0.0,0.1,0.2\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=":3"):
+            load_dataset(p, omega=1.0)
+
     def test_rejects_non_monotone_time(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("t_ps,asymmetry,sigma\n1.0,0.1,0.2\n0.5,0.1,0.2\n")

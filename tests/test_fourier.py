@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cuq.analytic import cuq_clock, cuq_projections
-from cuq.fourier import (SeriesKind, anharmonicity, closed_form_cn,
+from cuq.fourier import (AnharmonicityEstimate, QuadratureNotConverged,
+                         SeriesKind, anharmonicity, closed_form_cn,
                          closed_form_d0, closed_form_spectrum,
                          correct_effective_r, quadrature_spectrum,
                          r_from_anharmonicity)
@@ -59,6 +60,31 @@ class TestQuadrature:
             assert even.coefficient(n) == pytest.approx(ref, abs=1e-8)
         assert even.d0 == pytest.approx(closed_form_d0(r), abs=1e-8)
 
+    @pytest.mark.parametrize("r", R_GRID)
+    def test_trapezoid_rule_reaches_rounding(self, r):
+        # one sample set serves every coefficient; refinement only adds
+        # midpoints, so no time is sampled twice
+        P = cuq_clock(r).P_hat
+        for kind, component in ((SeriesKind.ODD, 0), (SeriesKind.EVEN, 1)):
+            times = []
+
+            def signal(t):
+                times.append(t)
+                return cuq_projections(t, r)[component]
+
+            spec = quadrature_spectrum(signal, P, 64, kind)
+            ref = [closed_form_cn(n, r) for n in range(1, 65)]
+            assert np.max(np.abs(spec.coeffs - ref)) < 1e-12
+            if kind is SeriesKind.EVEN:
+                assert spec.d0 == pytest.approx(closed_form_d0(r), abs=1e-12)
+            assert len(set(times)) == len(times)
+
+    def test_non_smooth_signal_does_not_converge(self):
+        # a kinked signal converges only algebraically: past 2^16 nodes the
+        # rule gives up instead of returning an unconverged spectrum
+        with pytest.raises(QuadratureNotConverged):
+            quadrature_spectrum(abs, 2.0, 3, SeriesKind.EVEN)
+
     def test_rejects_aperiodic_signal(self):
         with pytest.raises(ValueError):
             quadrature_spectrum(lambda t: t, 2.0, 3, SeriesKind.EVEN)
@@ -66,6 +92,10 @@ class TestQuadrature:
     def test_rejects_excessive_order(self):
         with pytest.raises(ValueError):
             quadrature_spectrum(np.cos, 2 * np.pi, 65, SeriesKind.EVEN)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            quadrature_spectrum(np.cos, 2 * np.pi, -1, SeriesKind.EVEN)
 
 
 class TestAnharmonicity:
@@ -107,6 +137,13 @@ class TestAnharmonicity:
         _, r_err = r_from_anharmonicity(est)
         drdq = 2 * (1 - q * q) / (q * q + 1) ** 2
         assert r_err == pytest.approx(abs(drdq) * expect_ratio_err, rel=1e-12)
+
+    def test_error_at_turning_point_is_second_order(self):
+        # dr/drho = 0 at rho = 1 on the C_n branch: the error comes from
+        # |r''| sigma^2 / 2 with r'' = -1 there, not from the first order
+        est = AnharmonicityEstimate(1.0, 0.1, 1, SeriesKind.ODD)
+        _, r_err = r_from_anharmonicity(est)
+        assert r_err == pytest.approx(0.005, rel=1e-12)
 
     def test_unreliable_when_denominator_drowns(self):
         spec = closed_form_spectrum(0.85, 3)

@@ -78,6 +78,16 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(perp_model(0.5), np.zeros(3), -1.0)
 
+    @pytest.mark.parametrize("tau_end", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, tau_end):
+        # an infinite horizon would never finish
+        with pytest.raises(ValueError):
+            evolve(perp_model(0.5), np.zeros(3), tau_end)
+
+    def test_rejects_non_finite_b0(self):
+        with pytest.raises(ValueError):
+            evolve(perp_model(0.5), [0.0, np.nan, 0.0], 1.0)
+
     def test_controller_stats_recorded(self):
         traj = evolve(perp_model(0.5), np.zeros(3), 5.0)
         st = traj.controller_stats
@@ -119,11 +129,28 @@ class TestAsymptote:
         assert np.allclose(b, asymptotic_state(m).b_star, atol=1e-6)
 
     def test_critically_damped_perpendicular(self):
-        # r = 1: algebraic approach to -e x gamma, needs a loose settle_tol
+        # r = 1: algebraic approach to -e x gamma (the exceptional point)
         m = perp_model(1.0)
-        b = evolve_to_asymptote(m, np.zeros(3), settle_tol=1e-4,
-                                max_tau=5e3)
-        assert np.allclose(b, -m.e_cross_gamma, atol=0.05)
+        b = evolve_to_asymptote(m, np.zeros(3))
+        assert np.allclose(b, -m.e_cross_gamma, atol=1e-12)
+
+    @pytest.mark.parametrize("r, theta", [(1.0, 90.0), (0.2, 89.0)])
+    def test_matches_closed_form_from_any_start(self, r, theta):
+        # the exceptional point and a slowly settling near-perpendicular
+        # geometry; the limit does not depend on b0
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        ref = asymptotic_state(m).b_star
+        for b0 in (np.zeros(3), m.gamma, -m.gamma, m.e_cross_gamma):
+            assert np.allclose(evolve_to_asymptote(m, b0), ref, atol=1e-12)
+
+    def test_repelling_fixed_point(self):
+        # aligned model: -e is a fixed point of the flow, +e attracts
+        # every other start, however close to -e
+        m = QubitModel.from_angle(0.5, 0.0, degrees=True)
+        assert np.array_equal(evolve_to_asymptote(m, -m.e), -m.e)
+        for scale in (0.999, 1.0 - 1e-9):
+            assert np.allclose(evolve_to_asymptote(m, -scale * m.e), m.e,
+                               atol=1e-12)
 
     def test_cuq_flagged_non_convergent(self):
         m = perp_model(0.85)
@@ -135,6 +162,7 @@ class TestAsymptote:
         out = evolve_to_asymptote(perp_model(0.4), np.zeros(3))
         assert out is NON_CONVERGENT
 
-    def test_rejects_bad_settle_tol(self):
-        with pytest.raises(ValueError):
-            evolve_to_asymptote(perp_model(1.5), np.zeros(3), settle_tol=0.0)
+    def test_rejects_malformed_b0(self):
+        for b0 in ([0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                evolve_to_asymptote(perp_model(1.5), b0)

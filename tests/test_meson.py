@@ -55,7 +55,7 @@ class TestForwardMap:
 
 
 class TestInversion:
-    @pytest.mark.parametrize("r", [1e-3, 0.1, 0.5, 0.945, 1.5])
+    @pytest.mark.parametrize("r", [1e-3, 0.1, 0.5, 0.945, 1.5, 20.0, 1e3])
     @pytest.mark.parametrize("theta", [-90.0, 10.0, 90.0, 179.0])
     def test_roundtrip(self, r, theta):
         src = BlochParameters(r, theta, 1.7e-3)
@@ -64,7 +64,9 @@ class TestInversion:
                                 - np.cos(np.radians(theta))) < \
             abs(np.cos(np.radians(inv.mirror.theta_eg_deg))
                 - np.cos(np.radians(theta))) else inv.mirror
-        assert got.r == pytest.approx(r, abs=1e-10)
+        # |q/p| ~ 1 + 1/r carries r only to ~eps r^2 once rounded, so above
+        # r = 10 the bound turns relative (1e-11)
+        assert got.r == pytest.approx(r, abs=1e-10 * max(1.0, r / 10.0))
         assert got.E_mag == pytest.approx(1.7e-3, rel=1e-10)
         assert np.sin(np.radians(got.theta_eg_deg)) == pytest.approx(
             np.sin(np.radians(theta)), abs=1e-9)
@@ -84,6 +86,21 @@ class TestInversion:
         assert inv.forced_cuq_branch
         assert abs(np.sin(np.radians(inv.params.theta_eg_deg))) == \
             pytest.approx(1.0, abs=1e-12)
+
+    def test_no_mixing_has_no_parameterisation(self):
+        # Delta Gamma = 0 with |q/p| = 1 leaves r = 0 as the only root
+        with pytest.raises(UnphysicalObservables):
+            bloch_from_observables(MesonObservables(1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("qop", [1e-5, 1e-3, 3e3])
+    def test_strong_cp_violation_near_r_one(self, qop):
+        # Delta Gamma = 0 forces theta = +-90, where |q/p|^2 = |1-r|/(1+r)
+        # and Delta E = 2|E| sqrt(1-r^2); 1 - r is far below 1 - |q/p|^4
+        r = abs(1.0 - qop ** 2) / (1.0 + qop ** 2)
+        got = bloch_from_observables(MesonObservables(1.0, 0.0, qop)).params
+        assert got.r == pytest.approx(r, abs=1e-15)
+        assert got.E_mag == pytest.approx((1.0 + qop ** 2) / (4.0 * qop),
+                                          rel=1e-12)
 
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalObservables):
