@@ -2,9 +2,10 @@
 
 The package works in the co-decaying Bloch-vector picture of a decaying
 two-level system.  `core` holds the state/model types and the evolution
-vector field, `integrate` the adaptive solver, `analytic` the closed-form
-kinematics, `fourier` the oscillation spectra, `meson` the translation to
-mixing observables, and `fit` the data-side regression tooling.
+vector field, `integrate` the exact propagator and the adaptive solver
+that checks it, `analytic` the closed-form kinematics, `fourier` the
+oscillation spectra, `meson` the translation to mixing observables, and
+`fit` the data-side regression tooling.
 """
 
 from .analytic import (AsymptoticBranch, AsymptoticState, CuqClock,
@@ -20,7 +21,8 @@ from .fourier import (FourierSpectrum, SeriesKind, anharmonicity,
                       closed_form_cn, closed_form_d0, closed_form_spectrum,
                       correct_effective_r, quadrature_spectrum,
                       r_from_anharmonicity)
-from .integrate import NON_CONVERGENT, Trajectory, evolve, evolve_to_asymptote
+from .integrate import (NON_CONVERGENT, Trajectory, evolve,
+                        evolve_to_asymptote, propagate)
 from .meson import (BlochParameters, Damping, MesonObservables,
                     bloch_from_observables, catalogue, classify_damping,
                     flavour_asymmetry, observables_from_bloch)
@@ -38,7 +40,7 @@ __all__ = [
     "cuq_projections", "cuq_theta", "density_from_bloch", "estimate_r",
     "evolve", "evolve_to_asymptote", "fit_fourier_modes", "flavour_asymmetry",
     "load_dataset", "mixed_ellipse", "mixed_magnitude",
-    "observables_from_bloch", "polar_rates", "purity_rate",
+    "observables_from_bloch", "polar_rates", "propagate", "purity_rate",
     "quadrature_spectrum", "r_from_anharmonicity", "restore_units",
     "save_dataset", "synthesize_dataset",
 ]

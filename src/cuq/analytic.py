@@ -159,8 +159,11 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
                                branch=AsymptoticBranch.PERPENDICULAR_OVERDAMPED)
 
     one_m_r2 = 1.0 - r * r
-    alpha = (np.sign(c) / np.sqrt(2.0)
-             * np.sqrt(one_m_r2 + np.sqrt(one_m_r2 ** 2 + 4.0 * c * c * r * r)))
+    root = np.sqrt(one_m_r2 ** 2 + 4.0 * c * c * r * r)
+    # 1 - r^2 + root cancels when 1 - r^2 < 0; multiply by the conjugate there
+    alpha2 = (0.5 * (one_m_r2 + root) if one_m_r2 >= 0.0
+              else 2.0 * c * c * r * r / (root - one_m_r2))
+    alpha = np.sign(c) * np.sqrt(alpha2)
     exexg = np.cross(e, exg)
     b = (alpha * e
          - (1.0 - alpha * alpha) / (s2 * r) * exg

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +26,11 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# simulate's grid: 64 rows per period is the step cap `evolve` keeps
+ROWS_PER_PERIOD = 64
+MIN_ROWS = 257
+MAX_ROWS = 1_000_001
 
 
 def _write(path: Path, text: str) -> None:
@@ -78,18 +85,61 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.array([float(x) for x in spec.split(",")])
 
 
+def _time_grid(r: float, tau_end: float) -> np.ndarray:
+    """Uniform taus over [0, tau_end]: 64 per period when r < 1, >= 257."""
+    if not 0.0 < tau_end < np.inf:
+        raise ValueError(f"--t-max must be positive and finite, got {tau_end}")
+    rows = float(MIN_ROWS)
+    if r < 1.0:
+        period = analytic.cuq_clock(r).P_hat
+        rows = max(rows, ROWS_PER_PERIOD * tau_end / period + 1.0)
+    if rows > MAX_ROWS:
+        raise ValueError(f"tau range needs {rows:.3g} rows, more than "
+                         f"{MAX_ROWS}")
+    return np.linspace(0.0, tau_end, math.ceil(rows))
+
+
+def _peak_magnitude(model: QubitModel, b0, tau_end: float) -> float:
+    """max |b| over [0, tau_end], exact to rounding.
+
+    d|b|^2/dtau = 2 (gamma.b)(1 - |b|^2), so |b| peaks inside the range only
+    where f = gamma.b changes sign from + to -.  Each such bracket of the
+    time grid is refined by bisection-safeguarded Newton steps, with
+    f' = gamma . db/dtau = b.(e x gamma)/r + 1 - f^2.
+    """
+    taus = _time_grid(model.r, tau_end)
+    bs = integrate.propagate(model, b0, taus)
+    f = bs @ model.gamma
+    i = np.flatnonzero((f[:-1] > 0.0) & (f[1:] <= 0.0))
+    lo, hi = taus[i], taus[i + 1]
+    t = lo + (hi - lo) * f[i] / (f[i] - f[i + 1])  # secant start
+    tol = 1e-14 * hi
+    exg = model.e_cross_gamma
+    for _ in range(100):
+        b = integrate.propagate(model, b0, t)
+        f_t = b @ model.gamma
+        lo = np.where(f_t > 0.0, t, lo)
+        hi = np.where(f_t > 0.0, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - f_t / (b @ exg / model.r + 1.0 - f_t * f_t)
+        newton = (lo - tol <= step) & (step <= hi + tol)
+        t_new = np.where(newton, np.clip(step, lo, hi), 0.5 * (lo + hi))
+        done = np.all(np.abs(t_new - t) <= tol)
+        t = t_new
+        if done:
+            break
+    bs = np.vstack([bs, integrate.propagate(model, b0, t)])
+    return float(np.max(np.linalg.norm(bs, axis=1)))
+
+
 def cmd_simulate(args) -> int:
     model = QubitModel.from_angle(args.r, args.theta_eg, args.e_mag,
                                   degrees=True)
     b0 = _parse_b0(args.b0, model)
-    tau_end = _parse_tmax(args.t_max, args.r)
-    traj = integrate.evolve(model, b0, tau_end,
-                            rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    exg = model.e_cross_gamma
-    rows = []
-    for t, b in zip(traj.taus, traj.bs):
-        rows.append([t, b[0], b[1], b[2], np.linalg.norm(b),
-                     np.dot(b, model.gamma), np.dot(b, exg)])
+    taus = _time_grid(args.r, _parse_tmax(args.t_max, args.r))
+    bs = integrate.propagate(model, b0, taus)
+    rows = np.column_stack([taus, bs, np.linalg.norm(bs, axis=1),
+                            bs @ model.gamma, bs @ model.e_cross_gamma])
     text = _csv(["tau", "b1", "b2", "b3", "b_mag", "b_dot_gamma", "b_dot_exg"],
                 rows)
     _write(Path(args.output_dir) / "trajectory.csv", text)
@@ -105,9 +155,8 @@ def cmd_sweep_bmax(args) -> int:
         else:
             tau_end = 50.0 * max(r, 1.0)
         for b0_mag in _parse_grid(args.b0_grid):
-            traj = integrate.evolve(model, b0_mag * model.gamma, tau_end,
-                                    rel_tol=1e-10, abs_tol=1e-13)
-            rows.append([r, b0_mag, traj.magnitudes().max()])
+            rows.append([r, b0_mag,
+                         _peak_magnitude(model, b0_mag * model.gamma, tau_end)])
     text = _csv(["r", "b0_mag", "b_max"], rows)
     _write(Path(args.output_dir) / "bmax.csv", text)
     return EXIT_OK
@@ -219,8 +268,18 @@ def cmd_catalogue(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' and a digit, such as -9.4e-05
+    or the vector -0.1,0.2,0.3, as a value: no cuq flag looks like that.
+    Subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuq",
         description="Dynamics, spectra and fits for critical unstable qubits")
     parser.add_argument("--output-dir", default=".", help="output directory")
@@ -229,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for stochastic subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate the master evolution equation")
+    p = sub.add_parser("simulate",
+                       help="exact trajectory of the master evolution equation")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta-eg", type=float, default=90.0,
                    help="angle between e and gamma in degrees")
@@ -238,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exg | gamma | e | mixed | 'x,y,z'")
     p.add_argument("--t-max", default="3P",
                    help="tau range; '3P' means three periods")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep-bmax",
@@ -290,9 +348,8 @@ def main(argv=None) -> int:
     except (DatasetFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (integrate.StepSizeUnderflow, RankDeficientDesign,
-            meson.UnphysicalObservables, fourier.QuadratureNotConverged,
-            np.linalg.LinAlgError) as exc:
+    except (RankDeficientDesign, meson.UnphysicalObservables,
+            fourier.QuadratureNotConverged, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, argparse.ArgumentTypeError) as exc:

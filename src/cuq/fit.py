@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
 from .analytic import cuq_projections, restore_units
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
@@ -201,6 +200,9 @@ def coefficient_pvalues(fit: FitResult) -> np.ndarray:
     Uses the statistic d_n / err(d_n) on a t-distribution with the fit's
     residual degrees of freedom.  A zero standard error yields NaN.
     """
+    # imported here: scipy.special is most of a cold start that needs no fit
+    from scipy.special import stdtr
+
     if fit.dof < 1:
         raise ValueError("p-values need at least one degree of freedom")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,10 +1,13 @@
-"""Integration of the master evolution equation and its stationary state.
+"""Exact propagator, stationary state and DP5 oracle of the master equation.
 
-`evolve`, a Dormand-Prince 5(4) pair with a PI step-size controller and
-cubic Hermite dense output, is the numerical oracle the closed-form
-results are validated against, so it shares no code with the analytic
-module.  `evolve_to_asymptote` is spectral: it reads the limit off the
-linear generator, without integrating and without the analytic module.
+The normalised state is the image of a linear evolution,
+rho(tau) ~ e^{K tau} rho0 e^{K^dagger tau} with K = n.sigma/2 and
+n = gamma + i e/r.  `propagate` evaluates that closed form at any set of
+times and `evolve_to_asymptote` reads the limit off the same generator;
+neither integrates, and neither uses the analytic module.  `evolve`, a
+Dormand-Prince 5(4) pair with a PI step-size controller and cubic Hermite
+dense output, integrates the nonlinear Bloch equation itself: it is the
+independent oracle that the exact forms are tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "NON_CONVERGENT",
     "evolve",
     "evolve_to_asymptote",
+    "propagate",
 ]
 
 
@@ -189,25 +193,68 @@ def evolve(model: QubitModel, b0, tau_end: float,
                       derivs=np.array(ders), controller_stats=stats)
 
 
+def _generator(model: QubitModel) -> tuple[np.ndarray, complex]:
+    """n = gamma + i e/r and mu = sqrt(n.n) with Re mu >= 0, for K = n.sigma/2.
+
+    n.n = 1 - 1/r^2 + 2 i cos(theta_eg)/r; |cos| < 1e-10 is taken as the
+    rounding of a perpendicular geometry (the threshold `asymptotic_state`
+    uses), so r = 1 at 90 degrees gives mu = 0 exactly.
+    """
+    c = float(np.dot(model.e, model.gamma))
+    if abs(c) < 1e-10:
+        c = 0.0
+    mu = np.sqrt(complex(1.0 - model.r ** -2, 2.0 * c / model.r))
+    return model.gamma + 1j * model.e / model.r, mu
+
+
+def propagate(model: QubitModel, b0, taus) -> np.ndarray:
+    """Bloch vectors at each of taus >= 0 from b0, exactly; shape (n, 3).
+
+    As (n.sigma)^2 = (n.n) I, e^{K tau} = e^{mu tau/2} U with
+    U = (1 + x)/2 I + (1 - x)/(2 mu) n.sigma and x = e^{-mu tau}.  The
+    factor e^{mu tau/2} drops out of the normalisation, |x| <= 1 keeps U
+    finite for every tau, and at mu = 0 (r = 1, e perpendicular to gamma)
+    the sigma coefficient is its limit tau/2.  The state is formed as the
+    Gram matrix W W^dagger, W = U L with L L^dagger proportional to rho0,
+    so it stays positive, |b| <= 1, under rounding.
+    """
+    state = BlochState(b0)
+    t = np.atleast_1d(np.asarray(taus, dtype=float))
+    if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
+        raise ValueError("taus must be a 1-D array of finite times >= 0")
+    n, mu = _generator(model)
+    rho0 = density_from_bloch(state).entries
+    # rho0^2 = rho0 - s^2 I with s = sqrt(det rho0): L L^dagger = (1 + 2s) rho0
+    L = rho0 + 0.5 * np.sqrt(max(1.0 - state.b @ state.b, 0.0)) * IDENTITY2
+    x = np.exp(-mu * t)
+    beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
+    W = (np.multiply.outer(0.5 * (1.0 + x), L)
+         + np.multiply.outer(beta, np.einsum("i,ijk->jk", n, SIGMA) @ L))
+    top, bottom = W[:, 0], W[:, 1]
+    r00 = np.sum(np.abs(top) ** 2, axis=1)
+    r11 = np.sum(np.abs(bottom) ** 2, axis=1)
+    r01 = np.sum(top * bottom.conj(), axis=1)
+    tr = (r00 + r11)[:, None]
+    with np.errstate(invalid="ignore"):
+        b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag, r00 - r11]) / tr
+    # W rounds to 0 only when b0 is the repelling state, where the flow stays
+    return np.where(tr > 0.0, b, state.b)
+
+
 def evolve_to_asymptote(model: QubitModel, b0):
     """Limit of the Bloch vector started at b0, or NON_CONVERGENT.
 
-    The state is e^{K tau} rho0 e^{K^dagger tau} normalised, K = n.sigma/2,
-    n = gamma + i e/r.  As (n.sigma)^2 = (n.n) I, e^{K tau} grows like
-    M = mu I + n.sigma, mu = sqrt(n.n) with Re mu >= 0, also at the
-    exceptional point mu = 0 (r = 1, e perpendicular to gamma) where K is
-    nilpotent.  Re mu = 0 != mu (e perpendicular to gamma, r < 1) keeps both
-    modes alive forever.  M has rank one: M rho0 M^dagger is a multiple of
+    With mu and n from the generator K = n.sigma/2 (see `propagate`),
+    e^{K tau} grows like M = mu I + n.sigma, also at the exceptional point
+    mu = 0 (r = 1, e perpendicular to gamma) where K is nilpotent.
+    Re mu = 0 != mu (e perpendicular to gamma, r < 1) keeps both modes
+    alive forever.  M has rank one: M rho0 M^dagger is a multiple of
     M M^dagger unless it vanishes, when b0 is the repelling fixed point.
     """
     state = BlochState(b0)
-    c = float(np.dot(model.e, model.gamma))
-    if abs(c) < 1e-10:  # rounding of a perpendicular geometry
-        c = 0.0
-    mu = np.sqrt(complex(1.0 - model.r ** -2, 2.0 * c / model.r))
+    n, mu = _generator(model)
     if mu.real == 0.0 and mu != 0.0:
         return NON_CONVERGENT
-    n = model.gamma + 1j * model.e / model.r
     M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)
     rho = M @ M.conj().T
     weight = np.trace(M @ density_from_bloch(state).entries @ M.conj().T).real

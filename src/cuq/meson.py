@@ -82,11 +82,13 @@ class BlochParameters:
 def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign."""
     th = np.radians(p.theta_eg_deg)
-    c, s = np.cos(th), np.sin(th)
-    z = np.sqrt(complex(1.0 - p.r ** 2, -2.0 * p.r * c))
-    num = 1.0 + p.r ** 2 - 2.0 * p.r * s
-    den = 1.0 + p.r ** 2 + 2.0 * p.r * s
-    assert den > 0.0, "unreachable: 2 r |sin| < 1 + r^2 for real r"
+    z = np.sqrt(complex(1.0 - p.r ** 2, -2.0 * p.r * np.cos(th)))
+    # 1 + r^2 -+ 2 r sin = (1 - r)^2 + 4 r sin^2(pi/4 -+ theta/2), which does
+    # not cancel as r -> 1 and theta -> +-90 degrees
+    num = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 - th / 2) ** 2
+    den = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 + th / 2) ** 2
+    if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
+        raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
     return MesonObservables(
         delta_E=2.0 * p.E_mag * z.real,
         delta_Gamma=-4.0 * p.E_mag * z.imag,

@@ -140,6 +140,16 @@ class TestAsymptoticState:
         assert st.branch is AsymptoticBranch.CRITICAL_NO_STATIONARY
         assert st.b_star is None
 
+    def test_large_r_near_perpendicular(self):
+        # 1 - r^2 + sqrt((1-r^2)^2 + 4c^2r^2) cancels at large r and small c;
+        # the spectral limit does not share the formula
+        from cuq.integrate import evolve_to_asymptote
+        m = QubitModel.from_angle(47.9, 89.9, degrees=True)
+        st = asymptotic_state(m)
+        assert st.branch is AsymptoticBranch.GENERAL
+        assert np.allclose(st.b_star, evolve_to_asymptote(m, np.zeros(3)),
+                           rtol=0.0, atol=1e-13)
+
     def test_rabi_limit(self):
         # r -> 0 with e.gamma != 0: b* approaches the precession axis
         m = QubitModel.from_angle(1e-4, 40.0, degrees=True)

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from cuq.cli import main
+from cuq.core import QubitModel
 from cuq.fit import save_dataset, synthesize_dataset
+from cuq.integrate import propagate
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(argv):
@@ -44,6 +48,52 @@ class TestSimulate:
         assert run(["--output-dir", str(tmp_path), "simulate",
                     "--r", "0.5", "--t-max", "inf"]) == 2
 
+    def test_uniform_grid_resolves_the_period(self, tmp_path):
+        # 64 rows per period, and never fewer than 257
+        P = 2 * np.pi * 0.85 / np.sqrt(1 - 0.85 ** 2)
+        for t_max, rows in (("2P", 257), ("10P", 641)):
+            assert run(["--output-dir", str(tmp_path), "simulate",
+                        "--r", "0.85", "--t-max", t_max]) == 0
+            table = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                               skiprows=1)
+            assert table.shape == (rows, 7)
+            assert np.allclose(np.diff(table[:, 0]), table[-1, 0] / (rows - 1),
+                               rtol=1e-12, atol=0.0)
+            assert table[-1, 0] == pytest.approx(float(t_max[:-1]) * P,
+                                                 rel=1e-12)
+
+    def test_overdamped_rows_are_the_exact_solution(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "2.5",
+                    "--theta-eg", "40", "--b0", "mixed", "--t-max", "7.5"]) == 0
+        table = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                           skiprows=1)
+        assert table.shape == (257, 7)
+        m = QubitModel.from_angle(2.5, 40.0, degrees=True)
+        assert np.array_equal(table[:, 1:4],
+                              propagate(m, np.zeros(3), table[:, 0]))
+
+    def test_negative_b0_vector(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
+                    "--b0", "-0.1,0.2,-0.3", "--t-max", "1.0"]) == 0
+        first = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
+        assert [float(x) for x in first.split(",")[1:4]] == pytest.approx(
+            [-0.1, 0.2, -0.3], rel=0.0, abs=1e-15)
+
+    def test_b0_outside_the_ball_is_flag_error(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
+                    "--b0", "1,1,0", "--t-max", "1.0"]) == 2
+
+    def test_row_cap_is_flag_error(self, tmp_path):
+        # r = 0.01 puts ~1e8 rows on [0, 1e5]
+        assert run(["--output-dir", str(tmp_path), "simulate",
+                    "--r", "0.01", "--t-max", "1e5"]) == 2
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_tolerance_flags_are_gone(self, tmp_path):
+        for flag in ("--rel-tol", "--abs-tol"):
+            assert run(["--output-dir", str(tmp_path), "simulate", "--r",
+                        "0.5", "--t-max", "1.0", flag, "1e-9"]) == 2
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -55,12 +105,28 @@ class TestSimulate:
 
 class TestSweep:
     def test_bmax_from_mixed_state(self, tmp_path):
+        # the peak is located exactly, not sampled
         assert run(["--output-dir", str(tmp_path), "sweep-bmax",
-                    "--r-grid", "0.3,0.85", "--b0-grid", "0"]) == 0
+                    "--r-grid", "0.05,0.3,0.85,0.99", "--b0-grid", "0"]) == 0
         rows = (tmp_path / "bmax.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
         for row in rows:
             r, b0, bmax = (float(x) for x in row.split(","))
-            assert bmax == pytest.approx(2 * r / (1 + r * r), abs=1e-6)
+            assert bmax == pytest.approx(2 * r / (1 + r * r), abs=1e-12)
+
+    def test_bmax_is_the_maximum_of_the_trajectory(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "sweep-bmax",
+                    "--r-grid", "0.4,1,3", "--b0-grid", "0.3,1"]) == 0
+        table = np.loadtxt(tmp_path / "bmax.csv", delimiter=",", skiprows=1)
+        assert table.shape == (6, 3)
+        for r, b0, bmax in table:
+            m = QubitModel.from_angle(r, 90.0, degrees=True)
+            tau_end = (5 * 2 * np.pi * r / np.sqrt(1 - r * r) if r < 1
+                       else 50 * r)
+            taus = np.linspace(0.0, tau_end, 100001)
+            dense = np.linalg.norm(propagate(m, b0 * m.gamma, taus),
+                                   axis=1).max()
+            assert dense - 1e-15 <= bmax <= dense + 1e-8
 
 
 class TestFourier:
@@ -90,6 +156,15 @@ class TestConvert:
                                                               abs=2e-6)
         assert out["damping"] == "oscillatory"
 
+    def test_negative_numbers_in_exponent_form(self, capsys):
+        assert run(["convert", "--from-observables", "0.5", "-9.4e-05",
+                    "1.0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["observables"]["delta_Gamma"] == -9.4e-05
+        assert run(["convert", "--from-bloch", "0.5", "-1.2e+02", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["bloch"]["theta_eg_deg"] == -120.0
+
     def test_inverse_roundtrip(self, capsys):
         assert run(["convert", "--from-observables", "0.005293",
                     "-0.0100037", "0.9968006"]) == 0
@@ -110,6 +185,16 @@ class TestFit:
         rep = json.loads((tmp_path / "fit.json").read_text())
         assert rep["weighted_r"] == pytest.approx(0.85, abs=0.05)
         assert (tmp_path / "residuals.csv").exists()
+
+    def test_outputs_are_frozen(self, tmp_path):
+        # fit.json and residuals.csv from an earlier release on a fixed dataset
+        golden = DATA / "fit_golden"
+        assert run(["--output-dir", str(tmp_path), "fit",
+                    "--data", str(golden / "data.csv"), "--omega", "0.8",
+                    "--n-harmonics", "3", "--amplitude", "0.9"]) == 0
+        for name in ("fit.json", "residuals.csv"):
+            assert (tmp_path / name).read_bytes() == \
+                (golden / name).read_bytes()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "fit",
@@ -168,12 +253,14 @@ class TestFlagErrors:
 
 
 class TestImport:
-    def test_runtime_path_loads_only_scipy_special(self):
-        # each of these costs a large share of a cold CLI start
+    def test_runtime_path_loads_no_scipy(self):
+        # scipy.special alone costs more than numpy on a cold start; only
+        # the fit's p-values need it, and they import it themselves
         src = Path(__file__).resolve().parents[1] / "src"
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import cuq; "
-                "print(','.join(m for m in ('scipy.stats', 'scipy.optimize', "
-                "'scipy.integrate') if m in sys.modules))")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import cuq, cuq.cli; "
+                "print(','.join(m for m in sys.modules if m == 'scipy' "
+                "or m.startswith('scipy.')))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == ""

@@ -1,12 +1,23 @@
-"""Adaptive integrator: accuracy, invariants, and asymptote detection."""
+"""Exact propagator, adaptive integrator, and asymptote detection."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cuq.analytic import asymptotic_state, cuq_clock, cuq_projections
-from cuq.core import QubitModel
+from cuq.core import (SIGMA, BlochState, QubitModel, _effective_matrices,
+                      density_from_bloch)
 from cuq.integrate import (NON_CONVERGENT, StepSizeUnderflow, evolve,
-                           evolve_to_asymptote)
+                           evolve_to_asymptote, propagate)
+
+radii = st.floats(0.05, 20.0)
+angles = st.floats(0.0, 180.0)
+unit_ball = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
+    lambda v: np.array(v) / max(1.0, float(np.linalg.norm(v))))
 
 
 def perp_model(r):
@@ -166,3 +177,85 @@ class TestAsymptote:
         for b0 in ([0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
             with pytest.raises(ValueError):
                 evolve_to_asymptote(perp_model(1.5), b0)
+
+
+def expm_path(m, b0, taus):
+    """Bloch vectors from scipy's expm of K = -iE - Gamma/2 (units of |Gamma|)."""
+    E, G = _effective_matrices(m)
+    K = -1j * E - 0.5 * G
+    # a real shift only rescales rho; it keeps e^{K tau} finite
+    K = K - np.max(np.linalg.eigvals(K).real) * np.eye(2)
+    U = expm(taus[:, None, None] * K)
+    rho0 = density_from_bloch(BlochState(b0)).entries
+    rho = U @ rho0 @ U.conj().transpose(0, 2, 1)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    return np.einsum("mjk,ikj->mi", rho, SIGMA).real / trace[:, None]
+
+
+class TestPropagate:
+    @settings(max_examples=25, deadline=None)
+    @given(radii, angles, unit_ball, st.floats(0.1, 5.0))
+    def test_agrees_with_dp5(self, r, theta, b0, tau_end):
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        traj = evolve(m, b0, tau_end)
+        assert np.max(np.abs(propagate(m, b0, traj.taus) - traj.bs)) <= 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(radii, angles, unit_ball, st.floats(0.0, 5.0))
+    def test_agrees_with_matrix_exponential(self, r, theta, b0, tau_end):
+        # near a repelling state expm's rounding grows like e^{Re mu tau}
+        # (1e-12 at tau = 8 for r = 1, theta = 0, b0 = -e); this module's
+        # long-time behaviour is checked against exact forms below
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        taus = np.linspace(0.0, tau_end, 9)
+        assert np.max(np.abs(propagate(m, b0, taus)
+                             - expm_path(m, b0, taus))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(radii, angles, unit_ball)
+    def test_finite_and_in_the_ball_at_long_times(self, r, theta, b0):
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        b = propagate(m, b0, np.geomspace(1.0, 1e6, 25))
+        assert np.all(np.isfinite(b))
+        assert np.max(np.linalg.norm(b, axis=1)) <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_ball, st.floats(0.0, 1e3))
+    def test_exact_at_the_exceptional_point(self, b0, tau):
+        # r = 1, e perpendicular to gamma: e^{K tau} = I + (tau/2) n.sigma,
+        # and with e = x, gamma = y the state is rational in tau and b0
+        m = QubitModel(e=[1.0, 0.0, 0.0], gamma=[0.0, 1.0, 0.0], r=1.0)
+        b1, b2, b3 = (Fraction(x) for x in b0)
+        t = Fraction(tau)
+        d = 1 + t * b2 + t * t * (1 + b3) / 2
+        want = [b1 / d, (b2 + t * (1 + b3)) / d,
+                (b3 - t * b2 - t * t * (1 + b3) / 2) / d]
+        got = propagate(m, b0, [tau])[0]
+        # exact to rounding: the terms of d reach (1 + tau)^2 before they
+        # cancel down to d
+        tol = 8.0 * np.finfo(float).eps * (1.0 + tau) ** 2 / float(d)
+        assert np.max(np.abs(got - np.array(want, dtype=float))) <= tol
+
+    def test_starts_at_b0_and_stays_on_the_pure_orbit(self):
+        r = 0.85
+        m = perp_model(r)
+        taus = np.linspace(0.0, 3.0 * cuq_clock(r).P_hat, 200)
+        b = propagate(m, m.e_cross_gamma, taus)
+        assert np.array_equal(b[0], m.e_cross_gamma)
+        bg, bexg = cuq_projections(taus, r)
+        assert np.max(np.abs(b @ m.gamma - bg)) < 1e-14
+        assert np.max(np.abs(b @ m.e_cross_gamma - bexg)) < 1e-14
+
+    def test_repelling_state_stays_put(self):
+        # aligned model: -e is a fixed point; e^{-mu tau} underflows at 1e6
+        m = QubitModel.from_angle(0.25, 0.0, degrees=True)
+        b = propagate(m, -m.e, [0.0, 1.0, 1e6])
+        assert np.allclose(b, -m.e, rtol=0.0, atol=1e-15)
+
+    def test_rejects_bad_times_and_b0(self):
+        m = perp_model(0.5)
+        for taus in ([-1.0], [np.inf], [np.nan], [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                propagate(m, np.zeros(3), taus)
+        with pytest.raises(ValueError):
+            propagate(m, [0.0, 0.0, 1.1], [1.0])

@@ -46,6 +46,26 @@ class TestForwardMap:
         assert abs(o.delta_Gamma) == pytest.approx(4 * E * np.sqrt(r * r - 1),
                                                    rel=1e-14)
 
+    @pytest.mark.parametrize("theta", [90.0, -90.0])
+    def test_qop_near_maximal_cp_violation(self, theta):
+        # 1 + r^2 -+ 2 r sin(theta) cancels as r -> 1 at +-90 degrees, where
+        # |q/p|^{+-2} = (1 - r)/(1 + r)
+        r = 1.0 - 1e-9
+        o = observables_from_bloch(BlochParameters(r, theta, 1.0))
+        assert o.q_over_p ** np.sign(theta) == pytest.approx(
+            np.sqrt((1.0 - r) / (1.0 + r)), rel=1e-12)
+        r = 1.0 - 1e-6
+        src = BlochParameters(r, theta, 1.0)
+        got = bloch_from_observables(observables_from_bloch(src)).params
+        assert got.E_mag == pytest.approx(1.0, abs=1e-10)
+        assert got.r == pytest.approx(r, abs=1e-15)
+
+    def test_infinite_qop_is_unphysical(self):
+        # r = 1 at -90 degrees is the mirror of |q/p| = 0 at +90
+        for theta in (90.0, -90.0):
+            with pytest.raises(UnphysicalObservables):
+                observables_from_bloch(BlochParameters(1.0, theta, 1.0))
+
     def test_splitting_invariant(self):
         # Delta E^2 - Delta Gamma^2/4 = 4|E|^2 (1 - r^2) for any angle
         r, E, th = 0.945, 2.64652e-3, 179.6322
