@@ -108,7 +108,8 @@ def _peak_magnitude(model: QubitModel, b0, tau_end: float) -> float:
     f' = gamma . db/dtau = b.(e x gamma)/r + 1 - f^2.
     """
     taus = _time_grid(model.r, tau_end)
-    bs = integrate.propagate(model, b0, taus)
+    path = integrate._propagator(model, b0)
+    bs = path(taus)
     f = bs @ model.gamma
     i = np.flatnonzero((f[:-1] > 0.0) & (f[1:] <= 0.0))
     lo, hi = taus[i], taus[i + 1]
@@ -116,7 +117,7 @@ def _peak_magnitude(model: QubitModel, b0, tau_end: float) -> float:
     tol = 1e-14 * hi
     exg = model.e_cross_gamma
     for _ in range(100):
-        b = integrate.propagate(model, b0, t)
+        b = path(t)
         f_t = b @ model.gamma
         lo = np.where(f_t > 0.0, t, lo)
         hi = np.where(f_t > 0.0, hi, t)
@@ -128,7 +129,7 @@ def _peak_magnitude(model: QubitModel, b0, tau_end: float) -> float:
         t = t_new
         if done:
             break
-    bs = np.vstack([bs, integrate.propagate(model, b0, t)])
+    bs = np.vstack([bs, path(t)])
     return float(np.max(np.linalg.norm(bs, axis=1)))
 
 

@@ -100,10 +100,11 @@ class QubitModel:
             raise ValueError("gamma must be a unit vector")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "gamma", g)
-        if not self.r > 0.0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if not self.E_mag > 0.0:
-            raise ValueError(f"E_mag must be positive, got {self.E_mag}")
+        if not 0.0 < self.r < np.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r}")
+        if not 0.0 < self.E_mag < np.inf:
+            raise ValueError(
+                f"E_mag must be positive and finite, got {self.E_mag}")
 
     @property
     def Gamma_mag(self) -> float:
@@ -161,11 +162,25 @@ class DensityMatrix:
         return float(np.trace(self.entries @ self.entries).real)
 
 
+def _vector_field(model: QubitModel):
+    """f(b) = C b + gamma - (b.gamma) b, the Bloch equation's right-hand side.
+
+    The rotation -(1/r) e x b is the fixed linear map C = -[e]_x / r, built
+    once per model, so one evaluation is a 3x3 product and a dot product.
+    """
+    e1, e2, e3 = model.e / model.r
+    C = np.array([[0.0, e3, -e2], [-e3, 0.0, e1], [e2, -e1, 0.0]])
+    g = model.gamma
+
+    def f(b: np.ndarray) -> np.ndarray:
+        return C @ b + g - (b @ g) * b
+
+    return f
+
+
 def bloch_derivative(state: BlochState, model: QubitModel) -> np.ndarray:
     """db/dtau = -(1/r) e x b + gamma - (b.gamma) b."""
-    b = state.b
-    return (-np.cross(model.e, b) / model.r
-            + model.gamma - np.dot(b, model.gamma) * b)
+    return _vector_field(model)(state.b)
 
 
 def purity_rate(state: BlochState, model: QubitModel) -> float:

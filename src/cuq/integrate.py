@@ -6,18 +6,20 @@ n = gamma + i e/r.  `propagate` evaluates that closed form at any set of
 times and `evolve_to_asymptote` reads the limit off the same generator;
 neither integrates, and neither uses the analytic module.  `evolve`, a
 Dormand-Prince 5(4) pair with a PI step-size controller and cubic Hermite
-dense output, integrates the nonlinear Bloch equation itself: it is the
-independent oracle that the exact forms are tested against.
+dense output, integrates the nonlinear Bloch equation itself, with the
+vector field from `core._vector_field` (the one definition of the field):
+it is the independent oracle that the exact forms are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (IDENTITY2, SIGMA, BlochState, DensityMatrix, QubitModel,
-                   _as_vec3, density_from_bloch)
+                   _as_vec3, _vector_field, density_from_bloch)
 
 __all__ = [
     "Trajectory",
@@ -81,6 +83,8 @@ class Trajectory:
         tau = np.asarray(tau, dtype=float)
         scalar = tau.ndim == 0
         t = np.atleast_1d(tau)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("interpolation query is not finite")
         if t.min() < self.taus[0] - 1e-12 or t.max() > self.taus[-1] + 1e-12:
             raise ValueError("interpolation query outside the integrated range")
         idx = np.clip(np.searchsorted(self.taus, t, side="right") - 1,
@@ -102,25 +106,15 @@ class Trajectory:
         return np.linalg.norm(self.bs, axis=1)
 
 
-def _rhs(model: QubitModel):
-    e, g, r = model.e, model.gamma, model.r
-
-    def f(b: np.ndarray) -> np.ndarray:
-        return -np.cross(e, b) / r + g - np.dot(b, g) * b
-
-    return f
-
-
 def _max_step(model: QubitModel) -> float:
-    h = np.inf
-    if model.r < 1.0:
-        # resolve oscillations: >= 64 samples per dimensionless period
-        period = 2.0 * np.pi * model.r / np.sqrt(1.0 - model.r ** 2)
-        h = period / 64.0
-    if model.r < 0.05:
-        # the 1/r rotation term dominates; cap on the rotation scale itself
-        h = min(h, 2.0 * np.pi * model.r / 32.0)
-    return h
+    """>= 64 steps per dimensionless period when r < 1; none otherwise.
+
+    The period 2 pi r / sqrt(1 - r^2) exceeds the rotation scale 2 pi r, so
+    this cap also resolves the 1/r rotation that dominates at small r.
+    """
+    if model.r >= 1.0:
+        return np.inf
+    return 2.0 * np.pi * model.r / np.sqrt(1.0 - model.r ** 2) / 64.0
 
 
 def evolve(model: QubitModel, b0, tau_end: float,
@@ -133,7 +127,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
             raise ValueError(f"tolerance {tol} outside (0, 1e-2]")
     b = _as_vec3(b0).copy()
 
-    f = _rhs(model)
+    f = _vector_field(model)
     h_max = min(_max_step(model), tau_end)
     k = np.empty((7, 3))
     k[0] = f(b)
@@ -164,7 +158,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
         y5 = b + h * (_B5 @ k)
         err_vec = h * (_E @ k)
         sc = abs_tol + rel_tol * np.maximum(np.abs(b), np.abs(y5))
-        err = np.sqrt(np.mean((err_vec / sc) ** 2))
+        err = math.sqrt(float(((err_vec / sc) ** 2).sum()) / 3.0)
         if err <= 1.0:
             tau += h
             b = y5
@@ -218,27 +212,41 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     Gram matrix W W^dagger, W = U L with L L^dagger proportional to rho0,
     so it stays positive, |b| <= 1, under rounding.
     """
-    state = BlochState(b0)
+    path = _propagator(model, b0)
     t = np.atleast_1d(np.asarray(taus, dtype=float))
     if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("taus must be a 1-D array of finite times >= 0")
+    return path(t)
+
+
+def _propagator(model: QubitModel, b0):
+    """`propagate`'s map t -> b(t) for one validated b0, taking a 1-D array
+    of finite times >= 0 unchecked; for callers that evaluate it many times.
+    """
+    state = BlochState(b0)
     n, mu = _generator(model)
     rho0 = density_from_bloch(state).entries
     # rho0^2 = rho0 - s^2 I with s = sqrt(det rho0): L L^dagger = (1 + 2s) rho0
     L = rho0 + 0.5 * np.sqrt(max(1.0 - state.b @ state.b, 0.0)) * IDENTITY2
-    x = np.exp(-mu * t)
-    beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
-    W = (np.multiply.outer(0.5 * (1.0 + x), L)
-         + np.multiply.outer(beta, np.einsum("i,ijk->jk", n, SIGMA) @ L))
-    top, bottom = W[:, 0], W[:, 1]
-    r00 = np.sum(np.abs(top) ** 2, axis=1)
-    r11 = np.sum(np.abs(bottom) ** 2, axis=1)
-    r01 = np.sum(top * bottom.conj(), axis=1)
-    tr = (r00 + r11)[:, None]
-    with np.errstate(invalid="ignore"):
-        b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag, r00 - r11]) / tr
-    # W rounds to 0 only when b0 is the repelling state, where the flow stays
-    return np.where(tr > 0.0, b, state.b)
+    nL = np.einsum("i,ijk->jk", n, SIGMA) @ L
+
+    def path(t: np.ndarray) -> np.ndarray:
+        x = np.exp(-mu * t)
+        beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
+        W = (np.multiply.outer(0.5 * (1.0 + x), L)
+             + np.multiply.outer(beta, nL))
+        top, bottom = W[:, 0], W[:, 1]
+        r00 = np.sum(np.abs(top) ** 2, axis=1)
+        r11 = np.sum(np.abs(bottom) ** 2, axis=1)
+        r01 = np.sum(top * bottom.conj(), axis=1)
+        tr = (r00 + r11)[:, None]
+        with np.errstate(invalid="ignore"):
+            b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag,
+                                 r00 - r11]) / tr
+        # W rounds to 0 only when b0 is the repelling state, where it stays
+        return np.where(tr > 0.0, b, state.b)
+
+    return path
 
 
 def evolve_to_asymptote(model: QubitModel, b0):

@@ -79,6 +79,12 @@ class TestSimulate:
         assert [float(x) for x in first.split(",")[1:4]] == pytest.approx(
             [-0.1, 0.2, -0.3], rel=0.0, abs=1e-15)
 
+    def test_infinite_e_mag_is_flag_error(self, tmp_path, capsys):
+        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
+                    "--e-mag", "inf"]) == 2
+        assert "E_mag must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_b0_outside_the_ball_is_flag_error(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
                     "--b0", "1,1,0", "--t-max", "1.0"]) == 2
@@ -113,6 +119,14 @@ class TestSweep:
         for row in rows:
             r, b0, bmax = (float(x) for x in row.split(","))
             assert bmax == pytest.approx(2 * r / (1 + r * r), abs=1e-12)
+
+    def test_infinite_r_is_flag_error(self, tmp_path, capsys):
+        # the model rejects r, before any horizon is derived from it
+        assert run(["--output-dir", str(tmp_path), "sweep-bmax",
+                    "--r-grid", "0.5,inf"]) == 2
+        err = capsys.readouterr().err
+        assert "r must be positive and finite" in err and "--t-max" not in err
+        assert not (tmp_path / "bmax.csv").exists()
 
     def test_bmax_is_the_maximum_of_the_trajectory(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "sweep-bmax",

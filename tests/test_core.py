@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cuq.core import (BlochState, DensityMatrix, QubitModel, bloch_derivative,
-                      density_evolution_rhs, density_from_bloch, purity_rate)
+from cuq.core import (BlochState, DensityMatrix, QubitModel, _vector_field,
+                      bloch_derivative, density_evolution_rhs,
+                      density_from_bloch, purity_rate)
 
 SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -14,13 +15,14 @@ SIGMA = np.array([
 SIGMA[2] = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def random_model(rng):
+def random_model(rng, r=None):
     e = rng.standard_normal(3)
     e /= np.linalg.norm(e)
     g = rng.standard_normal(3)
     g -= (g @ e) * e * rng.uniform(0, 1)  # arbitrary angle, not axis-aligned
     g /= np.linalg.norm(g)
-    return QubitModel(e=e, gamma=g, r=rng.uniform(0.05, 2.0),
+    return QubitModel(e=e, gamma=g,
+                      r=rng.uniform(0.05, 2.0) if r is None else r,
                       E_mag=rng.uniform(0.1, 10.0))
 
 
@@ -50,6 +52,13 @@ class TestQubitModel:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], r=0.0, E_mag=1.0)
+
+    @pytest.mark.parametrize("field", ["r", "E_mag"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+    def test_rejects_scale_outside_zero_to_inf(self, field, value):
+        kwargs = {"r": 0.5, "E_mag": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], **kwargs)
 
     def test_gamma_mag(self):
         m = QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], r=0.25, E_mag=2.0)
@@ -84,6 +93,23 @@ class TestBlochDerivative:
             rhs = float((m.gamma @ b) * (1.0 - b @ b))
             assert lhs == pytest.approx(rhs, abs=1e-13)
             assert purity_rate(s, m) == pytest.approx(2.0 * rhs, abs=1e-13)
+
+    def test_matches_expanded_cross_product(self):
+        # the matrix form C b, C = -[e]_x / r, against e x b written out
+        # component by component, to rounding, for r over six decades
+        rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        for r in 10.0 ** rng.uniform(-3.0, 3.0, 40):
+            m = random_model(rng, r=r)
+            b = rng.standard_normal(3)
+            b *= rng.uniform(0, 1) / np.linalg.norm(b)
+            (e1, e2, e3), (b1, b2, b3), g = m.e, b, m.gamma
+            exb = np.array([e2 * b3 - e3 * b2, e3 * b1 - e1 * b3,
+                            e1 * b2 - e2 * b1])
+            want = -exb / r + g - (b1 * g[0] + b2 * g[1] + b3 * g[2]) * b
+            got = _vector_field(m)(b)
+            assert np.max(np.abs(got - want)) <= 8.0 * eps * (1.0 + 1.0 / r)
+            assert np.array_equal(got, bloch_derivative(BlochState(b), m))
 
     def test_pure_states_stay_on_sphere(self):
         rng = np.random.default_rng(11)

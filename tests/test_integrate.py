@@ -105,6 +105,20 @@ class TestEvolve:
         assert st["n_accepted"] > 0 and st["max_local_error"] <= 1.0
         assert st["n_fev"] == 1 + 6 * (st["n_accepted"] + st["n_rejected"])
 
+    @pytest.mark.parametrize("r, theta, tau_end, tol", [
+        (0.02, 70.0, 1.0, 1e-9), (0.85, 90.0, 5.0, 1e-9),
+        (1.0, 90.0, 5.0, 1e-9), (3.0, 40.0, 40.0, 1e-4),
+        (1.5, 90.0, 40.0, 1e-4)])
+    def test_field_calls_per_step(self, r, theta, tau_end, tol):
+        # one field call to start, then six per attempted step (FSAL) in
+        # every regime: n_fev counts field calls.  The loose-tolerance runs
+        # reject a step, so rejected steps are counted too.
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        st = evolve(m, -m.gamma, tau_end, rel_tol=tol,
+                    abs_tol=tol).controller_stats
+        assert st["n_fev"] == 1 + 6 * (st["n_accepted"] + st["n_rejected"])
+        assert st["n_rejected"] > 0 or tol < 1e-5
+
 
 class TestInterpolation:
     def test_dense_output_between_nodes(self):
@@ -120,6 +134,13 @@ class TestInterpolation:
         traj = evolve(perp_model(0.5), np.zeros(3), 1.0)
         with pytest.raises(ValueError):
             traj.interpolate(2.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf,
+                                     [0.5, np.nan], [np.nan, 0.5]])
+    def test_non_finite_query_raises(self, tau):
+        traj = evolve(perp_model(0.5), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            traj.interpolate(tau)
 
 
 class TestAsymptote:
