@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, fourier, integrate, meson
-from .core import QubitModel
+from .core import BlochState, QubitModel
 from .fit import (DatasetFormatError, RankDeficientDesign, design_matrix,
                   estimate_r, fit_fourier_modes, fit_result_to_json,
                   load_dataset)
@@ -27,7 +27,8 @@ EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# simulate's grid: 64 rows per period is the step cap `evolve` keeps
+# simulate's grid: 64 rows per period is the step cap `evolve` keeps;
+# MAX_ROWS caps the rows of trajectory.csv and of bmax.csv
 ROWS_PER_PERIOD = 64
 MIN_ROWS = 257
 MAX_ROWS = 1_000_001
@@ -81,6 +82,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     """'lo:hi:n' linear grid or comma-separated values."""
     if ":" in spec:
         lo, hi, n = spec.split(":")
+        if not 1 <= int(n) <= MAX_ROWS:
+            raise ValueError(f"grid '{spec}' needs 1 to {MAX_ROWS} points")
         return np.linspace(float(lo), float(hi), int(n))
     return np.array([float(x) for x in spec.split(",")])
 
@@ -99,38 +102,29 @@ def _time_grid(r: float, tau_end: float) -> np.ndarray:
     return np.linspace(0.0, tau_end, math.ceil(rows))
 
 
-def _peak_magnitude(model: QubitModel, b0, tau_end: float) -> float:
-    """max |b| over [0, tau_end], exact to rounding.
+def _peak_magnitude(model: QubitModel, beta: float) -> float:
+    """max |b| from b0 = beta gamma, e perpendicular to gamma, over five
+    periods (r < 1) or tau <= 50 r, exactly.
 
-    d|b|^2/dtau = 2 (gamma.b)(1 - |b|^2), so |b| peaks inside the range only
-    where f = gamma.b changes sign from + to -.  Each such bracket of the
-    time grid is refined by bisection-safeguarded Newton steps, with
-    f' = gamma . db/dtau = b.(e x gamma)/r + 1 - f^2.
+    rho ~ U rho0 U^dagger with det U = x = e^{-mu tau} (see `propagate`), so
+    1 - |b|^2 = |x|^2 (1 - beta^2) / T^2 with T = tr(U rho0 U^dagger).  For
+    r < 1, |x| = 1 and T is a sinusoid of period P_hat, whose top gives
+    1 - |b|^2 = (c (1 - r^2) / D)^2, c = sqrt(1 - beta^2), D = 1 + r s and
+    s = sqrt(r^2 + beta^2 (1 - r^2)).  It is formed as
+    (D - c (1 - r^2)) (D + c (1 - r^2)) / D^2 with 1 - c = beta^2/(1 + c),
+    which does not cancel at small r.  For r >= 1, T/x is convex in
+    x in (0, 1], so |b| peaks at an end of the range.
     """
-    taus = _time_grid(model.r, tau_end)
-    path = integrate._propagator(model, b0)
-    bs = path(taus)
-    f = bs @ model.gamma
-    i = np.flatnonzero((f[:-1] > 0.0) & (f[1:] <= 0.0))
-    lo, hi = taus[i], taus[i + 1]
-    t = lo + (hi - lo) * f[i] / (f[i] - f[i + 1])  # secant start
-    tol = 1e-14 * hi
-    exg = model.e_cross_gamma
-    for _ in range(100):
-        b = path(t)
-        f_t = b @ model.gamma
-        lo = np.where(f_t > 0.0, t, lo)
-        hi = np.where(f_t > 0.0, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - f_t / (b @ exg / model.r + 1.0 - f_t * f_t)
-        newton = (lo - tol <= step) & (step <= hi + tol)
-        t_new = np.where(newton, np.clip(step, lo, hi), 0.5 * (lo + hi))
-        done = np.all(np.abs(t_new - t) <= tol)
-        t = t_new
-        if done:
-            break
-    bs = np.vstack([bs, path(t)])
-    return float(np.max(np.linalg.norm(bs, axis=1)))
+    r, b0 = model.r, beta * model.gamma
+    if r >= 1.0:
+        ends = integrate.propagate(model, b0, [0.0, 50.0 * r])
+        return float(np.max(np.linalg.norm(ends, axis=1)))
+    BlochState(b0)  # rejects |beta| > 1, where the form exceeds 1
+    c = math.sqrt(max(1.0 - beta * beta, 0.0))
+    s = math.sqrt(r * r + beta * beta * (1.0 - r * r))
+    D = 1.0 + r * s
+    return math.sqrt((beta * beta / (1.0 + c) + r * r * c + r * s)
+                     * (D + c * (1.0 - r * r))) / D
 
 
 def cmd_simulate(args) -> int:
@@ -148,16 +142,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep_bmax(args) -> int:
+    r_grid, b0_grid = _parse_grid(args.r_grid), _parse_grid(args.b0_grid)
+    if r_grid.size * b0_grid.size > MAX_ROWS:
+        raise ValueError(f"the grids make {r_grid.size * b0_grid.size} rows, "
+                         f"more than {MAX_ROWS}")
     rows = []
-    for r in _parse_grid(args.r_grid):
+    for r in r_grid:
         model = QubitModel.from_angle(r, 90.0, 1.0, degrees=True)
-        if 0.0 < r < 1.0:
-            tau_end = 5.0 * analytic.cuq_clock(r).P_hat
-        else:
-            tau_end = 50.0 * max(r, 1.0)
-        for b0_mag in _parse_grid(args.b0_grid):
-            rows.append([r, b0_mag,
-                         _peak_magnitude(model, b0_mag * model.gamma, tau_end)])
+        for b0_mag in b0_grid:
+            rows.append([r, b0_mag, _peak_magnitude(model, b0_mag)])
     text = _csv(["r", "b0_mag", "b_max"], rows)
     _write(Path(args.output_dir) / "bmax.csv", text)
     return EXIT_OK

@@ -51,14 +51,14 @@ class BlochState:
 
     b: np.ndarray
     tau: float = 0.0
-    eps: float = STATE_EPS
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_vec3(self.b))
         if self.tau < 0.0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if np.linalg.norm(self.b) > 1.0 + self.eps:
-            raise ValueError(f"|b| = {np.linalg.norm(self.b)} exceeds 1 + eps")
+        if np.linalg.norm(self.b) > 1.0 + STATE_EPS:
+            raise ValueError(
+                f"|b| = {np.linalg.norm(self.b)} exceeds 1 + {STATE_EPS}")
 
     @property
     def magnitude(self) -> float:
@@ -71,7 +71,7 @@ class BlochState:
         """
         m = self.magnitude
         if m > 1.0:
-            return BlochState(self.b / m, self.tau, self.eps)
+            return BlochState(self.b / m, self.tau)
         return self
 
 
@@ -190,11 +190,8 @@ def purity_rate(state: BlochState, model: QubitModel) -> float:
 
 
 def density_from_bloch(state: BlochState) -> DensityMatrix:
-    """rho = (1 + b.sigma)/2.  Rejects |b| > 1 + eps."""
-    b = state.b
-    if np.linalg.norm(b) > 1.0 + state.eps:
-        raise ValueError("Bloch vector outside the unit ball")
-    m = 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b, SIGMA))
+    """rho = (1 + b.sigma)/2; `BlochState` has already bounded |b|."""
+    m = 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", state.b, SIGMA))
     return DensityMatrix(m)
 
 

@@ -212,41 +212,27 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     Gram matrix W W^dagger, W = U L with L L^dagger proportional to rho0,
     so it stays positive, |b| <= 1, under rounding.
     """
-    path = _propagator(model, b0)
+    state = BlochState(b0)
     t = np.atleast_1d(np.asarray(taus, dtype=float))
     if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("taus must be a 1-D array of finite times >= 0")
-    return path(t)
-
-
-def _propagator(model: QubitModel, b0):
-    """`propagate`'s map t -> b(t) for one validated b0, taking a 1-D array
-    of finite times >= 0 unchecked; for callers that evaluate it many times.
-    """
-    state = BlochState(b0)
     n, mu = _generator(model)
     rho0 = density_from_bloch(state).entries
     # rho0^2 = rho0 - s^2 I with s = sqrt(det rho0): L L^dagger = (1 + 2s) rho0
     L = rho0 + 0.5 * np.sqrt(max(1.0 - state.b @ state.b, 0.0)) * IDENTITY2
     nL = np.einsum("i,ijk->jk", n, SIGMA) @ L
-
-    def path(t: np.ndarray) -> np.ndarray:
-        x = np.exp(-mu * t)
-        beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
-        W = (np.multiply.outer(0.5 * (1.0 + x), L)
-             + np.multiply.outer(beta, nL))
-        top, bottom = W[:, 0], W[:, 1]
-        r00 = np.sum(np.abs(top) ** 2, axis=1)
-        r11 = np.sum(np.abs(bottom) ** 2, axis=1)
-        r01 = np.sum(top * bottom.conj(), axis=1)
-        tr = (r00 + r11)[:, None]
-        with np.errstate(invalid="ignore"):
-            b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag,
-                                 r00 - r11]) / tr
-        # W rounds to 0 only when b0 is the repelling state, where it stays
-        return np.where(tr > 0.0, b, state.b)
-
-    return path
+    x = np.exp(-mu * t)
+    beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
+    W = np.multiply.outer(0.5 * (1.0 + x), L) + np.multiply.outer(beta, nL)
+    top, bottom = W[:, 0], W[:, 1]
+    r00 = np.sum(np.abs(top) ** 2, axis=1)
+    r11 = np.sum(np.abs(bottom) ** 2, axis=1)
+    r01 = np.sum(top * bottom.conj(), axis=1)
+    tr = (r00 + r11)[:, None]
+    with np.errstate(invalid="ignore"):
+        b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag, r00 - r11]) / tr
+    # W rounds to 0 only when b0 is the repelling state, where it stays
+    return np.where(tr > 0.0, b, state.b)
 
 
 def evolve_to_asymptote(model: QubitModel, b0):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,6 +59,9 @@ class MesonObservables:
     q_over_p: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.delta_E) and math.isfinite(self.delta_Gamma)
+                and math.isfinite(self.q_over_p)):
+            raise ValueError(f"observables must be finite, got {self}")
         if self.delta_E < 0.0:
             raise UnphysicalObservables("delta_E must be >= 0 by convention")
         if not self.q_over_p > 0.0:
@@ -73,6 +77,9 @@ class BlochParameters:
     E_mag: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.theta_eg_deg)
+                and math.isfinite(self.E_mag)):
+            raise ValueError(f"Bloch parameters must be finite, got {self}")
         if not self.r > 0.0:
             raise ValueError("r must be positive")
         if not self.E_mag > 0.0:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuq.cli import main
+from cuq.cli import MAX_ROWS, _peak_magnitude, main
 from cuq.core import QubitModel
 from cuq.fit import save_dataset, synthesize_dataset
 from cuq.integrate import propagate
@@ -113,9 +115,10 @@ class TestSweep:
     def test_bmax_from_mixed_state(self, tmp_path):
         # the peak is located exactly, not sampled
         assert run(["--output-dir", str(tmp_path), "sweep-bmax",
-                    "--r-grid", "0.05,0.3,0.85,0.99", "--b0-grid", "0"]) == 0
+                    "--r-grid", "1e-6,0.05,0.3,0.85,0.99",
+                    "--b0-grid", "0"]) == 0
         rows = (tmp_path / "bmax.csv").read_text().splitlines()[1:]
-        assert len(rows) == 4
+        assert len(rows) == 5
         for row in rows:
             r, b0, bmax = (float(x) for x in row.split(","))
             assert bmax == pytest.approx(2 * r / (1 + r * r), abs=1e-12)
@@ -141,6 +144,46 @@ class TestSweep:
             dense = np.linalg.norm(propagate(m, b0 * m.gamma, taus),
                                    axis=1).max()
             assert dense - 1e-15 <= bmax <= dense + 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.01, 0.99), st.floats(-1.0, 1.0))
+    def test_closed_form_peak_is_the_orbit_maximum(self, r, beta):
+        # the orbit repeats every period, so one period holds the peak
+        m = QubitModel.from_angle(r, 90.0, degrees=True)
+        taus = np.linspace(0.0, 2 * np.pi * r / np.sqrt(1 - r * r), 20001)
+        dense = np.linalg.norm(propagate(m, beta * m.gamma, taus),
+                               axis=1).max()
+        assert dense - 1e-15 <= _peak_magnitude(m, beta) <= dense + 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1.0, 30.0), st.floats(-1.0, 1.0))
+    def test_overdamped_peak_is_at_an_end(self, r, beta):
+        m = QubitModel.from_angle(r, 90.0, degrees=True)
+        bs = propagate(m, beta * m.gamma, np.linspace(0.0, 50 * r, 20001))
+        mags = np.linalg.norm(bs, axis=1)
+        peak = _peak_magnitude(m, beta)
+        assert peak == pytest.approx(max(abs(beta), mags[-1]), abs=1e-15)
+        assert peak >= mags.max() - 1e-15
+
+    @pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-3",
+                                      f"0.1:0.9:{MAX_ROWS + 1}",
+                                      "0.1:0.9:100000000000"])
+    def test_grid_size_is_capped(self, tmp_path, grid, capsys):
+        assert run(["--output-dir", str(tmp_path), "sweep-bmax",
+                    "--r-grid", grid]) == 2
+        assert "points" in capsys.readouterr().err
+        assert not (tmp_path / "bmax.csv").exists()
+
+    def test_row_cap_is_flag_error(self, tmp_path, capsys):
+        assert run(["--output-dir", str(tmp_path), "sweep-bmax",
+                    "--r-grid", "0.1:0.9:1001", "--b0-grid", "0:1:1000"]) == 2
+        assert "more than" in capsys.readouterr().err
+        assert not (tmp_path / "bmax.csv").exists()
+
+    def test_b0_outside_the_ball_is_flag_error(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "sweep-bmax",
+                    "--r-grid", "0.5,2", "--b0-grid", "1.5"]) == 2
+        assert not (tmp_path / "bmax.csv").exists()
 
 
 class TestFourier:
@@ -184,6 +227,16 @@ class TestConvert:
                     "-0.0100037", "0.9968006"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["bloch"]["r"] == pytest.approx(0.945, abs=1e-4)
+
+    @pytest.mark.parametrize("argv", [
+        ["--from-bloch", "0.5", "90", "inf"],
+        ["--from-bloch", "0.5", "nan", "1"],
+        ["--from-observables", "inf", "0.1", "1"],
+    ])
+    def test_non_finite_input_is_flag_error(self, argv, capsys):
+        assert run(["convert"] + argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be finite" in out.err
 
 
 class TestFit:

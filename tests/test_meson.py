@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuq.core import BlochState
 from cuq.meson import (BlochParameters, Damping, MesonObservables,
@@ -93,6 +95,29 @@ class TestInversion:
         assert np.cos(np.radians(got.theta_eg_deg)) == pytest.approx(
             np.cos(np.radians(theta)), abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(np.log(1e-3), np.log(1e3)),
+           st.floats(-180.0, 180.0, exclude_min=True),
+           st.floats(1e-3, 20.0))
+    def test_roundtrip_property(self, log_r, theta, E):
+        r = float(np.exp(log_r))
+        assume(not (r == 1.0 and abs(theta) == 90.0))  # |q/p| is 0 or inf
+        o = observables_from_bloch(BlochParameters(r, theta, E))
+        inv = bloch_from_observables(o)
+        c = np.cos(np.radians(theta))
+        got = min((inv.params, inv.mirror),
+                  key=lambda p: abs(np.cos(np.radians(p.theta_eg_deg)) - c))
+        assert got.r == pytest.approx(r, abs=1e-10 * max(1.0, r / 10.0))
+        assert got.E_mag == pytest.approx(E, rel=1e-10)
+        # the flipped Delta Gamma is the mirror's input: it must invert to
+        # parameters that reproduce it
+        flipped = MesonObservables(o.delta_E, -o.delta_Gamma, o.q_over_p)
+        back = observables_from_bloch(bloch_from_observables(flipped).params)
+        tol = 1e-10 * max(o.delta_E, abs(o.delta_Gamma))
+        assert back.delta_E == pytest.approx(flipped.delta_E, abs=tol)
+        assert back.delta_Gamma == pytest.approx(flipped.delta_Gamma, abs=tol)
+        assert back.q_over_p == pytest.approx(flipped.q_over_p, rel=1e-10)
+
     def test_mirror_branch_flips_cosine(self):
         inv = bloch_from_observables(
             observables_from_bloch(BlochParameters(0.5, 60.0, 1.0)))
@@ -121,6 +146,23 @@ class TestInversion:
         assert got.r == pytest.approx(r, abs=1e-15)
         assert got.E_mag == pytest.approx((1.0 + qop ** 2) / (4.0 * qop),
                                           rel=1e-12)
+
+    @pytest.mark.parametrize("fields", [
+        (np.inf, 0.1, 1.0), (1.0, np.nan, 1.0), (1.0, 0.1, np.inf),
+        (np.nan, 0.0, 1.0)])
+    def test_rejects_non_finite_observables(self, fields):
+        # a plain ValueError (bad input), not UnphysicalObservables
+        with pytest.raises(ValueError, match="finite") as info:
+            MesonObservables(*fields)
+        assert not isinstance(info.value, UnphysicalObservables)
+
+    @pytest.mark.parametrize("fields", [
+        (np.inf, 90.0, 1.0), (0.5, np.nan, 1.0), (0.5, 90.0, np.inf),
+        (0.5, -np.inf, 1.0)])
+    def test_rejects_non_finite_parameters(self, fields):
+        with pytest.raises(ValueError, match="finite") as info:
+            BlochParameters(*fields)
+        assert not isinstance(info.value, UnphysicalObservables)
 
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalObservables):
