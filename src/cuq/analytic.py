@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QubitModel
+from .core import _ALIGN_TOL, QubitModel
 
 __all__ = [
     "CuqClock",
@@ -31,10 +31,6 @@ __all__ = [
     "polar_rates",
     "half_angle_slope",
 ]
-
-# branch-dispatch thresholds for the asymptotic state: 1/sin^2 is
-# ill-conditioned near alignment, 1/alpha near perpendicularity
-_ALIGN_TOL = 1e-10
 
 
 def _check_r_oscillatory(r: float):
@@ -143,7 +139,7 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     """
     e, g, r = model.e, model.gamma, model.r
     c = float(np.dot(e, g))
-    exg = np.cross(e, g)
+    exg = model.e_cross_gamma
     s2 = float(np.dot(exg, exg))  # sin^2(theta_eg)
 
     if s2 < _ALIGN_TOL:

@@ -1,7 +1,7 @@
 """Command-line surface: simulation, sweeps, spectra, conversions, fits.
 
 Every subcommand emits plot-ready CSV and/or machine-readable JSON into
---output-dir and is deterministic given its flags (and seed).  Exit
+--output-dir and is deterministic given its flags.  Exit
 codes: 0 success, 2 flag error, 3 data error, 4 numerical failure.
 """
 
@@ -278,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dynamics, spectra and fits for critical unstable qubits")
     parser.add_argument("--output-dir", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for stochastic subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate",

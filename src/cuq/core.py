@@ -11,12 +11,15 @@ the vector obeys the nonlinear master evolution equation
 
 with unit vectors e = E/|E|, gamma = Gamma/|Gamma| and damping ratio
 r = |Gamma| / (2 |E|).  This module holds the immutable value types and
-the right-hand sides; everything here is a pure function.
+the right-hand sides; everything here is a pure function.  `DensityMatrix`
+is the validated type of the matrix-equation cross-check; the exact path
+in `integrate` checks its input with `BlochState` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +27,10 @@ import numpy as np
 # identities in the tests are held to the tighter 1e-12.
 STATE_EPS = 1e-9
 _UNIT_TOL = 1e-12
+# e and gamma count as aligned when sin^2(theta_eg) < _ALIGN_TOL, and as
+# perpendicular when |cos(theta_eg)| < _ALIGN_TOL: 1/sin^2 is
+# ill-conditioned near alignment, 1/alpha near perpendicularity
+_ALIGN_TOL = 1e-10
 
 SIGMA = np.array(
     [
@@ -47,15 +54,12 @@ def _as_vec3(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochState:
-    """Co-decaying Bloch vector b at dimensionless time tau = |Gamma| t."""
+    """Co-decaying Bloch vector b, checked finite with |b| <= 1 + STATE_EPS."""
 
     b: np.ndarray
-    tau: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_vec3(self.b))
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if np.linalg.norm(self.b) > 1.0 + STATE_EPS:
             raise ValueError(
                 f"|b| = {np.linalg.norm(self.b)} exceeds 1 + {STATE_EPS}")
@@ -64,32 +68,20 @@ class BlochState:
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.b))
 
-    def clamped(self) -> "BlochState":
-        """Rescale onto the unit sphere if |b| drifted slightly above 1.
-
-        Only for output boundaries; never used inside the integrator.
-        """
-        m = self.magnitude
-        if m > 1.0:
-            return BlochState(self.b / m, self.tau)
-        return self
-
 
 @dataclass(frozen=True)
 class QubitModel:
     """Effective-Hamiltonian decomposition over the Pauli basis.
 
     e and gamma are the unit energy and decay directions, r = |Gamma|/(2|E|)
-    and E_mag = |E| in 1/ps.  The trace parts E0, Gamma0 are metadata only:
-    they drop out of the normalised dynamics.
+    and E_mag = |E| in 1/ps.  The trace parts of H_eff drop out of the
+    normalised dynamics, so the model does not hold them.
     """
 
     e: np.ndarray
     gamma: np.ndarray
     r: float
     E_mag: float = 1.0
-    E0: float | None = None
-    Gamma0: float | None = None
 
     def __post_init__(self):
         e = _as_vec3(self.e)
@@ -116,13 +108,14 @@ class QubitModel:
         """Angle between e and gamma in radians, in [0, pi]."""
         return float(np.arccos(np.clip(np.dot(self.e, self.gamma), -1.0, 1.0)))
 
-    @property
+    @cached_property
     def e_cross_gamma(self) -> np.ndarray:
+        """e x gamma, computed on first access."""
         return np.cross(self.e, self.gamma)
 
     @classmethod
     def from_angle(cls, r: float, theta_eg: float, E_mag: float = 1.0,
-                   degrees: bool = False, **kw) -> "QubitModel":
+                   degrees: bool = False) -> "QubitModel":
         """Build a model in the CPT basis: e along x, gamma in the x-y plane.
 
         For theta_eg = 90 deg this puts e x gamma on the +z axis, so the
@@ -131,12 +124,13 @@ class QubitModel:
         th = np.radians(theta_eg) if degrees else float(theta_eg)
         e = np.array([1.0, 0.0, 0.0])
         g = np.array([np.cos(th), np.sin(th), 0.0])
-        return cls(e=e, gamma=g, r=r, E_mag=E_mag, **kw)
+        return cls(e=e, gamma=g, r=r, E_mag=E_mag)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-normalised 2x2 density matrix."""
+    """Trace-normalised 2x2 density matrix, checked to be Hermitian with
+    eigenvalues in [0, 1]; the type of the matrix-equation cross-check."""
 
     entries: np.ndarray
 
@@ -196,12 +190,10 @@ def density_from_bloch(state: BlochState) -> DensityMatrix:
 
 
 def _effective_matrices(model: QubitModel) -> tuple[np.ndarray, np.ndarray]:
-    """E and Gamma rebuilt over the Pauli basis, in units of |Gamma|."""
-    gm = model.Gamma_mag
-    e0 = (model.E0 or 0.0) / gm
-    g0 = (model.Gamma0 or 0.0) / gm
-    E = e0 * IDENTITY2 - np.einsum("i,ijk->jk", model.e, SIGMA) / (2.0 * model.r)
-    G = g0 * IDENTITY2 - np.einsum("i,ijk->jk", model.gamma, SIGMA)
+    """The traceless parts of E and Gamma over the Pauli basis, in units
+    of |Gamma|."""
+    E = -np.einsum("i,ijk->jk", model.e, SIGMA) / (2.0 * model.r)
+    G = -np.einsum("i,ijk->jk", model.gamma, SIGMA)
     return E, G
 
 
@@ -209,8 +201,9 @@ def density_evolution_rhs(rho: DensityMatrix, model: QubitModel) -> np.ndarray:
     """d(rho)/dtau = -i[E, rho] - (1/2){Gamma, rho} + rho Tr(rho Gamma).
 
     Evaluated in units of |Gamma| (dimensionless time), so its Pauli
-    decomposition coincides with `bloch_derivative`.  The trace parts E0,
-    Gamma0 cancel identically; the result is traceless.
+    decomposition coincides with `bloch_derivative`.  Trace parts of E and
+    Gamma would cancel identically, so they are left out; the result is
+    traceless.
     """
     m = rho.entries
     E, G = _effective_matrices(model)

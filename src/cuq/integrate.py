@@ -4,11 +4,12 @@ The normalised state is the image of a linear evolution,
 rho(tau) ~ e^{K tau} rho0 e^{K^dagger tau} with K = n.sigma/2 and
 n = gamma + i e/r.  `propagate` evaluates that closed form at any set of
 times and `evolve_to_asymptote` reads the limit off the same generator;
-neither integrates, and neither uses the analytic module.  `evolve`, a
-Dormand-Prince 5(4) pair with a PI step-size controller and cubic Hermite
-dense output, integrates the nonlinear Bloch equation itself, with the
-vector field from `core._vector_field` (the one definition of the field):
-it is the independent oracle that the exact forms are tested against.
+both read b straight off a Gram matrix W W^dagger, and neither integrates
+or uses the analytic module.  `evolve`, a Dormand-Prince 5(4) pair with a
+PI step-size controller and cubic Hermite dense output, integrates the
+nonlinear Bloch equation itself, with the vector field from
+`core._vector_field` (the one definition of the field): it is the
+independent oracle that the exact forms are tested against.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (IDENTITY2, SIGMA, BlochState, DensityMatrix, QubitModel,
-                   _as_vec3, _vector_field, density_from_bloch)
+from .core import (_ALIGN_TOL, IDENTITY2, SIGMA, BlochState, QubitModel,
+                   _as_vec3, _vector_field)
 
 __all__ = [
     "Trajectory",
@@ -87,11 +88,10 @@ class Trajectory:
             raise ValueError("interpolation query is not finite")
         if t.min() < self.taus[0] - 1e-12 or t.max() > self.taus[-1] + 1e-12:
             raise ValueError("interpolation query outside the integrated range")
-        idx = np.clip(np.searchsorted(self.taus, t, side="right") - 1,
-                      0, len(self.taus) - 2)
+        idx = np.searchsorted(self.taus[1:-1], t, side="right")
         t0 = self.taus[idx]
         h = self.taus[idx + 1] - t0
-        s = np.clip((t - t0) / h, 0.0, 1.0)[:, None]
+        s = ((t - t0) / h)[:, None]
         y0, y1 = self.bs[idx], self.bs[idx + 1]
         f0, f1 = self.derivs[idx], self.derivs[idx + 1]
         h = h[:, None]
@@ -190,15 +190,28 @@ def evolve(model: QubitModel, b0, tau_end: float,
 def _generator(model: QubitModel) -> tuple[np.ndarray, complex]:
     """n = gamma + i e/r and mu = sqrt(n.n) with Re mu >= 0, for K = n.sigma/2.
 
-    n.n = 1 - 1/r^2 + 2 i cos(theta_eg)/r; |cos| < 1e-10 is taken as the
-    rounding of a perpendicular geometry (the threshold `asymptotic_state`
-    uses), so r = 1 at 90 degrees gives mu = 0 exactly.
+    n.n = 1 - 1/r^2 + 2 i cos(theta_eg)/r; |cos| < _ALIGN_TOL is taken as
+    the rounding of a perpendicular geometry (the threshold
+    `asymptotic_state` uses), so r = 1 at 90 degrees gives mu = 0 exactly.
     """
     c = float(np.dot(model.e, model.gamma))
-    if abs(c) < 1e-10:
+    if abs(c) < _ALIGN_TOL:
         c = 0.0
     mu = np.sqrt(complex(1.0 - model.r ** -2, 2.0 * c / model.r))
     return model.gamma + 1j * model.e / model.r, mu
+
+
+def _gram_bloch(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors and traces of the states W W^dagger, W of shape (n, 2, 2);
+    b is nan where the trace is 0."""
+    top, bottom = W[:, 0], W[:, 1]
+    r00 = np.sum(np.abs(top) ** 2, axis=1)
+    r11 = np.sum(np.abs(bottom) ** 2, axis=1)
+    r01 = np.sum(top * bottom.conj(), axis=1)
+    tr = r00 + r11
+    with np.errstate(invalid="ignore"):
+        b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag, r00 - r11])
+        return b / tr[:, None], tr
 
 
 def propagate(model: QubitModel, b0, taus) -> np.ndarray:
@@ -212,27 +225,21 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     Gram matrix W W^dagger, W = U L with L L^dagger proportional to rho0,
     so it stays positive, |b| <= 1, under rounding.
     """
-    state = BlochState(b0)
+    b0 = BlochState(b0).b
     t = np.atleast_1d(np.asarray(taus, dtype=float))
     if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("taus must be a 1-D array of finite times >= 0")
     n, mu = _generator(model)
-    rho0 = density_from_bloch(state).entries
     # rho0^2 = rho0 - s^2 I with s = sqrt(det rho0): L L^dagger = (1 + 2s) rho0
-    L = rho0 + 0.5 * np.sqrt(max(1.0 - state.b @ state.b, 0.0)) * IDENTITY2
+    L = (0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
+         + 0.5 * np.sqrt(max(1.0 - b0 @ b0, 0.0)) * IDENTITY2)
     nL = np.einsum("i,ijk->jk", n, SIGMA) @ L
     x = np.exp(-mu * t)
     beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
     W = np.multiply.outer(0.5 * (1.0 + x), L) + np.multiply.outer(beta, nL)
-    top, bottom = W[:, 0], W[:, 1]
-    r00 = np.sum(np.abs(top) ** 2, axis=1)
-    r11 = np.sum(np.abs(bottom) ** 2, axis=1)
-    r01 = np.sum(top * bottom.conj(), axis=1)
-    tr = (r00 + r11)[:, None]
-    with np.errstate(invalid="ignore"):
-        b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag, r00 - r11]) / tr
+    b, tr = _gram_bloch(W)
     # W rounds to 0 only when b0 is the repelling state, where it stays
-    return np.where(tr > 0.0, b, state.b)
+    return np.where(tr[:, None] > 0.0, b, b0)
 
 
 def evolve_to_asymptote(model: QubitModel, b0):
@@ -245,13 +252,14 @@ def evolve_to_asymptote(model: QubitModel, b0):
     alive forever.  M has rank one: M rho0 M^dagger is a multiple of
     M M^dagger unless it vanishes, when b0 is the repelling fixed point.
     """
-    state = BlochState(b0)
+    b0 = BlochState(b0).b
     n, mu = _generator(model)
     if mu.real == 0.0 and mu != 0.0:
         return NON_CONVERGENT
     M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)
-    rho = M @ M.conj().T
-    weight = np.trace(M @ density_from_bloch(state).entries @ M.conj().T).real
-    if weight <= 1e-12 * np.trace(rho).real:
-        return state.b
-    return DensityMatrix(rho / np.trace(rho).real).bloch_vector
+    rho0 = 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
+    weight = np.trace(M @ rho0 @ M.conj().T).real
+    b, tr = _gram_bloch(M[None])
+    if weight <= 1e-12 * tr[0]:
+        return b0
+    return b[0]

@@ -111,7 +111,7 @@ class TestAsymptoticState:
         m = QubitModel.from_angle(r, theta, degrees=True)
         st = asymptotic_state(m)
         assert st.branch is AsymptoticBranch.GENERAL
-        d = bloch_derivative(BlochState(b=st.b_star, tau=0.0), m)
+        d = bloch_derivative(BlochState(b=st.b_star), m)
         assert np.max(np.abs(d)) < 1e-10
         assert np.linalg.norm(st.b_star) == pytest.approx(1.0, abs=1e-10)
 
@@ -221,7 +221,7 @@ class TestPolarRates:
         b_mag = mixed_magnitude_vs_angle(phi, r)
         m = QubitModel.from_angle(r, 90.0, degrees=True)
         b = b_mag * (np.cos(phi) * m.gamma + np.sin(phi) * m.e_cross_gamma)
-        d = bloch_derivative(BlochState(b=b, tau=0.0), m)
+        d = bloch_derivative(BlochState(b=b), m)
         db_mag, dphi = polar_rates(b_mag, phi, r)
         assert d @ b / b_mag == pytest.approx(db_mag, rel=1e-10)
         tang = np.cross(m.e, b) / b_mag

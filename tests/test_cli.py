@@ -186,6 +186,28 @@ class TestSweep:
         assert not (tmp_path / "bmax.csv").exists()
 
 
+GOLDEN = DATA / "cli_golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("sim_r085.csv", ["simulate", "--r", "0.85"]),
+    ("sim_r1_mixed.csv", ["simulate", "--r", "1", "--b0", "mixed",
+                          "--t-max", "60"]),
+    ("sim_r25_37.csv", ["simulate", "--r", "2.5", "--theta-eg", "37",
+                        "--b0", "0.3,-0.2,0.1", "--t-max", "40"]),
+    ("sim_r025_180.csv", ["simulate", "--r", "0.25", "--theta-eg", "180",
+                          "--b0=-0.6,0,0.8", "--t-max", "100"]),
+    ("sweep_default.csv", ["sweep-bmax"]),
+    ("sweep_grid.csv", ["sweep-bmax", "--r-grid", "1:30:60",
+                        "--b0-grid", "0:1:11"]),
+])
+def test_outputs_are_frozen(tmp_path, golden, argv):
+    # trajectory.csv and bmax.csv from an earlier release, byte for byte
+    assert run(["--output-dir", str(tmp_path)] + argv) == 0
+    out = "trajectory.csv" if argv[0] == "simulate" else "bmax.csv"
+    assert (tmp_path / out).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 class TestFourier:
     def test_json_report(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "--format", "json",
@@ -317,6 +339,11 @@ class TestFlagErrors:
 
     def test_missing_required_flag(self):
         assert run(["simulate"]) == 2
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        # no subcommand draws random numbers
+        assert run(["--output-dir", str(tmp_path), "--seed", "1",
+                    "catalogue"]) == 2
 
 
 class TestImport:

@@ -1,5 +1,7 @@
 """State types and the evolution vector field."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,20 +30,12 @@ def random_model(rng, r=None):
 
 class TestBlochState:
     def test_magnitude(self):
-        s = BlochState(b=[0.3, 0.0, 0.4], tau=1.0)
+        s = BlochState(b=[0.3, 0.0, 0.4])
         assert s.magnitude == pytest.approx(0.5)
 
     def test_rejects_exterior_point(self):
         with pytest.raises(ValueError):
-            BlochState(b=[1.1, 0.0, 0.0], tau=0.0)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            BlochState(b=[0.0, 0.0, 0.0], tau=-1.0)
-
-    def test_clamped_pulls_roundoff_inside(self):
-        s = BlochState(b=[1.0 + 5e-10, 0.0, 0.0], tau=0.0)
-        assert s.clamped().magnitude <= 1.0
+            BlochState(b=[1.1, 0.0, 0.0])
 
 
 class TestQubitModel:
@@ -71,13 +65,21 @@ class TestQubitModel:
         assert m.theta_eg == pytest.approx(np.pi / 3)
         assert np.allclose(np.cross(m.e, m.gamma), m.e_cross_gamma)
 
+    def test_e_cross_gamma_follows_replace(self):
+        # the cached value belongs to the instance, not to the class
+        m = QubitModel.from_angle(0.5, 90.0, degrees=True)
+        assert np.array_equal(m.e_cross_gamma, [0.0, 0.0, 1.0])
+        flipped = dataclasses.replace(m, gamma=-m.gamma)
+        assert np.array_equal(flipped.e_cross_gamma, [0.0, 0.0, -1.0])
+        assert np.array_equal(m.e_cross_gamma, [0.0, 0.0, 1.0])
+
 
 class TestBlochDerivative:
     def test_perpendicular_reference_values(self):
         # db/dtau = -(1/r) e x b + gamma - (b.gamma) b, worked by hand at
         # b = gamma for e = x, gamma = y, r = 0.5
         m = QubitModel.from_angle(0.5, 90.0, degrees=True)
-        d = bloch_derivative(BlochState(b=m.gamma, tau=0.0), m)
+        d = bloch_derivative(BlochState(b=m.gamma), m)
         # -(1/r) e x gamma = (0,0,-2); gamma - (b.gamma) b = 0
         assert np.allclose(d, [0.0, 0.0, -2.0], atol=1e-15)
 
@@ -88,7 +90,7 @@ class TestBlochDerivative:
             m = random_model(rng)
             b = rng.standard_normal(3)
             b *= rng.uniform(0, 1) / np.linalg.norm(b)
-            s = BlochState(b=b, tau=0.0)
+            s = BlochState(b=b)
             lhs = float(b @ bloch_derivative(s, m))
             rhs = float((m.gamma @ b) * (1.0 - b @ b))
             assert lhs == pytest.approx(rhs, abs=1e-13)
@@ -117,14 +119,14 @@ class TestBlochDerivative:
             m = random_model(rng)
             b = rng.standard_normal(3)
             b /= np.linalg.norm(b)
-            d = bloch_derivative(BlochState(b=b, tau=0.0), m)
+            d = bloch_derivative(BlochState(b=b), m)
             assert abs(b @ d) < 1e-13
 
 
 class TestDensityMatrix:
     def test_roundtrip_bloch(self):
         b = np.array([0.2, -0.3, 0.5])
-        rho = density_from_bloch(BlochState(b=b, tau=0.0))
+        rho = density_from_bloch(BlochState(b=b))
         assert np.allclose(rho.bloch_vector, b, atol=1e-14)
         assert rho.purity == pytest.approx(0.5 * (1 + b @ b))
 
@@ -150,7 +152,7 @@ class TestDensityEvolutionConsistency:
             m = random_model(rng)
             b = rng.standard_normal(3)
             b *= rng.uniform(0, 1) / np.linalg.norm(b)
-            state = BlochState(b=b, tau=0.0)
+            state = BlochState(b=b)
             rhs = density_evolution_rhs(density_from_bloch(state), m)
             db_matrix = np.array([np.trace(rhs @ SIGMA[i]).real
                                   for i in range(3)])
@@ -164,12 +166,12 @@ class TestDensityEvolutionConsistency:
             b = rng.standard_normal(3)
             b *= rng.uniform(0, 1) / np.linalg.norm(b)
             rhs = density_evolution_rhs(
-                density_from_bloch(BlochState(b=b, tau=0.0)), m)
+                density_from_bloch(BlochState(b=b)), m)
             assert abs(np.trace(rhs)) < 1e-13
 
     def test_independent_of_e_mag(self):
         # dimensionless time: the vector field depends on r only, not |E|
-        b = BlochState(b=[0.1, 0.2, 0.3], tau=0.0)
+        b = BlochState(b=[0.1, 0.2, 0.3])
         d1 = bloch_derivative(b, QubitModel.from_angle(0.7, 80.0, 1.0,
                                                        degrees=True))
         d2 = bloch_derivative(b, QubitModel.from_angle(0.7, 80.0, 123.0,

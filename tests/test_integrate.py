@@ -130,6 +130,11 @@ class TestInterpolation:
         bg = np.array([traj.interpolate(t) @ m.gamma for t in mids])
         assert np.max(np.abs(bg - bg_ref)) < 1e-7
 
+    def test_knots_return_the_accepted_steps(self):
+        traj = evolve(perp_model(0.7), np.zeros(3), 10.0)
+        assert np.array_equal(traj.interpolate(traj.taus), traj.bs)
+        assert np.array_equal(traj.interpolate(traj.taus[-1]), traj.bs[-1])
+
     def test_out_of_range_raises(self):
         traj = evolve(perp_model(0.5), np.zeros(3), 1.0)
         with pytest.raises(ValueError):

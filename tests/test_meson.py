@@ -173,7 +173,7 @@ class TestInversion:
 
 class TestAsymmetry:
     def test_reads_third_component(self):
-        s = BlochState(b=[0.1, -0.2, 0.45], tau=3.0)
+        s = BlochState(b=[0.1, -0.2, 0.45])
         assert flavour_asymmetry(s) == pytest.approx(0.45)
 
 
