@@ -18,34 +18,26 @@ import numpy as np
 
 from . import analytic, fourier, integrate, meson
 from .core import BlochState, QubitModel
-from .fit import (DatasetFormatError, RankDeficientDesign, design_matrix,
-                  estimate_r, fit_fourier_modes, fit_result_to_json,
-                  load_dataset)
+from .fit import (DatasetFormatError, RankDeficientDesign, _csv_blocks,
+                  design_matrix, estimate_r, fit_fourier_modes,
+                  fit_result_to_json, load_dataset)
 
 EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# simulate's grid: 64 rows per period is the step cap `evolve` keeps;
 # MAX_ROWS caps the rows of trajectory.csv and of bmax.csv
 ROWS_PER_PERIOD = 64
 MIN_ROWS = 257
 MAX_ROWS = 1_000_001
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     print(path)
-
-
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if not isinstance(x, str) else x
-                              for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def _parse_b0(spec: str, model: QubitModel) -> np.ndarray:
@@ -133,11 +125,11 @@ def cmd_simulate(args) -> int:
     b0 = _parse_b0(args.b0, model)
     taus = _time_grid(args.r, _parse_tmax(args.t_max, args.r))
     bs = integrate.propagate(model, b0, taus)
-    rows = np.column_stack([taus, bs, np.linalg.norm(bs, axis=1),
-                            bs @ model.gamma, bs @ model.e_cross_gamma])
-    text = _csv(["tau", "b1", "b2", "b3", "b_mag", "b_dot_gamma", "b_dot_exg"],
-                rows)
-    _write(Path(args.output_dir) / "trajectory.csv", text)
+    columns = {"tau": taus, "b1": bs[:, 0], "b2": bs[:, 1], "b3": bs[:, 2],
+               "b_mag": np.linalg.norm(bs, axis=1),
+               "b_dot_gamma": bs @ model.gamma,
+               "b_dot_exg": bs @ model.e_cross_gamma}
+    _write(Path(args.output_dir) / "trajectory.csv", _csv_blocks(columns))
     return EXIT_OK
 
 
@@ -146,13 +138,13 @@ def cmd_sweep_bmax(args) -> int:
     if r_grid.size * b0_grid.size > MAX_ROWS:
         raise ValueError(f"the grids make {r_grid.size * b0_grid.size} rows, "
                          f"more than {MAX_ROWS}")
-    rows = []
-    for r in r_grid:
-        model = QubitModel.from_angle(r, 90.0, 1.0, degrees=True)
-        for b0_mag in b0_grid:
-            rows.append([r, b0_mag, _peak_magnitude(model, b0_mag)])
-    text = _csv(["r", "b0_mag", "b_max"], rows)
-    _write(Path(args.output_dir) / "bmax.csv", text)
+    models = [QubitModel.from_angle(r, 90.0, 1.0, degrees=True)
+              for r in r_grid]
+    columns = {"r": np.repeat(r_grid, b0_grid.size),
+               "b0_mag": np.tile(b0_grid, r_grid.size),
+               "b_max": np.array([_peak_magnitude(model, b0_mag)
+                                  for model in models for b0_mag in b0_grid])}
+    _write(Path(args.output_dir) / "bmax.csv", _csv_blocks(columns))
     return EXIT_OK
 
 
@@ -190,14 +182,14 @@ def cmd_fourier(args) -> int:
     report["max_deviation"] = max(devs + [report["d0"]["deviation"]])
     if args.format == "json":
         _write(Path(args.output_dir) / "spectrum.json",
-               json.dumps(report, indent=2))
+               [json.dumps(report, indent=2)])
     else:
-        rows = [[c["n"], c["closed_form"], c["quadrature_odd"],
-                 c["quadrature_even"]] for c in report["coefficients"]]
-        rows.insert(0, [0, d0_closed, float("nan"), quad_even.d0])
-        _write(Path(args.output_dir) / "spectrum.csv",
-               _csv(["n", "closed_form", "quadrature_odd", "quadrature_even"],
-                    [[str(int(r0[0]))] + r0[1:] for r0 in rows]))
+        columns = {"n": np.arange(N + 1),
+                   "closed_form": np.array([d0_closed] + closed),
+                   "quadrature_odd": np.append(np.nan, quad_odd.coeffs),
+                   "quadrature_even": np.append(quad_even.d0,
+                                                quad_even.coeffs)}
+        _write(Path(args.output_dir) / "spectrum.csv", _csv_blocks(columns))
     return EXIT_OK
 
 
@@ -232,12 +224,11 @@ def cmd_fit(args) -> int:
     fit = fit_fourier_modes(data, args.n_harmonics)
     extraction = estimate_r(fit, amplitude_correction=args.amplitude)
     _write(Path(args.output_dir) / "fit.json",
-           fit_result_to_json(fit, extraction))
+           [fit_result_to_json(fit, extraction)])
     pred = design_matrix(data.t, data.omega, fit.n_harmonics) @ fit.coefficients
-    rows = [[t, d, p, d - p, s]
-            for t, d, p, s in zip(data.t, data.delta, pred, data.sigma)]
-    _write(Path(args.output_dir) / "residuals.csv",
-           _csv(["t_ps", "asymmetry", "fit", "residual", "sigma"], rows))
+    columns = {"t_ps": data.t, "asymmetry": data.delta, "fit": pred,
+               "residual": data.delta - pred, "sigma": data.sigma}
+    _write(Path(args.output_dir) / "residuals.csv", _csv_blocks(columns))
     # human-readable summary
     print(f"{'n':>3} {'d_n':>12} {'err':>12} {'p-value':>10}")
     for n, (v, e, p) in enumerate(zip(fit.coefficients, fit.errors,
@@ -255,10 +246,10 @@ def cmd_fit(args) -> int:
 def cmd_catalogue(args) -> int:
     if args.format == "json":
         _write(Path(args.output_dir) / "catalogue.json",
-               meson.catalogue_to_json())
+               [meson.catalogue_to_json()])
     else:
         _write(Path(args.output_dir) / "catalogue.csv",
-               meson.catalogue_to_csv())
+               [meson.catalogue_to_csv()])
     return EXIT_OK
 
 
@@ -329,19 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLAG
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DatasetFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (RankDeficientDesign, meson.UnphysicalObservables,
-            fourier.QuadratureNotConverged, np.linalg.LinAlgError) as exc:
+            fourier.QuadratureNotConverged, np.linalg.LinAlgError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, argparse.ArgumentTypeError) as exc:

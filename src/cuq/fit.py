@@ -11,7 +11,8 @@ fitted parameter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +126,25 @@ def load_dataset(path, omega: float, label: str | None = None) -> AsymmetryDatas
 
 def save_dataset(data: AsymmetryDataset, path) -> None:
     """Write the CSV schema with full decimal-text precision (repr roundtrip)."""
-    path = Path(path)
-    lines = [",".join(CSV_HEADER)]
-    for t, d, s in zip(data.t, data.delta, data.sigma):
-        lines.append(f"{float(t)!r},{float(d)!r},{float(s)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = dict(zip(CSV_HEADER, (data.t, data.delta, data.sigma)))
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(_csv_blocks(columns))
+
+
+_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(columns: dict):
+    """CSV text of named, equal-length columns: the header line, then blocks
+    of at most _BLOCK_ROWS rows, so no caller holds the whole text.  Values
+    go through `.tolist()` and `str`: a float is its shortest round-trip
+    repr and an integer column stays an integer."""
+    yield ",".join(columns) + "\n"
+    cols = list(columns.values())
+    for start in range(0, len(cols[0]), _BLOCK_ROWS):
+        rows = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols),
+                   strict=True)
+        yield "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 @dataclass(frozen=True)
@@ -141,10 +156,14 @@ class FitResult:
     covariance: np.ndarray
     chi2: float
     dof: int
-    p_values: np.ndarray
     omega: float
     n_points: int
     label: str = ""
+
+    @cached_property
+    def p_values(self) -> np.ndarray:
+        """`coefficient_pvalues` of this fit, computed on first access."""
+        return coefficient_pvalues(self)
 
     @property
     def n_harmonics(self) -> int:
@@ -187,11 +206,9 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     resid = yw - Xw @ coeff
     chi2 = float(resid @ resid)
     dof = len(data) - (N + 1)
-    result = FitResult(coefficients=coeff, errors=errors, covariance=cov,
-                       chi2=chi2, dof=dof, p_values=np.empty(0),
-                       omega=data.omega, n_points=len(data), label=data.label)
-    object.__setattr__(result, "p_values", coefficient_pvalues(result))
-    return result
+    return FitResult(coefficients=coeff, errors=errors, covariance=cov,
+                     chi2=chi2, dof=dof, omega=data.omega, n_points=len(data),
+                     label=data.label)
 
 
 def coefficient_pvalues(fit: FitResult) -> np.ndarray:

@@ -89,18 +89,20 @@ class BlochParameters:
 def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign."""
     th = np.radians(p.theta_eg_deg)
-    z = np.sqrt(complex(1.0 - p.r ** 2, -2.0 * p.r * np.cos(th)))
+    # Python floats: an overflowing product is inf, with no RuntimeWarning
+    z = complex(np.sqrt(complex(1.0 - p.r ** 2, -2.0 * p.r * np.cos(th))))
+    delta_E, delta_Gamma = 2.0 * p.E_mag * z.real, -4.0 * p.E_mag * z.imag
+    if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
+        raise OverflowError(f"Delta E or Delta Gamma overflows at "
+                            f"|E| = {p.E_mag!r}")
     # 1 + r^2 -+ 2 r sin = (1 - r)^2 + 4 r sin^2(pi/4 -+ theta/2), which does
     # not cancel as r -> 1 and theta -> +-90 degrees
     num = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 - th / 2) ** 2
     den = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 + th / 2) ** 2
     if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
         raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
-    return MesonObservables(
-        delta_E=2.0 * p.E_mag * z.real,
-        delta_Gamma=-4.0 * p.E_mag * z.imag,
-        q_over_p=(num / den) ** 0.25,
-    )
+    return MesonObservables(delta_E=delta_E, delta_Gamma=delta_Gamma,
+                            q_over_p=(num / den) ** 0.25)
 
 
 @dataclass(frozen=True)
@@ -235,12 +237,6 @@ def catalogue() -> list[MesonCatalogueEntry]:
     return list(_CATALOGUE)
 
 
-_COLUMNS = ["system", "delta_E", "delta_E_err", "delta_Gamma",
-            "delta_Gamma_err", "q_over_p_minus_1", "q_over_p_minus_1_err",
-            "r", "r_err", "theta_eg_deg", "theta_eg_deg_err",
-            "E_mag", "E_mag_err"]
-
-
 def catalogue_rows() -> list[dict]:
     rows = []
     for e in _CATALOGUE:
@@ -263,12 +259,11 @@ def catalogue_rows() -> list[dict]:
 
 
 def catalogue_to_csv() -> str:
+    rows = catalogue_rows()
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in catalogue_rows():
-        writer.writerow({k: repr(v) if isinstance(v, float) else v
-                         for k, v in row.items()})
+    writer.writerows(rows)
     return buf.getvalue()
 
 

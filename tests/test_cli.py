@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cuq.cli import MAX_ROWS, _peak_magnitude, main
 from cuq.core import QubitModel
-from cuq.fit import save_dataset, synthesize_dataset
+from cuq.fit import _BLOCK_ROWS, save_dataset, synthesize_dataset
 from cuq.integrate import propagate
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -101,6 +101,21 @@ class TestSimulate:
         for flag in ("--rel-tol", "--abs-tol"):
             assert run(["--output-dir", str(tmp_path), "simulate", "--r",
                         "0.5", "--t-max", "1.0", flag, "1e-9"]) == 2
+
+    def test_rows_past_one_block_are_repr_of_propagate(self, tmp_path):
+        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
+                    "--theta-eg", "60", "--b0", "mixed", "--t-max", "300"]) == 0
+        text = (tmp_path / "trajectory.csv").read_text()
+        rows = text.count("\n") - 1
+        assert rows > _BLOCK_ROWS
+        taus = np.linspace(0.0, 300.0, rows)
+        m = QubitModel.from_angle(0.5, 60.0, degrees=True)
+        bs = propagate(m, np.zeros(3), taus)
+        table = np.column_stack([taus, bs, np.linalg.norm(bs, axis=1),
+                                 bs @ m.gamma, bs @ m.e_cross_gamma])
+        ref = ["tau,b1,b2,b3,b_mag,b_dot_gamma,b_dot_exg"] + [
+            ",".join(map(repr, row)) for row in table.tolist()] + [""]
+        assert text.split("\n") == ref
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -331,6 +346,21 @@ class TestCatalogue:
         assert [r["system"] for r in rows] == ["K0", "D0", "Bd0", "Bs0"]
         header = (tmp_path / "catalogue.csv").read_text().splitlines()[0]
         assert header.startswith("system,delta_E")
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--from-observables", "1e200", "0.5", "1e-8"],
+    ["convert", "--from-bloch", "1e300", "180", "1e200"],
+    ["convert", "--from-bloch", "0.5", "45", "1e308"],
+    ["simulate", "--r", "1e-200", "--theta-eg", "180", "--t-max", "3P",
+     "--b0=0.6,0,0.8"],
+])
+def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
+    # finite flags whose results pass the largest float
+    assert run(["--output-dir", str(tmp_path)] + argv) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("numerical failure: ")
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestFlagErrors:

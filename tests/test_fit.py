@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 from cuq.analytic import restore_units
-from cuq.fit import (AsymmetryDataset, DatasetFormatError, RankDeficientDesign,
-                     estimate_r, fit_fourier_modes, fit_result_to_json,
-                     load_dataset, save_dataset, synthesize_dataset)
+from cuq.fit import (_BLOCK_ROWS, AsymmetryDataset, DatasetFormatError,
+                     RankDeficientDesign, _csv_blocks, estimate_r,
+                     fit_fourier_modes, fit_result_to_json, load_dataset,
+                     save_dataset, synthesize_dataset)
 from cuq.fourier import closed_form_cn, closed_form_d0
 
 R_REF = 0.85
@@ -22,13 +23,26 @@ def reference_dataset(noise=0.0, seed=0, n=120, periods=3):
 
 class TestDatasetIO:
     def test_roundtrip_bit_identical(self, tmp_path):
-        ds = reference_dataset(noise=0.05, seed=3)
+        # 50,000 rows span several formatting blocks
+        ds = reference_dataset(noise=0.05, seed=3, n=50_000)
         p = tmp_path / "a.csv"
         save_dataset(ds, p)
         back = load_dataset(p, omega=ds.omega)
         assert np.array_equal(back.t, ds.t)
         assert np.array_equal(back.delta, ds.delta)
         assert np.array_equal(back.sigma, ds.sigma)
+
+    def test_csv_text_is_repr_over_blocks(self):
+        n = 2 * _BLOCK_ROWS + 3
+        ints = np.arange(n) - 7
+        x = np.resize([-0.0, 5e-324, 1e300, np.nan, -np.inf, 0.1], n)
+        y = np.random.default_rng(0).standard_normal(n)
+        chunks = list(_csv_blocks({"n": ints, "x": x, "y": y}))
+        assert len(chunks) == 4  # the header and three blocks
+        ref = "n,x,y\n" + "".join(f"{int(i)},{float(a)!r},{float(b)!r}\n"
+                                  for i, a, b in zip(ints, x, y))
+        # lists, not strings: pytest diffs long strings line by line, slowly
+        assert "".join(chunks).split("\n") == ref.split("\n")
 
     def test_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from cuq.core import BlochState
 from cuq.meson import (BlochParameters, Damping, MesonObservables,
                        UnphysicalObservables, bloch_from_observables,
-                       catalogue, catalogue_to_csv, catalogue_to_json,
-                       classify_damping, flavour_asymmetry,
+                       catalogue, catalogue_rows, catalogue_to_csv,
+                       catalogue_to_json, classify_damping, flavour_asymmetry,
                        observables_from_bloch)
 
 
@@ -67,6 +68,14 @@ class TestForwardMap:
         for theta in (90.0, -90.0):
             with pytest.raises(UnphysicalObservables):
                 observables_from_bloch(BlochParameters(1.0, theta, 1.0))
+
+    @pytest.mark.parametrize("r, theta, E", [(0.5, 45.0, 1e308),
+                                             (10.0, 90.0, 1e307)])
+    def test_overflowing_observables_name_the_scale(self, r, theta, E):
+        # finite input whose Delta E or Delta Gamma is past the largest
+        # float; in numpy arithmetic the second would warn first
+        with pytest.raises(OverflowError, match=re.escape(f"|E| = {E!r}")):
+            observables_from_bloch(BlochParameters(r, theta, E))
 
     def test_splitting_invariant(self):
         # Delta E^2 - Delta Gamma^2/4 = 4|E|^2 (1 - r^2) for any angle
@@ -210,6 +219,9 @@ class TestCatalogue:
         assert len(rows) == 4
         assert float(rows[3]["delta_E"]) == pytest.approx(17.765)
         assert float(rows[1]["r"]) == pytest.approx(1.5)
+        # every float at full repr precision, in the row dicts' order
+        assert rows == [{k: str(v) for k, v in row.items()}
+                        for row in catalogue_rows()]
 
     def test_json_roundtrip(self):
         rows = json.loads(catalogue_to_json())
