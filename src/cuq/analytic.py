@@ -82,20 +82,17 @@ def cuq_theta(tau, r: float):
     Solves d(theta)/dtau = -1/r - cos(theta) via the tangent half-angle
     inversion; theta decreases by 2 pi every period.
     """
-    _check_r_oscillatory(r)
     clock = cuq_clock(r)
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)
     m = np.floor(t / clock.P_hat + 0.5)
-    frac = t - m * clock.P_hat  # in [-P/2, P/2)
+    frac = t - m * clock.P_hat  # in [-P/2, P/2), up to rounding
     amp = np.sqrt((1.0 + r) / (1.0 - r))
     half = clock.omega_hat * frac / 2.0
-    theta = np.where(
-        np.isclose(np.abs(frac), clock.P_hat / 2.0, rtol=0.0, atol=1e-15),
-        -np.pi * np.sign(frac + 1e-300),
-        2.0 * np.arctan(-amp * np.tan(half)),
-    ) - 2.0 * np.pi * m
+    # atan2, not arctan(amp tan(half)): continuous where frac rounds to +-P/2
+    theta = (-2.0 * np.arctan2(amp * np.sin(half), np.cos(half))
+             - 2.0 * np.pi * m)
     return float(theta[0]) if scalar else theta
 
 
@@ -105,7 +102,6 @@ def cuq_projections(tau, r: float):
     b.gamma       = sqrt(1-r^2) sin(w tau) / (1 - r cos(w tau))
     b.(e x gamma) = (cos(w tau) - r) / (1 - r cos(w tau))
     """
-    _check_r_oscillatory(r)
     w = cuq_clock(r).omega_hat
     tau = np.asarray(tau, dtype=float)
     denom = 1.0 - r * np.cos(w * tau)

@@ -52,10 +52,10 @@ def _parse_b0(spec: str, model: QubitModel) -> np.ndarray:
     try:
         vec = np.array([float(x) for x in spec.split(",")], dtype=float)
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"--b0 must be one of {sorted(named)} or 'x,y,z', got '{spec}'")
     if vec.shape != (3,):
-        raise argparse.ArgumentTypeError("--b0 vector needs three components")
+        raise ValueError("--b0 vector needs three components")
     return vec
 
 
@@ -63,8 +63,7 @@ def _parse_tmax(spec: str, r: float) -> float:
     """Absolute tau, or period-relative like '3P' for oscillating systems."""
     if spec.lower().endswith("p"):
         if not (0.0 < r < 1.0):
-            raise argparse.ArgumentTypeError(
-                "period-relative --t-max needs r < 1")
+            raise ValueError("period-relative --t-max needs r < 1")
         mult = float(spec[:-1] or 1.0)
         return mult * analytic.cuq_clock(r).P_hat
     return float(spec)
@@ -120,8 +119,7 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
 
 
 def cmd_simulate(args) -> int:
-    model = QubitModel.from_angle(args.r, args.theta_eg, args.e_mag,
-                                  degrees=True)
+    model = QubitModel.from_angle(args.r, args.theta_eg, degrees=True)
     b0 = _parse_b0(args.b0, model)
     taus = _time_grid(args.r, _parse_tmax(args.t_max, args.r))
     bs = integrate.propagate(model, b0, taus)
@@ -150,9 +148,6 @@ def cmd_sweep_bmax(args) -> int:
 
 def cmd_fourier(args) -> int:
     r, N = args.r, args.n_max
-    if not (0.0 < r < 1.0):
-        print(f"error: r must be in (0, 1), got {r}", file=sys.stderr)
-        return EXIT_FLAG
     clock = analytic.cuq_clock(r)
     quad_odd = fourier.quadrature_spectrum(
         lambda t: analytic.cuq_projections(t, r)[0], clock.P_hat, N,
@@ -160,32 +155,31 @@ def cmd_fourier(args) -> int:
     quad_even = fourier.quadrature_spectrum(
         lambda t: analytic.cuq_projections(t, r)[1], clock.P_hat, N,
         fourier.SeriesKind.EVEN)
-    closed = [fourier.closed_form_cn(n, r) for n in range(1, N + 1)]
-    d0_closed = fourier.closed_form_d0(r)
+    closed = fourier.closed_form_spectrum(r, N)
+    d0_dev = abs(closed.d0 - quad_even.d0)
+    devs = np.abs(closed.coeffs - [quad_odd.coeffs, quad_even.coeffs])
     report = {
         "r": r,
         "P_hat": clock.P_hat,
         "omega_hat": clock.omega_hat,
-        "d0": {"closed_form": d0_closed, "quadrature": quad_even.d0,
-               "deviation": abs(d0_closed - quad_even.d0)},
+        "d0": {"closed_form": closed.d0, "quadrature": quad_even.d0,
+               "deviation": d0_dev},
         "coefficients": [
-            {"n": n, "closed_form": cf,
-             "quadrature_odd": float(quad_odd.coeffs[n - 1]),
-             "quadrature_even": float(quad_even.coeffs[n - 1])}
-            for n, cf in zip(range(1, N + 1), closed)
+            {"n": n, "closed_form": cf, "quadrature_odd": odd,
+             "quadrature_even": even}
+            for n, cf, odd, even in zip(range(1, N + 1),
+                                        closed.coeffs.tolist(),
+                                        quad_odd.coeffs.tolist(),
+                                        quad_even.coeffs.tolist())
         ],
+        "max_deviation": float(devs.max(initial=d0_dev)),
     }
-    devs = [abs(c["closed_form"] - c["quadrature_odd"]) for c in
-            report["coefficients"]]
-    devs += [abs(c["closed_form"] - c["quadrature_even"]) for c in
-             report["coefficients"]]
-    report["max_deviation"] = max(devs + [report["d0"]["deviation"]])
     if args.format == "json":
         _write(Path(args.output_dir) / "spectrum.json",
                [json.dumps(report, indent=2)])
     else:
         columns = {"n": np.arange(N + 1),
-                   "closed_form": np.array([d0_closed] + closed),
+                   "closed_form": np.append(closed.d0, closed.coeffs),
                    "quadrature_odd": np.append(np.nan, quad_odd.coeffs),
                    "quadrature_even": np.append(quad_even.d0,
                                                 quad_even.coeffs)}
@@ -195,8 +189,8 @@ def cmd_fourier(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.from_bloch:
-        r, theta, e_mag = args.from_bloch
-        params = meson.BlochParameters(r=r, theta_eg_deg=theta, E_mag=e_mag)
+        r, theta, E = args.from_bloch
+        params = meson.BlochParameters(r=r, theta_eg_deg=theta, E_mag=E)
         obs = meson.observables_from_bloch(params)
         branch_note = ""
     else:
@@ -276,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta-eg", type=float, default=90.0,
                    help="angle between e and gamma in degrees")
-    p.add_argument("--e-mag", type=float, default=1.0)
     p.add_argument("--b0", default="exg",
                    help="exg | gamma | e | mixed | 'x,y,z'")
     p.add_argument("--t-max", default="3P",
@@ -331,7 +324,7 @@ def main(argv=None) -> int:
             OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAG
 

@@ -31,7 +31,6 @@ __all__ = [
     "save_dataset",
     "design_matrix",
     "fit_fourier_modes",
-    "coefficient_pvalues",
     "estimate_r",
     "synthesize_dataset",
     "fit_result_to_json",
@@ -113,13 +112,13 @@ def load_dataset(path, omega: float, label: str | None = None) -> AsymmetryDatas
                 raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
             if s <= 0.0:
                 raise DatasetFormatError(f"{path}:{lineno}: sigma must be > 0")
-            rows.append((t, d, s, lineno))
+            if rows and t <= rows[-1][0]:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: time not increasing")
+            rows.append((t, d, s))
     if header is None:
         raise DatasetFormatError(f"{path}: empty file")
-    for (t0, *_, l0), (t1, *_, l1) in zip(rows, rows[1:]):
-        if t1 <= t0:
-            raise DatasetFormatError(f"{path}:{l1}: time not increasing")
-    arr = np.array([row[:3] for row in rows], dtype=float)
+    arr = np.array(rows, dtype=float).reshape(-1, 3)
     return AsymmetryDataset(t=arr[:, 0], delta=arr[:, 1], sigma=arr[:, 2],
                             omega=omega, label=label or path.stem)
 
@@ -157,13 +156,24 @@ class FitResult:
     chi2: float
     dof: int
     omega: float
-    n_points: int
     label: str = ""
 
     @cached_property
     def p_values(self) -> np.ndarray:
-        """`coefficient_pvalues` of this fit, computed on first access."""
-        return coefficient_pvalues(self)
+        """Two-sided p-value of each d_n against the null d_n = 0.
+
+        Uses the statistic d_n / err(d_n) on a t-distribution with the fit's
+        residual degrees of freedom.  A zero standard error yields NaN.
+        """
+        # imported here: scipy.special is most of a cold start with no fit
+        from scipy.special import stdtr
+
+        if self.dof < 1:
+            raise ValueError("p-values need at least one degree of freedom")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tstat = np.where(self.errors > 0.0,
+                             self.coefficients / self.errors, np.nan)
+        return 2.0 * stdtr(self.dof, -np.abs(tstat))
 
     @property
     def n_harmonics(self) -> int:
@@ -207,25 +217,7 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     chi2 = float(resid @ resid)
     dof = len(data) - (N + 1)
     return FitResult(coefficients=coeff, errors=errors, covariance=cov,
-                     chi2=chi2, dof=dof, omega=data.omega, n_points=len(data),
-                     label=data.label)
-
-
-def coefficient_pvalues(fit: FitResult) -> np.ndarray:
-    """Two-sided p-value of each d_n against the null d_n = 0.
-
-    Uses the statistic d_n / err(d_n) on a t-distribution with the fit's
-    residual degrees of freedom.  A zero standard error yields NaN.
-    """
-    # imported here: scipy.special is most of a cold start that needs no fit
-    from scipy.special import stdtr
-
-    if fit.dof < 1:
-        raise ValueError("p-values need at least one degree of freedom")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = np.where(fit.errors > 0.0,
-                         fit.coefficients / fit.errors, np.nan)
-    return 2.0 * stdtr(fit.dof, -np.abs(tstat))
+                     chi2=chi2, dof=dof, omega=data.omega, label=data.label)
 
 
 @dataclass(frozen=True)
@@ -235,7 +227,6 @@ class RExtraction:
     per_ratio: list[AnharmonicityEstimate]
     weighted_r: float
     weighted_r_err: float
-    amplitude_R: float | None = None
     diagnostics: str = ""
 
     @property
@@ -249,7 +240,7 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
 
     Unreliable ratios (denominator consistent with zero) are excluded from
     the weighted average; the optional amplitude correction maps each
-    effective estimate to the full-amplitude value before averaging.
+    finite effective estimate to the full-amplitude value before averaging.
     """
     if fit.n_harmonics < 2:
         raise ValueError("estimate_r needs a fit with at least 2 harmonics")
@@ -257,7 +248,7 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     estimates = []
     for n in range(fit.n_harmonics):
         est = anharmonicity(spec, n)
-        if amplitude_correction is not None:
+        if amplitude_correction is not None and np.isfinite(est.r_hat):
             r_corr = correct_effective_r(min(est.r_hat, 1.0),
                                          amplitude_correction)
             # dr/dr_tilde of the correction, chained onto the ratio error
@@ -274,11 +265,9 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
             vals = np.array([e.r_hat for e in exact])
             return RExtraction(per_ratio=estimates,
                                weighted_r=float(vals.mean()),
-                               weighted_r_err=0.0,
-                               amplitude_R=amplitude_correction)
+                               weighted_r_err=0.0)
         return RExtraction(per_ratio=estimates, weighted_r=float("nan"),
                            weighted_r_err=float("nan"),
-                           amplitude_R=amplitude_correction,
                            diagnostics="all ratios unreliable "
                                        "(denominators consistent with zero)")
     w = np.array([1.0 / e.r_err ** 2 for e in usable])
@@ -286,7 +275,7 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     weighted = float(np.sum(w * vals) / np.sum(w))
     err = float(1.0 / np.sqrt(np.sum(w)))
     return RExtraction(per_ratio=estimates, weighted_r=weighted,
-                       weighted_r_err=err, amplitude_R=amplitude_correction)
+                       weighted_r_err=err)
 
 
 def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,

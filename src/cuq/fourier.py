@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -85,8 +85,6 @@ def closed_form_cn(n: int, r: float) -> float:
     """c_n = 2 (sqrt(1-r^2)/r) q^n, finite as r -> 0 (leading order r^{n-1})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must be in [0, 1), got {r}")
     q = half_angle_slope(r)
     if r == 0.0:
         return 1.0 if n == 1 else 0.0
@@ -95,8 +93,6 @@ def closed_form_cn(n: int, r: float) -> float:
 
 def closed_form_d0(r: float) -> float:
     """Constant term of the even series: d0 = -(1 - sqrt(1-r^2))/r."""
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must be in [0, 1), got {r}")
     return -half_angle_slope(r)
 
 
@@ -218,15 +214,15 @@ def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
                                0.5 * abs(d2rdrho2) * est.ratio_err ** 2))
 
 
-def correct_effective_r(r_tilde: float, amplitude_R: float) -> float:
+def correct_effective_r(r_tilde: float, amplitude: float) -> float:
     """Map the effective ratio of a reduced-amplitude oscillation to true r.
 
-    r = r_tilde / sqrt(R^2 + r_tilde^2 (1 - R^2)), where R is the amplitude
-    of the signal's projection along the decay direction.
+    r = r_tilde / sqrt(R^2 + r_tilde^2 (1 - R^2)), where R = `amplitude` is
+    the amplitude of the signal's projection along the decay direction.
     """
     if not (0.0 <= r_tilde <= 1.0):
         raise ValueError(f"r_tilde must be in [0, 1], got {r_tilde}")
-    if not (0.0 < amplitude_R <= 1.0):
-        raise ValueError(f"amplitude R must be in (0, 1], got {amplitude_R}")
-    return r_tilde / np.sqrt(amplitude_R ** 2
-                             + r_tilde ** 2 * (1.0 - amplitude_R ** 2))
+    if not (0.0 < amplitude <= 1.0):
+        raise ValueError(f"amplitude R must be in (0, 1], got {amplitude}")
+    return r_tilde / np.sqrt(amplitude ** 2
+                             + r_tilde ** 2 * (1.0 - amplitude ** 2))

@@ -49,7 +49,6 @@ class _NonConvergent:
 NON_CONVERGENT = _NonConvergent()
 
 # Dormand-Prince 5(4) tableau.  b5 propagates; b5 - b4 is the error weight.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -69,7 +68,6 @@ _E = _B5 - _B4
 class Trajectory:
     """Accepted integration steps plus dense-output interpolation."""
 
-    model: QubitModel
     taus: np.ndarray
     bs: np.ndarray       # shape (n, 3)
     derivs: np.ndarray   # db/dtau at the sample points, for Hermite interpolation
@@ -183,7 +181,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
         "rel_tol": rel_tol,
         "abs_tol": abs_tol,
     }
-    return Trajectory(model=model, taus=np.array(taus), bs=np.array(bs),
+    return Trajectory(taus=np.array(taus), bs=np.array(bs),
                       derivs=np.array(ders), controller_stats=stats)
 
 

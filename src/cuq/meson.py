@@ -16,8 +16,6 @@ module also carries the catalogue of the four well-measured systems
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .core import BlochState
+from .fit import _csv_blocks
 
 __all__ = [
     "MesonObservables",
@@ -260,11 +259,8 @@ def catalogue_rows() -> list[dict]:
 
 def catalogue_to_csv() -> str:
     rows = catalogue_rows()
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(_csv_blocks({k: np.array([row[k] for row in rows])
+                                for k in rows[0]}))
 
 
 def catalogue_to_json() -> str:

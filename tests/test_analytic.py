@@ -70,6 +70,18 @@ class TestPhaseAngle:
         assert cuq_theta(P, r) - cuq_theta(0.0, r) == pytest.approx(
             -2 * np.pi, abs=1e-10)
 
+    def test_continuous_at_half_periods(self):
+        # tau = (k + 1/2) P puts omega tau / 2 on a pole of tan, where the
+        # rounding of tau - m P picks either side
+        for r in (0.01, 0.3, 0.85, 0.999):
+            P = cuq_clock(r).P_hat
+            tau = (np.arange(-6, 14) + 0.5) * P
+            sides = (cuq_theta(tau - 1e-9 * P, r)
+                     + cuq_theta(tau + 1e-9 * P, r)) / 2
+            assert np.max(np.abs(cuq_theta(tau, r) - sides)) < 1e-6
+        assert cuq_theta(6.5 * cuq_clock(0.3).P_hat, 0.3) == pytest.approx(
+            -13 * np.pi, abs=1e-9)
+
     def test_half_angle_slope(self):
         # tan(theta/2) = -slope * tan(w tau / 2) with
         # slope = sqrt((1+r)/(1-r)); half_angle_slope returns its inverse

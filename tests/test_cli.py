@@ -81,12 +81,6 @@ class TestSimulate:
         assert [float(x) for x in first.split(",")[1:4]] == pytest.approx(
             [-0.1, 0.2, -0.3], rel=0.0, abs=1e-15)
 
-    def test_infinite_e_mag_is_flag_error(self, tmp_path, capsys):
-        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
-                    "--e-mag", "inf"]) == 2
-        assert "E_mag must be positive and finite" in capsys.readouterr().err
-        assert not (tmp_path / "trajectory.csv").exists()
-
     def test_b0_outside_the_ball_is_flag_error(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
                     "--b0", "1,1,0", "--t-max", "1.0"]) == 2
@@ -98,7 +92,8 @@ class TestSimulate:
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_tolerance_flags_are_gone(self, tmp_path):
-        for flag in ("--rel-tol", "--abs-tol"):
+        # the rows are exact, and no output depends on |E|
+        for flag in ("--rel-tol", "--abs-tol", "--e-mag"):
             assert run(["--output-dir", str(tmp_path), "simulate", "--r",
                         "0.5", "--t-max", "1.0", flag, "1e-9"]) == 2
 
@@ -203,23 +198,34 @@ class TestSweep:
 
 GOLDEN = DATA / "cli_golden"
 
+FROZEN = [
+    ("sim_r085.csv", "trajectory.csv", ["simulate", "--r", "0.85"]),
+    ("sim_r1_mixed.csv", "trajectory.csv",
+     ["simulate", "--r", "1", "--b0", "mixed", "--t-max", "60"]),
+    ("sim_r25_37.csv", "trajectory.csv",
+     ["simulate", "--r", "2.5", "--theta-eg", "37", "--b0", "0.3,-0.2,0.1",
+      "--t-max", "40"]),
+    ("sim_r025_180.csv", "trajectory.csv",
+     ["simulate", "--r", "0.25", "--theta-eg", "180", "--b0=-0.6,0,0.8",
+      "--t-max", "100"]),
+    ("sweep_default.csv", "bmax.csv", ["sweep-bmax"]),
+    ("sweep_grid.csv", "bmax.csv",
+     ["sweep-bmax", "--r-grid", "1:30:60", "--b0-grid", "0:1:11"]),
+    ("spectrum.csv", "spectrum.csv",
+     ["fourier", "--r", "0.85", "--n-max", "6"]),
+    ("spectrum.json", "spectrum.json",
+     ["--format", "json", "fourier", "--r", "0.3"]),
+    ("catalogue.csv", "catalogue.csv", ["catalogue"]),
+    ("catalogue.json", "catalogue.json", ["--format", "json", "catalogue"]),
+]
 
-@pytest.mark.parametrize("golden, argv", [
-    ("sim_r085.csv", ["simulate", "--r", "0.85"]),
-    ("sim_r1_mixed.csv", ["simulate", "--r", "1", "--b0", "mixed",
-                          "--t-max", "60"]),
-    ("sim_r25_37.csv", ["simulate", "--r", "2.5", "--theta-eg", "37",
-                        "--b0", "0.3,-0.2,0.1", "--t-max", "40"]),
-    ("sim_r025_180.csv", ["simulate", "--r", "0.25", "--theta-eg", "180",
-                          "--b0=-0.6,0,0.8", "--t-max", "100"]),
-    ("sweep_default.csv", ["sweep-bmax"]),
-    ("sweep_grid.csv", ["sweep-bmax", "--r-grid", "1:30:60",
-                        "--b0-grid", "0:1:11"]),
-])
-def test_outputs_are_frozen(tmp_path, golden, argv):
-    # trajectory.csv and bmax.csv from an earlier release, byte for byte
+
+# the ids keep the names that the first six cases had
+@pytest.mark.parametrize("golden, out, argv", FROZEN, ids=[
+    f"{golden}-argv{i}" for i, (golden, _, _) in enumerate(FROZEN)])
+def test_outputs_are_frozen(tmp_path, golden, out, argv):
+    # output files of an earlier release, byte for byte
     assert run(["--output-dir", str(tmp_path)] + argv) == 0
-    out = "trajectory.csv" if argv[0] == "simulate" else "bmax.csv"
     assert (tmp_path / out).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
@@ -299,6 +305,25 @@ class TestFit:
         for name in ("fit.json", "residuals.csv"):
             assert (tmp_path / name).read_bytes() == \
                 (golden / name).read_bytes()
+
+    def test_signal_free_fit_with_amplitude_has_no_estimate(self, tmp_path,
+                                                            capsys):
+        data = tmp_path / "zero.csv"
+        data.write_text("t_ps,asymmetry,sigma\n"
+                        + "".join(f"{t}.0,0.0,0.1\n" for t in range(60)))
+        assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                    str(data), "--omega", "1", "--n-harmonics", "3",
+                    "--amplitude", "0.9"]) == 0
+        assert json.loads((tmp_path / "fit.json").read_text())[
+            "weighted_r"] is None
+        assert "no r estimate" in capsys.readouterr().out
+
+    def test_header_only_file_is_flag_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("t_ps,asymmetry,sigma\n")
+        assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                    str(data), "--omega", "1.0"]) == 2
+        assert "need at least 4 points" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "fit",

@@ -71,10 +71,20 @@ class TestDatasetIO:
             load_dataset(p, omega=1.0)
 
     def test_rejects_non_monotone_time(self, tmp_path):
+        # the first bad line is reported, not the later malformed one
         p = tmp_path / "a.csv"
-        p.write_text("t_ps,asymmetry,sigma\n1.0,0.1,0.2\n0.5,0.1,0.2\n")
-        with pytest.raises(DatasetFormatError):
+        p.write_text("t_ps,asymmetry,sigma\n1.0,0.1,0.2\n0.5,0.1,0.2\n"
+                     "2.0,oops,0.2\n")
+        with pytest.raises(DatasetFormatError,
+                           match=":3: time not increasing"):
             load_dataset(p, omega=1.0)
+
+    def test_zero_row_roundtrip(self, tmp_path):
+        p = tmp_path / "a.csv"
+        save_dataset(AsymmetryDataset(t=[], delta=[], sigma=[], omega=1.0), p)
+        assert p.read_text() == "t_ps,asymmetry,sigma\n"
+        back = load_dataset(p, omega=1.0)
+        assert len(back) == 0 and back.t.shape == (0,)
 
     def test_comments_and_label(self, tmp_path):
         p = tmp_path / "named.csv"
@@ -193,6 +203,15 @@ class TestREstimation:
         r = 0.7
         R = r / np.sqrt(1 + r * r)
         assert correct_effective_r(r * r, R) == pytest.approx(r, rel=1e-12)
+
+    def test_amplitude_correction_skips_signal_free_ratios(self):
+        # zero asymmetry fits d_n = 0 exactly: every ratio is 0/0 and
+        # carries no r to correct
+        ds = AsymmetryDataset(t=np.arange(60.0), delta=np.zeros(60),
+                              sigma=np.full(60, 0.1), omega=1.0)
+        out = estimate_r(fit_fourier_modes(ds, 3), 0.9)
+        assert not out.has_estimate
+        assert all(np.isnan(e.r_hat) for e in out.per_ratio)
 
     def test_diagnostics_when_hopeless(self):
         rng = np.random.default_rng(2)
