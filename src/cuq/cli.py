@@ -136,8 +136,7 @@ def cmd_sweep_bmax(args) -> int:
     if r_grid.size * b0_grid.size > MAX_ROWS:
         raise ValueError(f"the grids make {r_grid.size * b0_grid.size} rows, "
                          f"more than {MAX_ROWS}")
-    models = [QubitModel.from_angle(r, 90.0, 1.0, degrees=True)
-              for r in r_grid]
+    models = [QubitModel.from_angle(r, 90.0, degrees=True) for r in r_grid]
     columns = {"r": np.repeat(r_grid, b0_grid.size),
                "b0_mag": np.tile(b0_grid, r_grid.size),
                "b_max": np.array([_peak_magnitude(model, b0_mag)

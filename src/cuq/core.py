@@ -73,15 +73,14 @@ class BlochState:
 class QubitModel:
     """Effective-Hamiltonian decomposition over the Pauli basis.
 
-    e and gamma are the unit energy and decay directions, r = |Gamma|/(2|E|)
-    and E_mag = |E| in 1/ps.  The trace parts of H_eff drop out of the
-    normalised dynamics, so the model does not hold them.
+    e and gamma are the unit energy and decay directions, r = |Gamma|/(2|E|).
+    In dimensionless time nothing else enters: |E| comes in with units
+    (`meson.BlochParameters`), and the trace parts of H_eff drop out.
     """
 
     e: np.ndarray
     gamma: np.ndarray
     r: float
-    E_mag: float = 1.0
 
     def __post_init__(self):
         e = _as_vec3(self.e)
@@ -94,14 +93,6 @@ class QubitModel:
         object.__setattr__(self, "gamma", g)
         if not 0.0 < self.r < np.inf:
             raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not 0.0 < self.E_mag < np.inf:
-            raise ValueError(
-                f"E_mag must be positive and finite, got {self.E_mag}")
-
-    @property
-    def Gamma_mag(self) -> float:
-        """|Gamma| = 2 r |E| in 1/ps."""
-        return 2.0 * self.r * self.E_mag
 
     @property
     def theta_eg(self) -> float:
@@ -114,7 +105,7 @@ class QubitModel:
         return np.cross(self.e, self.gamma)
 
     @classmethod
-    def from_angle(cls, r: float, theta_eg: float, E_mag: float = 1.0,
+    def from_angle(cls, r: float, theta_eg: float, *,
                    degrees: bool = False) -> "QubitModel":
         """Build a model in the CPT basis: e along x, gamma in the x-y plane.
 
@@ -124,7 +115,7 @@ class QubitModel:
         th = np.radians(theta_eg) if degrees else float(theta_eg)
         e = np.array([1.0, 0.0, 0.0])
         g = np.array([np.cos(th), np.sin(th), 0.0])
-        return cls(e=e, gamma=g, r=r, E_mag=E_mag)
+        return cls(e=e, gamma=g, r=r)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ class AsymmetryDataset:
         return len(self.t)
 
 
-def load_dataset(path, omega: float, label: str | None = None) -> AsymmetryDataset:
+def load_dataset(path, omega: float) -> AsymmetryDataset:
     """Read a `t_ps,asymmetry,sigma` CSV (UTF-8, header required, '#' comments)."""
     path = Path(path)
     rows = []
@@ -120,7 +120,7 @@ def load_dataset(path, omega: float, label: str | None = None) -> AsymmetryDatas
         raise DatasetFormatError(f"{path}: empty file")
     arr = np.array(rows, dtype=float).reshape(-1, 3)
     return AsymmetryDataset(t=arr[:, 0], delta=arr[:, 1], sigma=arr[:, 2],
-                            omega=omega, label=label or path.stem)
+                            omega=omega, label=path.stem)
 
 
 def save_dataset(data: AsymmetryDataset, path) -> None:
@@ -198,6 +198,8 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     Solved by QR decomposition of the sigma-weighted design matrix; the
     covariance is the inverse normal matrix, with no error-bar inflation.
     """
+    if N < 0:
+        raise ValueError(f"N must be >= 0 harmonics, got N = {N}")
     if len(data) < N + 2:
         raise ValueError(f"need at least {N + 2} points for N = {N} harmonics")
     X = design_matrix(data.t, data.omega, N)
@@ -241,18 +243,21 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     Unreliable ratios (denominator consistent with zero) are excluded from
     the weighted average; the optional amplitude correction maps each
     finite effective estimate to the full-amplitude value before averaging.
+    The correction R is checked to lie in (0, 1] even when no estimate is.
     """
     if fit.n_harmonics < 2:
         raise ValueError("estimate_r needs a fit with at least 2 harmonics")
+    R = amplitude_correction
+    if R is not None and not 0.0 < R <= 1.0:
+        raise ValueError(f"amplitude R must be in (0, 1], got {R}")
     spec = fit.spectrum()
     estimates = []
     for n in range(fit.n_harmonics):
         est = anharmonicity(spec, n)
-        if amplitude_correction is not None and np.isfinite(est.r_hat):
-            r_corr = correct_effective_r(min(est.r_hat, 1.0),
-                                         amplitude_correction)
+        if R is not None and np.isfinite(est.r_hat):
+            r_corr = correct_effective_r(min(est.r_hat, 1.0), R)
             # dr/dr_tilde of the correction, chained onto the ratio error
-            R2 = amplitude_correction ** 2
+            R2 = R ** 2
             denom = (R2 + est.r_hat ** 2 * (1.0 - R2)) ** 1.5
             est = est.with_r(r_corr, est.r_err * R2 / denom)
         estimates.append(est)
@@ -279,17 +284,14 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
 
 
 def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
-                       noise_sigma, seed: int, label: str = "synthetic"
-                       ) -> AsymmetryDataset:
+                       noise_sigma, seed: int) -> AsymmetryDataset:
     """Deterministic synthetic asymmetry data on the analytic oscillation.
 
     delta(t_i) is the e x gamma projection of the pure reference solution
     at tau = |Gamma| t_i plus Gaussian noise.  noise_sigma may be a scalar
     or a length-n_points schedule (e.g. widening late-time errors); the
-    sigma column reflects it.
+    sigma column reflects it.  r must be in (0, 1), as `cuq_clock` checks.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError("synthetic data needs an oscillating system, r in (0,1)")
     t = np.linspace(0.0, t_max, n_points, endpoint=False)
     gamma_mag = 2.0 * r * E_mag
     _, delta = cuq_projections(gamma_mag * t, r)
@@ -302,11 +304,10 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
     _, omega = restore_units(r, E_mag)
     return AsymmetryDataset(t=t, delta=noisy,
                             sigma=np.where(sig > 0.0, sig, 1e-12),
-                            omega=omega, label=label)
+                            omega=omega, label="synthetic")
 
 
-def fit_result_to_json(fit: FitResult, extraction: RExtraction | None = None
-                       ) -> str:
+def fit_result_to_json(fit: FitResult, extraction: RExtraction) -> str:
     """Machine-readable fit output (schema used by the CLI)."""
     out = {
         "label": fit.label,
@@ -320,20 +321,19 @@ def fit_result_to_json(fit: FitResult, extraction: RExtraction | None = None
         ],
         "chi2": fit.chi2,
         "dof": fit.dof,
-    }
-    if extraction is not None:
-        out["r_estimates"] = [
+        "r_estimates": [
             {"kind": e.kind.value, "order": e.order_n, "ratio": e.ratio,
              "ratio_err": e.ratio_err,
              "r": None if not np.isfinite(e.r_hat) else e.r_hat,
              "r_err": None if not np.isfinite(e.r_err) else e.r_err,
              "reliable": e.reliable}
             for e in extraction.per_ratio
-        ]
-        out["weighted_r"] = (None if not extraction.has_estimate
-                             else extraction.weighted_r)
-        out["weighted_r_err"] = (None if not extraction.has_estimate
-                                 else extraction.weighted_r_err)
-        if extraction.diagnostics:
-            out["diagnostics"] = extraction.diagnostics
+        ],
+        "weighted_r": (None if not extraction.has_estimate
+                       else extraction.weighted_r),
+        "weighted_r_err": (None if not extraction.has_estimate
+                           else extraction.weighted_r_err),
+    }
+    if extraction.diagnostics:
+        out["diagnostics"] = extraction.diagnostics
     return json.dumps(out, indent=2)

@@ -96,12 +96,11 @@ def closed_form_d0(r: float) -> float:
     return -half_angle_slope(r)
 
 
-def closed_form_spectrum(r: float, N: int, kind: SeriesKind = SeriesKind.EVEN
-                         ) -> FourierSpectrum:
-    """Exact spectrum of the pure reference oscillation through order N."""
+def closed_form_spectrum(r: float, N: int) -> FourierSpectrum:
+    """Exact even spectrum of the pure oscillation through order N."""
     coeffs = np.array([closed_form_cn(n, r) for n in range(1, N + 1)])
-    d0 = closed_form_d0(r) if kind is SeriesKind.EVEN else 0.0
-    return FourierSpectrum(d0=d0, coeffs=coeffs, kind=kind)
+    return FourierSpectrum(d0=closed_form_d0(r), coeffs=coeffs,
+                           kind=SeriesKind.EVEN)
 
 
 def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,

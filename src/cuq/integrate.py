@@ -178,8 +178,6 @@ def evolve(model: QubitModel, b0, tau_end: float,
         "n_rejected": n_rej,
         "n_fev": nfev,
         "max_local_error": max_err,
-        "rel_tol": rel_tol,
-        "abs_tol": abs_tol,
     }
     return Trajectory(taus=np.array(taus), bs=np.array(bs),
                       derivs=np.array(ders), controller_stats=stats)

@@ -205,62 +205,46 @@ class MesonCatalogueEntry:
         return classify_damping(self.bloch.r)
 
 
-def _entry(name, dE, dE_err, dG, dG_err, qop_m1, qop_m1_err,
-           r, r_err, th, th_err, E, E_err) -> MesonCatalogueEntry:
-    return MesonCatalogueEntry(
-        name=name,
-        observables=MesonObservables(dE, dG, 1.0 + qop_m1),
-        observables_err=MesonObservables(dE_err, dG_err, qop_m1_err),
-        bloch=BlochParameters(r, th, E),
-        bloch_err=(r_err, th_err, E_err),
-    )
-
-
-# PDG 2024 mixing data and the equivalent Bloch-sphere parameterisation.
-# Delta Gamma is quoted as a magnitude; theta_eg = -90 +- 90 for Bd0 is
-# stored as printed even though the error is degenerate.
-_CATALOGUE = (
-    _entry("K0", 0.005293, 9e-6, 0.01, 5e-6, -0.003239, 1e-6,
-           0.945, 2e-3, 179.6322, 1e-4, 2.64652e-3, 7e-8),
-    _entry("D0", 0.01, 0.001, 0.03, 0.003, -5.00e-3, 0.04e-3,
-           1.5, 0.2, 179.0, 2.0, 5.00e-3, 0.04e-3),
-    _entry("Bd0", 0.5069, 0.0019, 0.7e-3, 7e-3, 1.0e-3, 0.8e-3,
-           1e-3, 4e-3, -90.0, 90.0, 0.253, 0.001),
-    _entry("Bs0", 17.765, 0.006, 0.084, 0.005, 0.1e-3, 1.4e-3,
-           2.4e-3, 0.2e-3, 182.7, 33.8, 8.9, 0.1),
+# PDG 2024 mixing data and the equivalent Bloch-sphere parameterisation,
+# one printed row per system.  Delta Gamma is quoted as a magnitude;
+# theta_eg = -90 +- 90 for Bd0 is stored as printed even though the error
+# is degenerate.
+_COLUMNS = ("system", "delta_E", "delta_E_err", "delta_Gamma",
+            "delta_Gamma_err", "q_over_p_minus_1", "q_over_p_minus_1_err",
+            "r", "r_err", "theta_eg_deg", "theta_eg_deg_err", "E_mag",
+            "E_mag_err")
+_TABLE = (
+    ("K0", 0.005293, 9e-6, 0.01, 5e-6, -0.003239, 1e-6,
+     0.945, 2e-3, 179.6322, 1e-4, 2.64652e-3, 7e-8),
+    ("D0", 0.01, 0.001, 0.03, 0.003, -5.00e-3, 0.04e-3,
+     1.5, 0.2, 179.0, 2.0, 5.00e-3, 0.04e-3),
+    ("Bd0", 0.5069, 0.0019, 0.7e-3, 7e-3, 1.0e-3, 0.8e-3,
+     1e-3, 4e-3, -90.0, 90.0, 0.253, 0.001),
+    ("Bs0", 17.765, 0.006, 0.084, 0.005, 0.1e-3, 1.4e-3,
+     2.4e-3, 0.2e-3, 182.7, 33.8, 8.9, 0.1),
 )
 
 
 def catalogue() -> list[MesonCatalogueEntry]:
     """The four well-measured meson-antimeson systems."""
-    return list(_CATALOGUE)
+    return [MesonCatalogueEntry(
+                name=name,
+                observables=MesonObservables(dE, dG, 1.0 + qop_m1),
+                observables_err=MesonObservables(dE_err, dG_err, qop_m1_err),
+                bloch=BlochParameters(r, th, E),
+                bloch_err=(r_err, th_err, E_err))
+            for (name, dE, dE_err, dG, dG_err, qop_m1, qop_m1_err,
+                 r, r_err, th, th_err, E, E_err) in _TABLE]
 
 
 def catalogue_rows() -> list[dict]:
-    rows = []
-    for e in _CATALOGUE:
-        rows.append({
-            "system": e.name,
-            "delta_E": e.observables.delta_E,
-            "delta_E_err": e.observables_err.delta_E,
-            "delta_Gamma": e.observables.delta_Gamma,
-            "delta_Gamma_err": e.observables_err.delta_Gamma,
-            "q_over_p_minus_1": e.observables.q_over_p - 1.0,
-            "q_over_p_minus_1_err": e.observables_err.q_over_p,
-            "r": e.bloch.r,
-            "r_err": e.bloch_err[0],
-            "theta_eg_deg": e.bloch.theta_eg_deg,
-            "theta_eg_deg_err": e.bloch_err[1],
-            "E_mag": e.bloch.E_mag,
-            "E_mag_err": e.bloch_err[2],
-        })
-    return rows
+    """The printed table, one dict per system keyed by column name."""
+    return [dict(zip(_COLUMNS, row)) for row in _TABLE]
 
 
 def catalogue_to_csv() -> str:
-    rows = catalogue_rows()
-    return "".join(_csv_blocks({k: np.array([row[k] for row in rows])
-                                for k in rows[0]}))
+    return "".join(_csv_blocks({k: np.array(col) for k, col
+                                in zip(_COLUMNS, zip(*_TABLE))}))
 
 
 def catalogue_to_json() -> str:

@@ -32,7 +32,7 @@ LHCB_FIXTURE = Path(__file__).parent / "data" / "lhcb_fig3.csv"
 
 
 def perp_model(r):
-    return QubitModel.from_angle(r, 90.0, 1.0, degrees=True)
+    return QubitModel.from_angle(r, 90.0, degrees=True)
 
 
 def test_criterion_1_dynamics_oracle():

@@ -318,6 +318,26 @@ class TestFit:
             "weighted_r"] is None
         assert "no r estimate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("amplitude", ["5", "nan", "0"])
+    def test_signal_free_fit_checks_amplitude(self, tmp_path, capsys,
+                                              amplitude):
+        # R is checked although no ratio gives an estimate to correct
+        data = tmp_path / "zero.csv"
+        data.write_text("t_ps,asymmetry,sigma\n"
+                        + "".join(f"{t}.0,0.0,0.1\n" for t in range(60)))
+        assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                    str(data), "--omega", "1", "--n-harmonics", "3",
+                    "--amplitude", amplitude]) == 2
+        assert "amplitude R must be in (0, 1]" in capsys.readouterr().err
+
+    def test_negative_harmonics_is_flag_error_naming_n(self, tmp_path,
+                                                       capsys):
+        assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                    str(DATA / "fit_golden" / "data.csv"), "--omega", "0.8",
+                    "--n-harmonics", "-1"]) == 2
+        assert "N must be >= 0 harmonics, got N = -1" in \
+            capsys.readouterr().err
+
     def test_header_only_file_is_flag_error(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("t_ps,asymmetry,sigma\n")

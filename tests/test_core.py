@@ -24,8 +24,7 @@ def random_model(rng, r=None):
     g -= (g @ e) * e * rng.uniform(0, 1)  # arbitrary angle, not axis-aligned
     g /= np.linalg.norm(g)
     return QubitModel(e=e, gamma=g,
-                      r=rng.uniform(0.05, 2.0) if r is None else r,
-                      E_mag=rng.uniform(0.1, 10.0))
+                      r=rng.uniform(0.05, 2.0) if r is None else r)
 
 
 class TestBlochState:
@@ -41,23 +40,22 @@ class TestBlochState:
 class TestQubitModel:
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(ValueError):
-            QubitModel(e=[1, 0, 0], gamma=[0, 2, 0], r=0.5, E_mag=1.0)
+            QubitModel(e=[1, 0, 0], gamma=[0, 2, 0], r=0.5)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
-            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], r=0.0, E_mag=1.0)
+            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], r=0.0)
 
-    @pytest.mark.parametrize("field", ["r", "E_mag"])
+    @pytest.mark.parametrize("field", ["r"])
     @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
     def test_rejects_scale_outside_zero_to_inf(self, field, value):
-        kwargs = {"r": 0.5, "E_mag": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
-            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], **kwargs)
+            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], **{field: value})
 
-    def test_gamma_mag(self):
-        m = QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], r=0.25, E_mag=2.0)
-        # |Gamma| = 2 r |E|
-        assert m.Gamma_mag == pytest.approx(1.0)
+    def test_from_angle_takes_degrees_by_keyword_only(self):
+        # an old positional |E| argument must not be read as degrees=1.0
+        with pytest.raises(TypeError):
+            QubitModel.from_angle(0.5, 60.0, 1.0)
 
     def test_from_angle_builds_planar_basis(self):
         m = QubitModel.from_angle(0.5, 60.0, degrees=True)
@@ -168,12 +166,3 @@ class TestDensityEvolutionConsistency:
             rhs = density_evolution_rhs(
                 density_from_bloch(BlochState(b=b)), m)
             assert abs(np.trace(rhs)) < 1e-13
-
-    def test_independent_of_e_mag(self):
-        # dimensionless time: the vector field depends on r only, not |E|
-        b = BlochState(b=[0.1, 0.2, 0.3])
-        d1 = bloch_derivative(b, QubitModel.from_angle(0.7, 80.0, 1.0,
-                                                       degrees=True))
-        d2 = bloch_derivative(b, QubitModel.from_angle(0.7, 80.0, 123.0,
-                                                       degrees=True))
-        assert np.allclose(d1, d2, atol=1e-15)

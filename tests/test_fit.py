@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cuq.analytic import restore_units
@@ -221,6 +223,24 @@ class TestREstimation:
         out = estimate_r(fit_fourier_modes(ds, 2))
         if not out.has_estimate:
             assert out.diagnostics
+
+
+class TestSigmaScale:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.integers(0, 2 ** 16))
+    def test_common_sigma_factor(self, k, seed):
+        # one factor k on every sigma leaves the weighted solution alone,
+        # multiplies its errors by k and divides chi2 by k^2
+        ds = synthesize_dataset(r=R_REF, E_mag=1.0, n_points=60,
+                                t_max=3 * P_REF, seed=seed,
+                                noise_sigma=np.linspace(0.01, 0.2, 60))
+        scaled = AsymmetryDataset(t=ds.t, delta=ds.delta, sigma=k * ds.sigma,
+                                  omega=ds.omega)
+        a, b = fit_fourier_modes(ds, 3), fit_fourier_modes(scaled, 3)
+        np.testing.assert_allclose(b.coefficients, a.coefficients,
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(b.errors, k * a.errors, rtol=1e-12)
+        assert b.chi2 == pytest.approx(a.chi2 / k ** 2, rel=1e-12)
 
 
 class TestSynthesis:

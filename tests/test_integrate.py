@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from cuq.analytic import asymptotic_state, cuq_clock, cuq_projections
 from cuq.core import (SIGMA, BlochState, QubitModel, _effective_matrices,
-                      density_from_bloch)
+                      density_from_bloch, purity_rate)
 from cuq.integrate import (NON_CONVERGENT, StepSizeUnderflow, evolve,
                            evolve_to_asymptote, propagate)
 
@@ -21,7 +21,7 @@ unit_ball = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
 
 
 def perp_model(r):
-    return QubitModel.from_angle(r, 90.0, 1.0, degrees=True)
+    return QubitModel.from_angle(r, 90.0, degrees=True)
 
 
 class TestEvolve:
@@ -261,6 +261,17 @@ class TestPropagate:
         # cancel down to d
         tol = 8.0 * np.finfo(float).eps * (1.0 + tau) ** 2 / float(d)
         assert np.max(np.abs(got - np.array(want, dtype=float))) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(radii, angles, unit_ball, st.floats(0.0, 5.0))
+    def test_purity_rate_is_the_slope_of_b_squared(self, r, theta, b0, tau):
+        # central difference of |b|^2 along the exact path; the step follows
+        # the rotation time r, so the O(h^2) term stays near 1e-9
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        h = 1e-4 * min(r, 1.0)
+        b = propagate(m, b0, [tau + h, tau + 2.0 * h, tau + 3.0 * h])
+        slope = (b[2] @ b[2] - b[0] @ b[0]) / (2.0 * h)
+        assert abs(purity_rate(BlochState(b[1]), m) - slope) <= 1e-7
 
     def test_starts_at_b0_and_stays_on_the_pure_orbit(self):
         r = 0.85
