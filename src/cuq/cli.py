@@ -213,6 +213,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # checked before the file is read; fit_fourier_modes rejects N < 0 itself
+    if 0 <= args.n_harmonics < 2:
+        raise ValueError("--n-harmonics must be at least 2 for an r estimate, "
+                         f"got {args.n_harmonics}")
     data = load_dataset(args.data, omega=args.omega)
     fit = fit_fourier_modes(data, args.n_harmonics)
     extraction = estimate_r(fit, amplitude_correction=args.amplitude)

@@ -89,11 +89,11 @@ def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign."""
     th = np.radians(p.theta_eg_deg)
     # Python floats: an overflowing product is inf, with no RuntimeWarning
-    z = complex(np.sqrt(complex(1.0 - p.r ** 2, -2.0 * p.r * np.cos(th))))
+    z = complex(np.sqrt(complex(1.0 - p.r * p.r, -2.0 * p.r * np.cos(th))))
     delta_E, delta_Gamma = 2.0 * p.E_mag * z.real, -4.0 * p.E_mag * z.imag
     if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
         raise OverflowError(f"Delta E or Delta Gamma overflows at "
-                            f"|E| = {p.E_mag!r}")
+                            f"r = {p.r!r}, |E| = {p.E_mag!r}")
     # 1 + r^2 -+ 2 r sin = (1 - r)^2 + 4 r sin^2(pi/4 -+ theta/2), which does
     # not cancel as r -> 1 and theta -> +-90 degrees
     num = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 - th / 2) ** 2
@@ -142,11 +142,15 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
 
     Delta Gamma enters only through its sign times cos(theta); feeding the
     magnitude therefore leaves a two-fold theta-branch ambiguity, which is
-    reported via the mirror solution.
+    reported via the mirror solution.  Delta E and Delta Gamma are divided
+    by the power of two that puts the larger in [1, 2), so no square of
+    them overflows or underflows; |E| is multiplied by it at the end.
     """
+    scale = 2.0 ** (math.frexp(max(o.delta_E, abs(o.delta_Gamma)))[1] - 1)
+    dE, dG = o.delta_E / scale, o.delta_Gamma / scale
     Q = o.q_over_p ** 4
-    A = o.delta_E ** 2 - o.delta_Gamma ** 2 / 4.0
-    B = o.delta_E * o.delta_Gamma
+    A = dE * dE - dG * dG / 4.0
+    B = dE * dG
     v, one_minus_v = _solve_v(A, B, Q)
     r = float(np.sqrt(v))
     rs = (1.0 + v) * (1.0 - Q) / (2.0 * (1.0 + Q))
@@ -156,10 +160,13 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
     else:
         rc2 = max(v - rs * rs, 0.0)
         rc = float(np.sign(B)) * np.sqrt(rc2)
-        E2 = B / (8.0 * rc) if rc != 0.0 else (o.delta_E / 2.0) ** 2
+        E2 = B / (8.0 * rc) if rc != 0.0 else (dE / 2.0) ** 2
     if E2 <= 0.0:
         raise UnphysicalObservables("inverted |E|^2 is not positive")
-    E_mag = float(np.sqrt(E2))
+    E_mag = scale * math.sqrt(E2)
+    if E_mag == math.inf:
+        raise OverflowError(f"|E| overflows at Delta E = {o.delta_E!r}, "
+                            f"|q/p| = {o.q_over_p!r}")
     s, c = float(np.clip(rs / r, -1.0, 1.0)), rc / r
     forced = o.delta_Gamma == 0.0
     theta = float(np.degrees(np.arctan2(s, c)))

@@ -338,6 +338,15 @@ class TestFit:
         assert "N must be >= 0 harmonics, got N = -1" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_harmonics_is_flag_error_before_reading(self, tmp_path,
+                                                            capsys, n):
+        # estimate_r needs two harmonics; the missing file is never read
+        assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                    str(tmp_path / "missing.csv"), "--omega", "1",
+                    "--n-harmonics", n]) == 2
+        assert "--n-harmonics" in capsys.readouterr().err
+
     def test_header_only_file_is_flag_error(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("t_ps,asymmetry,sigma\n")
@@ -394,7 +403,7 @@ class TestCatalogue:
 
 
 @pytest.mark.parametrize("argv", [
-    ["convert", "--from-observables", "1e200", "0.5", "1e-8"],
+    ["convert", "--from-observables", "1e300", "0.5", "1e-10"],
     ["convert", "--from-bloch", "1e300", "180", "1e200"],
     ["convert", "--from-bloch", "0.5", "45", "1e308"],
     ["simulate", "--r", "1e-200", "--theta-eg", "180", "--t-max", "3P",
@@ -406,6 +415,19 @@ def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("numerical failure: ")
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    # theta = 90: |E| = Delta E (1 + q^2)/(4q)
+    (["1e200", "0.5", "1e-8"], {"theta_eg_deg": 90.0, "E_mag": 2.5e207}),
+    (["1e-200", "1e-200", "1"], {"r": 0.5, "theta_eg_deg": 0.0,
+                                 "E_mag": 5e-201}),
+])
+def test_observables_of_any_finite_scale_invert(argv, want, capsys):
+    assert run(["convert", "--from-observables"] + argv) == 0
+    got = json.loads(capsys.readouterr().out)["bloch"]
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12)
 
 
 class TestFlagErrors:

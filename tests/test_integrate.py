@@ -119,8 +119,39 @@ class TestEvolve:
         assert st["n_fev"] == 1 + 6 * (st["n_accepted"] + st["n_rejected"])
         assert st["n_rejected"] > 0 or tol < 1e-5
 
+    @pytest.mark.parametrize("start", ["e_cross_gamma", "gamma"])
+    def test_small_r_pure_start_does_not_underflow(self, start):
+        # |f(b0)| = 1/r: a first step scaled by the tolerance over |f(b0)|
+        # fell under the 1e-14 floor at tau = 0
+        m = perp_model(5e-4)
+        b0 = getattr(m, start)
+        traj = evolve(m, b0, 0.05)
+        assert np.max(np.abs(traj.bs - propagate(m, b0, traj.taus))) <= 1e-7
+
+    def test_first_step_is_not_scaled_by_the_tolerance(self):
+        # r = 0.85 over three periods from the mixed start: a first step of
+        # 1e-11 took 580 steps and 3487 field calls
+        r = 0.85
+        traj = evolve(perp_model(r), np.zeros(3), 3.0 * cuq_clock(r).P_hat)
+        assert traj.taus[1] >= 1e-3
+        assert traj.controller_stats["n_fev"] < 3487
+
 
 class TestInterpolation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.02, 3.0).filter(lambda r: not 1.0 - 1e-6 < r < 1.0)
+           | st.just(1.0), angles, unit_ball)
+    def test_dense_output_within_the_benchmark_bound(self, r, theta, b0):
+        # the benchmark's trajectory check: 257 points over three periods
+        # (r < 1) or 3r, each within BLOCH_ATOL = 1e-6 of the exact path.
+        # Three periods grow without bound as r -> 1 (1e9 at r = 1 - 1e-16);
+        # the gap keeps them under 1.4e4, and no benchmark draw is closer
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        tau_end = 3.0 * (cuq_clock(r).P_hat if r < 1.0 else r)
+        grid = np.linspace(0.0, tau_end, 257)
+        got = evolve(m, b0, tau_end).interpolate(grid)
+        assert np.max(np.abs(got - propagate(m, b0, grid))) <= 1e-6
+
     def test_dense_output_between_nodes(self):
         r = 0.7
         m = perp_model(r)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -77,6 +78,13 @@ class TestForwardMap:
         with pytest.raises(OverflowError, match=re.escape(f"|E| = {E!r}")):
             observables_from_bloch(BlochParameters(r, theta, E))
 
+    def test_overflowing_r_is_named(self):
+        # r^2 is formed as a product, so it overflows to inf, not to
+        # Python's "Numerical result out of range"
+        with pytest.raises(OverflowError,
+                           match=re.escape("r = 1e+300, |E| = 1e+200")):
+            observables_from_bloch(BlochParameters(1e300, 180.0, 1e200))
+
     def test_splitting_invariant(self):
         # Delta E^2 - Delta Gamma^2/4 = 4|E|^2 (1 - r^2) for any angle
         r, E, th = 0.945, 2.64652e-3, 179.6322
@@ -126,6 +134,32 @@ class TestInversion:
         assert back.delta_E == pytest.approx(flipped.delta_E, abs=tol)
         assert back.delta_Gamma == pytest.approx(flipped.delta_Gamma, abs=tol)
         assert back.q_over_p == pytest.approx(flipped.q_over_p, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3),
+           st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6),
+           st.floats(0.1, 10.0), st.integers(-600, 600))
+    def test_scale_covariant(self, dE, dG, qop, k):
+        # Delta E and Delta Gamma carry the unit of |E|: a factor 2^k leaves
+        # r and theta as they are and scales |E| by exactly 2^k
+        base = MesonObservables(dE, dG, qop)
+        scaled = MesonObservables(math.ldexp(dE, k), math.ldexp(dG, k), qop)
+        try:
+            want = bloch_from_observables(base)
+        except UnphysicalObservables:
+            with pytest.raises(UnphysicalObservables):
+                bloch_from_observables(scaled)
+            return
+        got = bloch_from_observables(scaled)
+        for w, g in ((want.params, got.params), (want.mirror, got.mirror)):
+            assert (g.r, g.theta_eg_deg) == (w.r, w.theta_eg_deg)
+            assert g.E_mag == math.ldexp(w.E_mag, k)
+
+    def test_overflowing_E_is_named(self):
+        # |E| = Delta E (1 + q^2)/(4q) at theta = 90 passes the largest float
+        with pytest.raises(OverflowError,
+                           match=re.escape("Delta E = 1e+300, |q/p| = 1e-10")):
+            bloch_from_observables(MesonObservables(1e300, 0.5, 1e-10))
 
     def test_mirror_branch_flips_cosine(self):
         inv = bloch_from_observables(
