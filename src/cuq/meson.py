@@ -9,13 +9,19 @@ the CP-violation measure |q/p|.  With z = sqrt(1 - r^2 - 2 i r cos(theta))
     Delta Gamma = -4 |E| Im z
     |q/p|^4     = (1 + r^2 - 2 r sin(theta)) / (1 + r^2 + 2 r sin(theta))
 
-where theta is the angle between the energy and decay directions.  The
-module also carries the catalogue of the four well-measured systems
+where theta is the angle between the energy and decay directions.  With
+w = Delta E/2 - i Delta Gamma/4 = |E| z and t = tanh(ln|q/p|), the inverse is
+
+    r e^{-i theta} = (i t Re w - Im w) / (Re w + i t Im w)
+    |E|            = cosh(ln|q/p|) |Re w + i t Im w|
+
+The module also carries the catalogue of the four well-measured systems
 (PDG 2024 central values with 1-sigma errors) in both parameterisations.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -86,18 +92,19 @@ class BlochParameters:
 
 
 def observables_from_bloch(p: BlochParameters) -> MesonObservables:
-    """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign."""
-    th = np.radians(p.theta_eg_deg)
+    """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign.
+    Nothing cancels as r -> 1 and theta -> +-90, where 90 -+ theta is exact:
+    1 + r^2 -+ 2 r sin(theta) = (1 - r)^2 + 4 r sin^2((90 -+ theta)/2)."""
+    r, th = p.r, p.theta_eg_deg
+    cos = math.sin(math.radians(90.0 - abs(th)))
     # Python floats: an overflowing product is inf, with no RuntimeWarning
-    z = complex(np.sqrt(complex(1.0 - p.r * p.r, -2.0 * p.r * np.cos(th))))
+    z = cmath.sqrt(complex((1.0 - r) * (1.0 + r), -2.0 * r * cos))
     delta_E, delta_Gamma = 2.0 * p.E_mag * z.real, -4.0 * p.E_mag * z.imag
     if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
         raise OverflowError(f"Delta E or Delta Gamma overflows at "
                             f"r = {p.r!r}, |E| = {p.E_mag!r}")
-    # 1 + r^2 -+ 2 r sin = (1 - r)^2 + 4 r sin^2(pi/4 -+ theta/2), which does
-    # not cancel as r -> 1 and theta -> +-90 degrees
-    num = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 - th / 2) ** 2
-    den = (1.0 - p.r) ** 2 + 4.0 * p.r * np.sin(np.pi / 4 + th / 2) ** 2
+    num = (1.0 - r) ** 2 + 4.0 * r * math.sin(math.radians(90.0 - th) / 2) ** 2
+    den = (1.0 - r) ** 2 + 4.0 * r * math.sin(math.radians(90.0 + th) / 2) ** 2
     if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
         raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
     return MesonObservables(delta_E=delta_E, delta_Gamma=delta_Gamma,
@@ -114,66 +121,36 @@ class BlochInversion:
     forced_cuq_branch: bool = False  # Delta Gamma = 0 forces theta = +-90
 
 
-def _solve_v(A: float, B: float, Q: float) -> tuple[float, float]:
-    """(v, 1 - v) for v = r^2, from the reduced constraint in closed form.
-
-    With A = dE^2 - dG^2/4 = 4|E|^2(1-v), B = dE*dG = 8|E|^2 r cos(theta),
-    a = B/(2A) and k = (1-Q)/(2(1+Q)): r cos = a(1-v), r sin = k(1+v), and
-    (r cos)^2 + (r sin)^2 = v is the palindromic quadratic p v^2 - 2h v + p
-    = 0, p = a^2 + k^2, h = p + d, d = 1/2 - 2k^2 = 2Q/(1+Q)^2 > 0.  Its
-    roots v, 1/v are real; |E|^2 > 0 takes v < 1 for A > 0, v > 1 for A < 0.
-    1 - v is formed apart from v because it sets |E|^2 and cancels at r ~ 1.
-    """
-    if A == 0.0:
-        return 1.0, 0.0
-    a = B / (2.0 * A)
-    p = a * a + ((1.0 - Q) / (2.0 * (1.0 + Q))) ** 2
-    d = 2.0 * Q / (1.0 + Q) ** 2  # h - p without the cancellation in k
-    gap = d + np.sqrt(d * (2.0 * a * a + 0.5))  # small root: p / (p + gap)
-    if not (0.0 < p < np.inf and 0.0 < gap < np.inf):
-        raise UnphysicalObservables("observables admit no r in (0, inf)")
-    if A > 0.0:
-        return p / (p + gap), gap / (p + gap)
-    return (p + gap) / p, -gap / p
-
-
 def bloch_from_observables(o: MesonObservables) -> BlochInversion:
-    """Invert the forward map.
+    """Invert the forward map in closed form (module docstring): the mixing
+    elements H12 = |E|(1 - i r e^{i theta}) and H21 = |E|(1 - i r e^{-i theta})
+    satisfy H12 H21 = w^2, |H21/H12| = Q^2 with Q = |q/p|, H12* + H21 = 2|E|
+    and H21 - H12* = -2i r|E| e^{-i theta}.  Solved for the phase of H12
+    they give r e^{-i theta} = i(Q w - w*/Q)/(Q w + w*/Q) and |E| =
+    |Q w + w*/Q|/2; dividing by Q + 1/Q gives the tanh form, with no Q^n.
 
-    Delta Gamma enters only through its sign times cos(theta); feeding the
-    magnitude therefore leaves a two-fold theta-branch ambiguity, which is
-    reported via the mirror solution.  Delta E and Delta Gamma are divided
-    by the power of two that puts the larger in [1, 2), so no square of
-    them overflows or underflows; |E| is multiplied by it at the end.
+    Delta Gamma enters only through its sign times cos(theta), so its
+    magnitude alone leaves the mirror branch theta -> 180 - theta.  Delta E
+    and Delta Gamma are scaled by the power of two that puts the larger in
+    [1, 2); |E| takes it back last, so a subnormal |E| does not underflow.
     """
     scale = 2.0 ** (math.frexp(max(o.delta_E, abs(o.delta_Gamma)))[1] - 1)
-    dE, dG = o.delta_E / scale, o.delta_Gamma / scale
-    Q = o.q_over_p ** 4
-    A = dE * dE - dG * dG / 4.0
-    B = dE * dG
-    v, one_minus_v = _solve_v(A, B, Q)
-    r = float(np.sqrt(v))
-    rs = (1.0 + v) * (1.0 - Q) / (2.0 * (1.0 + Q))
-    if A != 0.0:
-        E2 = A / (4.0 * one_minus_v)
-        rc = B / (8.0 * E2)
-    else:
-        rc2 = max(v - rs * rs, 0.0)
-        rc = float(np.sign(B)) * np.sqrt(rc2)
-        E2 = B / (8.0 * rc) if rc != 0.0 else (dE / 2.0) ** 2
-    if E2 <= 0.0:
-        raise UnphysicalObservables("inverted |E|^2 is not positive")
-    E_mag = scale * math.sqrt(E2)
+    w_re, w_im = o.delta_E / scale / 2.0, -o.delta_Gamma / scale / 4.0
+    t = math.tanh(math.log(o.q_over_p))
+    num, den = complex(-w_im, t * w_re), complex(w_re, t * w_im)
+    if num == 0.0 or den == 0.0:  # r = 0 or r = inf
+        raise UnphysicalObservables("observables admit no r in (0, inf)")
+    zeta = num / den  # r e^{-i theta}
+    E_mag = (o.q_over_p + 1.0 / o.q_over_p) / 2.0 * abs(den) * scale
     if E_mag == math.inf:
         raise OverflowError(f"|E| overflows at Delta E = {o.delta_E!r}, "
                             f"|q/p| = {o.q_over_p!r}")
-    s, c = float(np.clip(rs / r, -1.0, 1.0)), rc / r
-    forced = o.delta_Gamma == 0.0
-    theta = float(np.degrees(np.arctan2(s, c)))
-    theta_mirror = float(np.degrees(np.arctan2(s, -c)))
-    params = BlochParameters(r=r, theta_eg_deg=theta, E_mag=E_mag)
-    mirror = BlochParameters(r=r, theta_eg_deg=theta_mirror, E_mag=E_mag)
-    return BlochInversion(params=params, mirror=mirror, forced_cuq_branch=forced)
+    r, s = abs(zeta), 0.0 - zeta.imag  # never -0.0: |q/p| = 1 gives theta 0
+    theta = math.degrees(math.atan2(s, zeta.real))
+    theta_mirror = math.degrees(math.atan2(s, -zeta.real))
+    return BlochInversion(params=BlochParameters(r, theta, E_mag),
+                          mirror=BlochParameters(r, theta_mirror, E_mag),
+                          forced_cuq_branch=o.delta_Gamma == 0.0)
 
 
 def flavour_asymmetry(state: BlochState) -> float:

@@ -269,7 +269,7 @@ def test_criterion_6_meson_tables():
                    reason="published K0 row is internally inconsistent: the "
                           "quoted (r, theta, E) map to |q/p|-1 = -3.20e-3, "
                           "not -3.239e-3 +- 1e-6, and inverting the quoted "
-                          "observables returns theta = 179.814 deg, outside "
+                          "observables returns theta = 179.6276 deg, outside "
                           "179.6322 +- 1e-4")
 def test_criterion_6_k0_strict():
     k0 = catalogue()[0]

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -404,6 +405,9 @@ class TestCatalogue:
 
 @pytest.mark.parametrize("argv", [
     ["convert", "--from-observables", "1e300", "0.5", "1e-10"],
+    ["convert", "--from-observables", "1e300", "0.5", "1e-300"],
+    ["convert", "--from-observables", "1", "0.5", "5e-324"],
+    ["convert", "--from-observables", "1e300", "1e300", "1e300"],
     ["convert", "--from-bloch", "1e300", "180", "1e200"],
     ["convert", "--from-bloch", "0.5", "45", "1e308"],
     ["simulate", "--r", "1e-200", "--theta-eg", "180", "--t-max", "3P",
@@ -415,6 +419,8 @@ def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("numerical failure: ")
     assert not (tmp_path / "trajectory.csv").exists()
+    if argv[1] == "--from-observables":
+        assert "Delta E" in out.err and "|q/p|" in out.err
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -422,12 +428,23 @@ def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     (["1e200", "0.5", "1e-8"], {"theta_eg_deg": 90.0, "E_mag": 2.5e207}),
     (["1e-200", "1e-200", "1"], {"r": 0.5, "theta_eg_deg": 0.0,
                                  "E_mag": 5e-201}),
+    # |q/p| -> inf and 0 are the r -> 1, theta -> -+90 limits; the true
+    # r = 1 - O(1/q^2) rounds to 1
+    (["1", "0.5", "1e100"], {"r": 1.0, "theta_eg_deg": -90.0}),
+    (["1", "0.5", "1e-100"], {"r": 1.0, "theta_eg_deg": 90.0}),
+    # |E| = 5e-324 * 0.625 is subnormal, not 0
+    (["5e-324", "0", "0.5"], {"r": 0.6, "E_mag": 5e-324}),
 ])
 def test_observables_of_any_finite_scale_invert(argv, want, capsys):
     assert run(["convert", "--from-observables"] + argv) == 0
-    got = json.loads(capsys.readouterr().out)["bloch"]
+    out = json.loads(capsys.readouterr().out)
+    got = out["bloch"]
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-12)
+    if argv == ["1e-200", "1e-200", "1"]:
+        # +0.0, not -0.0, so the mirror is 180, not -180
+        assert math.copysign(1.0, got["theta_eg_deg"]) == 1.0
+        assert out["branch"] == "mirror branch: theta = 180 deg"
 
 
 class TestFlagErrors:
