@@ -42,7 +42,6 @@ def _check_r_oscillatory(r: float):
 class CuqClock:
     """Dimensionless oscillation period and angular frequency."""
 
-    r: float
     P_hat: float
     omega_hat: float
 
@@ -51,7 +50,7 @@ def cuq_clock(r: float) -> CuqClock:
     """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat."""
     _check_r_oscillatory(r)
     root = np.sqrt(1.0 - r * r)
-    return CuqClock(r=r, P_hat=2.0 * np.pi * r / root, omega_hat=root / r)
+    return CuqClock(P_hat=2.0 * np.pi * r / root, omega_hat=root / r)
 
 
 def restore_units(r: float, E_mag: float) -> tuple[float, float]:

@@ -101,16 +101,24 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
     1 - |b|^2 = |x|^2 (1 - beta^2) / T^2 with T = tr(U rho0 U^dagger).  For
     r < 1, |x| = 1 and T is a sinusoid of period P_hat, whose top gives
     1 - |b|^2 = (c (1 - r^2) / D)^2, c = sqrt(1 - beta^2), D = 1 + r s and
-    s = sqrt(r^2 + beta^2 (1 - r^2)).  It is formed as
-    (D - c (1 - r^2)) (D + c (1 - r^2)) / D^2 with 1 - c = beta^2/(1 + c),
-    which does not cancel at small r.  For r >= 1, T/x is convex in
-    x in (0, 1], so |b| peaks at an end of the range.
+    s = sqrt(r^2 + beta^2 (1 - r^2)), formed as (D - c (1 - r^2))
+    (D + c (1 - r^2)) / D^2 with 1 - c = beta^2/(1 + c), which does not
+    cancel at small r.  For r >= 1, T/x is convex in x in (0, 1], so |b|
+    peaks at an end; at tau = 50 r, mu is real and U = a I + k n.sigma with
+    a = (1 + x)/2, k = (1 - x)/(2 mu) (25 r at mu = 0), so T = a^2 +
+    k^2 (1 + 1/r^2) + 2 beta a k = (a - k)^2 + (k/r)^2 + 2 (1 + beta) a k,
+    the last form a sum of terms >= 0.  Where x = 0 the end state is pure.
     """
-    r, b0 = model.r, beta * model.gamma
+    r = model.r
+    BlochState(beta * model.gamma)  # rejects |beta| > 1, where the forms fail
     if r >= 1.0:
-        ends = integrate.propagate(model, b0, [0.0, 50.0 * r])
-        return float(np.max(np.linalg.norm(ends, axis=1)))
-    BlochState(b0)  # rejects |beta| > 1, where the form exceeds 1
+        mu = math.sqrt((1.0 - 1.0 / r) * (1.0 + 1.0 / r))
+        x = math.exp(-50.0 * r * mu)
+        a = (1.0 + x) / 2.0
+        k = -math.expm1(-50.0 * r * mu) / (2.0 * mu) if mu > 0.0 else 25.0 * r
+        T = (a - k) ** 2 + (k / r) ** 2 + 2.0 * (1.0 + beta) * a * k
+        return max(abs(beta), 1.0 if x == 0.0 else
+                   math.sqrt(1.0 - x * x * (1.0 - beta * beta) / (T * T)))
     c = math.sqrt(max(1.0 - beta * beta, 0.0))
     s = math.sqrt(r * r + beta * beta * (1.0 - r * r))
     D = 1.0 + r * s

@@ -31,6 +31,8 @@ _UNIT_TOL = 1e-12
 # perpendicular when |cos(theta_eg)| < _ALIGN_TOL: 1/sin^2 is
 # ill-conditioned near alignment, 1/alpha near perpendicularity
 _ALIGN_TOL = 1e-10
+# rows per block wherever a table of times is evaluated or written
+_BLOCK_ROWS = 4096
 
 SIGMA = np.array(
     [
@@ -64,10 +66,6 @@ class BlochState:
             raise ValueError(
                 f"|b| = {np.linalg.norm(self.b)} exceeds 1 + {STATE_EPS}")
 
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.b))
-
 
 @dataclass(frozen=True)
 class QubitModel:
@@ -93,11 +91,6 @@ class QubitModel:
         object.__setattr__(self, "gamma", g)
         if not 0.0 < self.r < np.inf:
             raise ValueError(f"r must be positive and finite, got {self.r}")
-
-    @property
-    def theta_eg(self) -> float:
-        """Angle between e and gamma in radians, in [0, pi]."""
-        return float(np.arccos(np.clip(np.dot(self.e, self.gamma), -1.0, 1.0)))
 
     @cached_property
     def e_cross_gamma(self) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import cuq_projections, restore_units
+from .core import _BLOCK_ROWS
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
                       anharmonicity, correct_effective_r)
 
@@ -128,9 +129,6 @@ def save_dataset(data: AsymmetryDataset, path) -> None:
     columns = dict(zip(CSV_HEADER, (data.t, data.delta, data.sigma)))
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(_csv_blocks(columns))
-
-
-_BLOCK_ROWS = 4096
 
 
 def _csv_blocks(columns: dict):

@@ -3,14 +3,14 @@
 The normalised state is the image of a linear evolution,
 rho(tau) ~ e^{K tau} rho0 e^{K^dagger tau} with K = n.sigma/2 and
 n = gamma + i e/r.  `propagate` evaluates that closed form at any set of
-times and `evolve_to_asymptote` reads the limit off the same generator;
-both read b straight off a Gram matrix W W^dagger, and neither integrates
-or uses the analytic module.  `evolve` integrates the nonlinear Bloch
-equation itself, with the vector field from `core._vector_field` (the one
-definition of the field): it is the independent oracle that the exact forms
-are tested against.  It is the textbook Dormand-Prince 5(4) pair (Hairer,
-Norsett & Wanner, Solving ODEs I, II.4-II.6): a first step of 0.1, no step
-cap, no PI controller, one elementary step-size rule, order-4 dense output.
+times, block by block, and `evolve_to_asymptote` reads the limit off the
+same generator, scaled by min(r, 1) so that any finite r > 0 works; both
+read b off a Gram matrix W W^dagger in real arithmetic.  `evolve`
+integrates the Bloch equation with `core._vector_field` (the one definition
+of the field): it is the independent oracle that the exact forms are
+tested against, the textbook Dormand-Prince 5(4) pair (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.6) with a first step of 0.1, one elementary
+step-size rule and order-4 dense output.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_ALIGN_TOL, IDENTITY2, SIGMA, BlochState, QubitModel,
-                   _as_vec3, _vector_field)
+from .core import (_ALIGN_TOL, _BLOCK_ROWS, IDENTITY2, SIGMA, BlochState,
+                   QubitModel, _as_vec3, _vector_field)
 
 __all__ = [
     "Trajectory",
@@ -80,10 +80,6 @@ class Trajectory:
     dense: np.ndarray    # (c1, c2, c3) of each step, shape (n - 1, 3, 3)
     controller_stats: dict = field(default_factory=dict)
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.bs[-1]
-
     def interpolate(self, tau) -> np.ndarray:
         """DP5's order-4 dense output between accepted steps."""
         tau = np.asarray(tau, dtype=float)
@@ -100,9 +96,6 @@ class Trajectory:
         out = ((1 - s) * self.bs[idx] + s * self.bs[idx + 1]
                + s * (1 - s) * (c1 + s * (c2 + (1 - s) * c3)))
         return out[0] if scalar else out
-
-    def magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.bs, axis=1)
 
 
 def evolve(model: QubitModel, b0, tau_end: float,
@@ -164,59 +157,75 @@ def evolve(model: QubitModel, b0, tau_end: float,
                       dense=np.array(dense), controller_stats=stats)
 
 
-def _generator(model: QubitModel) -> tuple[np.ndarray, complex]:
-    """n = gamma + i e/r and mu = sqrt(n.n) with Re mu >= 0, for K = n.sigma/2.
-
-    n.n = 1 - 1/r^2 + 2 i cos(theta_eg)/r; |cos| < _ALIGN_TOL is taken as
-    the rounding of a perpendicular geometry (the threshold
-    `asymptotic_state` uses), so r = 1 at 90 degrees gives mu = 0 exactly.
-    """
+def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
+    """s n, s mu and mu, with s = min(r, 1), for K = n.sigma/2, n = gamma +
+    i e/r and mu = sqrt(n.n), Re mu >= 0.  With q = s/r and c = cos(theta_eg),
+    s n = s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q: no 1/r^2
+    is formed.  |c| < _ALIGN_TOL is taken as the rounding of a perpendicular
+    geometry (the threshold `asymptotic_state` uses), so r = 1 at 90 degrees
+    gives mu = 0 exactly; mu is inf where s is too small to divide by."""
+    s = min(model.r, 1.0)
+    q = s / model.r
     c = float(np.dot(model.e, model.gamma))
     if abs(c) < _ALIGN_TOL:
         c = 0.0
-    mu = np.sqrt(complex(1.0 - model.r ** -2, 2.0 * c / model.r))
-    return model.gamma + 1j * model.e / model.r, mu
+    smu = np.sqrt(complex((s - q) * (s + q), 2.0 * c * s * q))
+    return s * model.gamma + 1j * q * model.e, smu, complex(smu) / s
 
 
 def _gram_bloch(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vectors and traces of the states W W^dagger, W of shape (n, 2, 2);
-    b is nan where the trace is 0."""
-    top, bottom = W[:, 0], W[:, 1]
-    r00 = np.sum(np.abs(top) ** 2, axis=1)
-    r11 = np.sum(np.abs(bottom) ** 2, axis=1)
-    r01 = np.sum(top * bottom.conj(), axis=1)
+    b is nan (numpy warns) where the trace is 0.  With rows p = a + ic and
+    q = b + id of W the entries are real sums, so no row's bits depend on
+    the other rows."""
+    a, c, b, d = W[:, 0].real, W[:, 0].imag, W[:, 1].real, W[:, 1].imag
+    r00 = np.sum(a * a + c * c, axis=1)
+    r11 = np.sum(b * b + d * d, axis=1)
     tr = r00 + r11
-    with np.errstate(invalid="ignore"):
-        b = np.column_stack([2.0 * r01.real, -2.0 * r01.imag, r00 - r11])
-        return b / tr[:, None], tr
+    bloch = np.column_stack([2.0 * np.sum(a * b + c * d, axis=1),
+                             -2.0 * np.sum(c * b - a * d, axis=1), r00 - r11])
+    return bloch / tr[:, None], tr
 
 
 def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     """Bloch vectors at each of taus >= 0 from b0, exactly; shape (n, 3).
 
     As (n.sigma)^2 = (n.n) I, e^{K tau} = e^{mu tau/2} U with
-    U = (1 + x)/2 I + (1 - x)/(2 mu) n.sigma and x = e^{-mu tau}.  The
-    factor e^{mu tau/2} drops out of the normalisation, |x| <= 1 keeps U
-    finite for every tau, and at mu = 0 (r = 1, e perpendicular to gamma)
-    the sigma coefficient is its limit tau/2.  The state is formed as the
-    Gram matrix W W^dagger, W = U L with L L^dagger proportional to rho0,
-    so it stays positive, |b| <= 1, under rounding.
+    U = (1 + x)/2 I + (1 - x)/(2 mu) n.sigma and x = e^{-mu tau}: the first
+    factor drops out of the normalisation, |x| <= 1 keeps U finite, and at
+    mu = 0 (r = 1, e perpendicular to gamma) the sigma coefficient is tau/2.
+    The state is the Gram matrix W W^dagger, W = U L with L L^dagger
+    proportional to rho0, so |b| <= 1 under rounding.  Any split of the
+    times gives the same bits; they are taken _BLOCK_ROWS at a time.  A
+    phase Im(mu tau) past the float range, with x not 0, is an OverflowError.
     """
     b0 = BlochState(b0).b
     t = np.atleast_1d(np.asarray(taus, dtype=float))
     if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("taus must be a 1-D array of finite times >= 0")
-    n, mu = _generator(model)
+    n, mu, rate = _generator(model)  # U takes s n/(s mu) = n/mu
     # rho0^2 = rho0 - s^2 I with s = sqrt(det rho0): L L^dagger = (1 + 2s) rho0
     L = (0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
          + 0.5 * np.sqrt(max(1.0 - b0 @ b0, 0.0)) * IDENTITY2)
     nL = np.einsum("i,ijk->jk", n, SIGMA) @ L
-    x = np.exp(-mu * t)
-    beta = 0.5 * t if mu == 0.0 else -np.expm1(-mu * t) / (2.0 * mu)
-    W = np.multiply.outer(0.5 * (1.0 + x), L) + np.multiply.outer(beta, nL)
-    b, tr = _gram_bloch(W)
-    # W rounds to 0 only when b0 is the repelling state, where it stays
-    return np.where(tr[:, None] > 0.0, b, b0)
+    out = np.empty((t.size, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, t.size, _BLOCK_ROWS):
+            tb = t[i:i + _BLOCK_ROWS]
+            mt = rate * tb
+            mt[mt.real > 800.0] = 800.0  # x = 0 whatever the phase: the limit
+            if not np.all(np.isfinite(mt)):
+                raise OverflowError(f"the phase mu tau overflows at r = "
+                                    f"{model.r!r}, tau = {float(tb.max())!r}")
+            beta = 0.5 * tb if mu == 0.0 else -np.expm1(-mt) / (2.0 * mu)
+            W = (np.multiply.outer(0.5 * (1.0 + np.exp(-mt)), L)
+                 + np.multiply.outer(beta, nL))
+            if mu == 0.0:  # W grows like tau; past 1e150 its squares overflow
+                W[tb > 1e150] /= tb[tb > 1e150, None, None]
+            b, tr = _gram_bloch(W)
+            # a finite W rounds to 0 only at the repelling state, which stays
+            out[i:i + _BLOCK_ROWS] = np.where(tr[:, None] > 0.0, b, b0)
+    return out
 
 
 def evolve_to_asymptote(model: QubitModel, b0):
@@ -230,7 +239,7 @@ def evolve_to_asymptote(model: QubitModel, b0):
     M M^dagger unless it vanishes, when b0 is the repelling fixed point.
     """
     b0 = BlochState(b0).b
-    n, mu = _generator(model)
+    n, mu, _ = _generator(model)  # s M has M's direction
     if mu.real == 0.0 and mu != 0.0:
         return NON_CONVERGENT
     M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)

@@ -131,23 +131,34 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
 
     Delta Gamma enters only through its sign times cos(theta), so its
     magnitude alone leaves the mirror branch theta -> 180 - theta.  Delta E
-    and Delta Gamma are scaled by the power of two that puts the larger in
-    [1, 2); |E| takes it back last, so a subnormal |E| does not underflow.
+    and Delta Gamma are scaled by the power of two 2^k that puts the larger
+    in [1, 2), and cosh(ln|q/p|) by 2^-|e|, |q/p| = m 2^e, so no 1/|q/p| is
+    formed; |E| takes 2^(|e| + k) back last, so a subnormal |E| does not
+    underflow.  Delta E = 0 is on z's branch cut, where theta = +-90 maps
+    to Delta Gamma > 0: Delta Gamma < 0 gives the float just past +-90.
     """
-    scale = 2.0 ** (math.frexp(max(o.delta_E, abs(o.delta_Gamma)))[1] - 1)
+    k = math.frexp(max(o.delta_E, abs(o.delta_Gamma)))[1] - 1
+    scale = 2.0 ** k
     w_re, w_im = o.delta_E / scale / 2.0, -o.delta_Gamma / scale / 4.0
     t = math.tanh(math.log(o.q_over_p))
     num, den = complex(-w_im, t * w_re), complex(w_re, t * w_im)
     if num == 0.0 or den == 0.0:  # r = 0 or r = inf
         raise UnphysicalObservables("observables admit no r in (0, inf)")
     zeta = num / den  # r e^{-i theta}
-    E_mag = (o.q_over_p + 1.0 / o.q_over_p) / 2.0 * abs(den) * scale
-    if E_mag == math.inf:
-        raise OverflowError(f"|E| overflows at Delta E = {o.delta_E!r}, "
-                            f"|q/p| = {o.q_over_p!r}")
+    m, e = math.frexp(o.q_over_p)  # cosh(ln Q) = 2^|e| (Q 2^-|e| + 2^-|e|/Q)/2
+    cosh = (math.ldexp(m, e - abs(e)) + math.ldexp(1.0 / m, -e - abs(e))) / 2.0
+    pm, pe = math.frexp(cosh * abs(den))
+    pe += abs(e) + k  # |E| = pm 2^pe with pm < 1, finite for pe <= 1024
+    E_mag = math.ldexp(pm, pe) if pe <= 1024 else math.inf
+    if E_mag in (0.0, math.inf):
+        raise OverflowError(f"|E| {'over' if E_mag else 'under'}flows at "
+                            f"Delta E = {o.delta_E!r}, |q/p| = {o.q_over_p!r}")
     r, s = abs(zeta), 0.0 - zeta.imag  # never -0.0: |q/p| = 1 gives theta 0
     theta = math.degrees(math.atan2(s, zeta.real))
     theta_mirror = math.degrees(math.atan2(s, -zeta.real))
+    if abs(theta) == 90.0 and o.delta_Gamma < 0.0:
+        theta = math.copysign(math.nextafter(90.0, 180.0), theta)
+        theta_mirror = math.copysign(180.0, theta) - theta
     return BlochInversion(params=BlochParameters(r, theta, E_mag),
                           mirror=BlochParameters(r, theta_mirror, E_mag),
                           forced_cuq_branch=o.delta_Gamma == 0.0)
@@ -183,10 +194,6 @@ class MesonCatalogueEntry:
     observables_err: MesonObservables
     bloch: BlochParameters
     bloch_err: tuple[float, float, float]  # (r, theta_deg, E_mag)
-
-    @property
-    def damping(self) -> Damping:
-        return classify_damping(self.bloch.r)
 
 
 # PDG 2024 mixing data and the equivalent Bloch-sphere parameterisation,

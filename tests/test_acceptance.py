@@ -168,7 +168,7 @@ def test_criterion_5_mixed_state_physics():
 
     m1 = perp_model(1.0)
     traj1 = evolve(m1, np.zeros(3), 60.0, rel_tol=1e-10, abs_tol=1e-13)
-    final_mag = float(np.linalg.norm(traj1.final))
+    final_mag = float(np.linalg.norm(traj1.bs[-1]))
     assert final_mag > 0.999
     assert final_mag == pytest.approx(
         np.sqrt(1.0 - 4.0 / (2.0 + 60.0 ** 2) ** 2), abs=1e-6)

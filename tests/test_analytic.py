@@ -130,7 +130,7 @@ class TestAsymptoticState:
     def test_matches_long_integration(self):
         m = QubitModel.from_angle(0.9, 45.0, degrees=True)
         traj = evolve(m, np.zeros(3), 120.0, rel_tol=1e-10, abs_tol=1e-13)
-        assert np.allclose(traj.final, asymptotic_state(m).b_star, atol=1e-6)
+        assert np.allclose(traj.bs[-1], asymptotic_state(m).b_star, atol=1e-6)
 
     def test_aligned_branch(self):
         m = QubitModel.from_angle(0.5, 180.0, degrees=True)

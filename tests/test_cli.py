@@ -75,6 +75,17 @@ class TestSimulate:
         assert np.array_equal(table[:, 1:4],
                               propagate(m, np.zeros(3), table[:, 0]))
 
+    def test_tiny_r_rows_are_finite(self, tmp_path):
+        # the generator forms no 1/r^2, so r = 1e-200 runs like any r < 1
+        assert run(["--output-dir", str(tmp_path), "simulate", "--r", "1e-200",
+                    "--theta-eg", "180", "--t-max", "3P",
+                    "--b0=0.6,0,0.8"]) == 0
+        table = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                           skiprows=1)
+        assert table.shape == (257, 7)
+        assert np.all(np.isfinite(table))
+        assert np.max(np.linalg.norm(table[:, 1:4], axis=1)) <= 1.0 + 1e-12
+
     def test_negative_b0_vector(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "simulate", "--r", "0.5",
                     "--b0", "-0.1,0.2,-0.3", "--t-max", "1.0"]) == 0
@@ -175,6 +186,13 @@ class TestSweep:
         peak = _peak_magnitude(m, beta)
         assert peak == pytest.approx(max(abs(beta), mags[-1]), abs=1e-15)
         assert peak >= mags.max() - 1e-15
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.5, 1e8, 1e200])
+    def test_pure_start_peaks_at_one(self, r):
+        # a pure state stays pure; at large r the T of b0 = -gamma is tiny,
+        # and a form of T that cancels rounds it to 0
+        m = QubitModel.from_angle(r, 90.0, degrees=True)
+        assert _peak_magnitude(m, -1.0) == _peak_magnitude(m, 1.0) == 1.0
 
     @pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-3",
                                       f"0.1:0.9:{MAX_ROWS + 1}",
@@ -410,8 +428,6 @@ class TestCatalogue:
     ["convert", "--from-observables", "1e300", "1e300", "1e300"],
     ["convert", "--from-bloch", "1e300", "180", "1e200"],
     ["convert", "--from-bloch", "0.5", "45", "1e308"],
-    ["simulate", "--r", "1e-200", "--theta-eg", "180", "--t-max", "3P",
-     "--b0=0.6,0,0.8"],
 ])
 def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     # finite flags whose results pass the largest float
@@ -434,6 +450,8 @@ def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     (["1", "0.5", "1e-100"], {"r": 1.0, "theta_eg_deg": 90.0}),
     # |E| = 5e-324 * 0.625 is subnormal, not 0
     (["5e-324", "0", "0.5"], {"r": 0.6, "E_mag": 5e-324}),
+    (["0", "-10.110632897246857", "0.6797919955839504"],
+     {"r": math.e, "theta_eg_deg": 90.0, "E_mag": 1.0}),
 ])
 def test_observables_of_any_finite_scale_invert(argv, want, capsys):
     assert run(["convert", "--from-observables"] + argv) == 0

@@ -53,7 +53,7 @@ class TestEvolve:
     def test_pure_state_stays_pure(self):
         m = perp_model(0.5)
         traj = evolve(m, m.e_cross_gamma, 30.0, rel_tol=1e-11, abs_tol=1e-13)
-        assert np.max(np.abs(traj.magnitudes() - 1.0)) < 1e-9
+        assert np.max(np.abs(np.linalg.norm(traj.bs, axis=1) - 1.0)) < 1e-9
 
     def test_trajectory_stays_planar(self):
         # perpendicular geometry with b0 in the gamma, e x gamma plane
@@ -78,7 +78,7 @@ class TestEvolve:
         m = perp_model(0.3)
         traj = evolve(m, np.zeros(3), 5.0, rel_tol=1e-10, abs_tol=1e-13)
         # max |b| = 2r/(1+r^2) is never exceeded from the fully mixed state
-        assert traj.magnitudes().max() <= 2 * 0.3 / 1.09 + 1e-9
+        assert np.linalg.norm(traj.bs, axis=1).max() <= 2 * 0.3 / 1.09 + 1e-9
 
     def test_rejects_bad_tolerance(self):
         m = perp_model(0.5)
@@ -304,6 +304,13 @@ class TestPropagate:
         slope = (b[2] @ b[2] - b[0] @ b[0]) / (2.0 * h)
         assert abs(purity_rate(BlochState(b[1]), m) - slope) <= 1e-7
 
+    def test_exceptional_point_at_huge_tau(self):
+        # W = L + (tau/2) nL, whose Gram sums overflow past tau ~ 1e154;
+        # the state tends to -(e x gamma) like 1/tau
+        m = QubitModel(e=[1.0, 0.0, 0.0], gamma=[0.0, 1.0, 0.0], r=1.0)
+        b = propagate(m, [0.1, 0.2, 0.3], [1e100, 1e200, 1e300])
+        assert np.max(np.abs(b - [0.0, 0.0, -1.0])) <= 1e-12
+
     def test_starts_at_b0_and_stays_on_the_pure_orbit(self):
         r = 0.85
         m = perp_model(r)
@@ -319,6 +326,36 @@ class TestPropagate:
         m = QubitModel.from_angle(0.25, 0.0, degrees=True)
         b = propagate(m, -m.e, [0.0, 1.0, 1e6])
         assert np.allclose(b, -m.e, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("r, theta, b0", [
+        (0.85, 90.0, [0.0, 0.0, 1.0]), (2.5, 37.0, [0.3, -0.2, 0.1]),
+        (0.25, 180.0, [-0.6, 0.0, 0.8]), (1.0, 90.0, [0.0, 0.0, 0.0])])
+    def test_any_split_of_the_times_is_bit_identical(self, r, theta, b0):
+        # each row's bits are its own: blocks of 1, 7 and 4,096 rows give
+        # what one call over 2 * 4,096 + 100 unsorted times gives
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        taus = np.random.default_rng(3).uniform(0.0, 200.0, 8292)
+        whole = propagate(m, b0, taus)
+        for size, stride in ((1, 37), (7, 7), (4096, 4096)):
+            for start in range(0, taus.size, stride):
+                part = propagate(m, b0, taus[start:start + size])
+                assert np.array_equal(part, whole[start:start + size])
+
+    def test_decay_past_exp_range_is_the_asymptote(self):
+        # Re(mu tau) = 5e249 puts x = 0 while the phase overflows; the
+        # state is the limit, not b0
+        m = QubitModel.from_angle(1e-100, 60.0, degrees=True)
+        b0 = [0.6, 0.0, 0.8]
+        b = propagate(m, b0, [1e3, 1e250])
+        assert np.max(np.abs(b - evolve_to_asymptote(m, b0))) <= 1e-12
+
+    @pytest.mark.parametrize("r, theta", [(1e-100, 90.0), (5e-324, 60.0)])
+    def test_overflowing_phase_is_named(self, r, theta):
+        # at 90 degrees Re mu = 0, so only the phase tau/r grows; a
+        # subnormal r has an infinite rate
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        with pytest.raises(OverflowError, match=f"r = {r!r}, tau = "):
+            propagate(m, [0.6, 0.0, 0.8], [1e3, 1e250])
 
     def test_rejects_bad_times_and_b0(self):
         m = perp_model(0.5)

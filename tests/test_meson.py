@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuq.core import BlochState
@@ -116,6 +116,7 @@ class TestInversion:
     @given(st.floats(np.log(1e-3), np.log(1e3)),
            st.floats(-180.0, 180.0, exclude_min=True),
            st.floats(1e-3, 20.0))
+    @example(log_r=1.0, theta=90.0, E=1.0)
     def test_roundtrip_property(self, log_r, theta, E):
         r = float(np.exp(log_r))
         assume(not (r == 1.0 and abs(theta) == 90.0))  # |q/p| is 0 or inf
@@ -134,6 +135,37 @@ class TestInversion:
         assert back.delta_E == pytest.approx(flipped.delta_E, abs=tol)
         assert back.delta_Gamma == pytest.approx(flipped.delta_Gamma, abs=tol)
         assert back.q_over_p == pytest.approx(flipped.q_over_p, rel=1e-10)
+
+    @pytest.mark.parametrize("q_over_p", [0.6797919955839504,
+                                          1.6797919955839504])
+    def test_branch_cut_inverts_to_its_own_side(self, q_over_p):
+        # Delta E = 0 lies on z's branch cut: theta = +-90 maps to
+        # Delta Gamma > 0, so Delta Gamma < 0 inverts to the float just past
+        # 90 degrees, whose forward image reproduces it
+        o = MesonObservables(0.0, -10.110632897246857, q_over_p)
+        inv = bloch_from_observables(o)
+        theta = inv.params.theta_eg_deg
+        assert abs(theta) == math.nextafter(90.0, 180.0)
+        assert inv.mirror.theta_eg_deg == math.copysign(180.0, theta) - theta
+        back = observables_from_bloch(inv.params)
+        assert back.delta_E == pytest.approx(0.0, abs=1e-15)
+        assert back.delta_Gamma == pytest.approx(o.delta_Gamma, rel=1e-14)
+        assert back.q_over_p == pytest.approx(q_over_p, rel=1e-14)
+
+    def test_subnormal_q_over_p_gives_finite_E(self):
+        # |E| = Delta E (1 + q^2)/(4q) at theta = 90, with 1/q past the
+        # largest float
+        inv = bloch_from_observables(MesonObservables(1e-300, 0.0, 1e-310))
+        assert inv.params.E_mag == pytest.approx(1e-300 / (4 * 1e-310),
+                                                 rel=1e-12)
+
+    def test_underflowing_E_is_named(self):
+        # the true |E| is about 1e-340, below the smallest subnormal
+        with pytest.raises(OverflowError, match=re.escape(
+                "|E| underflows at Delta E = 0.0, "
+                "|q/p| = 1.0000000000000002")):
+            bloch_from_observables(
+                MesonObservables(0.0, 5e-324, 1.0000000000000002))
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-3, 1e3),
@@ -239,10 +271,10 @@ class TestCatalogue:
         assert k0.bloch.theta_eg_deg == pytest.approx(179.6322)
         assert k0.bloch.E_mag == pytest.approx(2.64652e-3)
         assert k0.observables.delta_E == pytest.approx(0.005293)
-        assert k0.damping is Damping.OSCILLATORY
+        assert classify_damping(k0.bloch.r) is Damping.OSCILLATORY
 
     def test_damping_classes(self):
-        by_name = {e.name: e.damping for e in catalogue()}
+        by_name = {e.name: classify_damping(e.bloch.r) for e in catalogue()}
         assert by_name["K0"] is Damping.OSCILLATORY
         assert by_name["D0"] is Damping.OVERDAMPED
         assert by_name["Bd0"] is Damping.OSCILLATORY
