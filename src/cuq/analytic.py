@@ -8,12 +8,13 @@ mixed state, and the elliptical trajectory it traces out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import _ALIGN_TOL, QubitModel
+from .core import QubitModel
 
 __all__ = [
     "CuqClock",
@@ -49,8 +50,11 @@ class CuqClock:
 def cuq_clock(r: float) -> CuqClock:
     """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat."""
     _check_r_oscillatory(r)
-    root = np.sqrt(1.0 - r * r)
-    return CuqClock(P_hat=2.0 * np.pi * r / root, omega_hat=root / r)
+    r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
+    root = math.sqrt(1.0 - r * r)
+    if root / r == math.inf:  # a subnormal r
+        raise OverflowError(f"omega_hat overflows at r = {r!r}")
+    return CuqClock(P_hat=2.0 * math.pi * r / root, omega_hat=root / r)
 
 
 def restore_units(r: float, E_mag: float) -> tuple[float, float]:
@@ -124,43 +128,37 @@ class AsymptoticState:
 
 
 def asymptotic_state(model: QubitModel) -> AsymptoticState:
-    """Stationary Bloch vector of the master evolution equation, by geometry.
+    """Stationary Bloch vector of the master evolution equation.
 
-    General geometry: b* = alpha e - (1-alpha^2)/(s^2 r) e x gamma
-    - c (1-alpha^2)/(s^2 alpha) e x (e x gamma) with
-    alpha = sign(c)/sqrt(2) sqrt(1 - r^2 + sqrt((1-r^2)^2 + 4 c^2 r^2)).
-    Aligned: b* = sign(c) e.  Perpendicular: b* exists only for r >= 1;
-    for r < 1 there is no stationary state (Hopf bifurcation at r = 1).
-    """
-    e, g, r = model.e, model.gamma, model.r
-    c = float(np.dot(e, g))
-    exg = model.e_cross_gamma
-    s2 = float(np.dot(exg, exg))  # sin^2(theta_eg)
-
-    if s2 < _ALIGN_TOL:
-        sign = 1.0 if c >= 0.0 else -1.0
-        return AsymptoticState(b_star=sign * e, alpha=sign,
-                               branch=AsymptoticBranch.ALIGNED)
-    if abs(c) < _ALIGN_TOL:
-        if r < 1.0:
-            return AsymptoticState(b_star=None, alpha=float("nan"),
-                                   branch=AsymptoticBranch.CRITICAL_NO_STATIONARY)
-        b = (np.sqrt(r * r - 1.0) / r) * g - exg / r
-        return AsymptoticState(b_star=b, alpha=float(np.dot(b, e)),
-                               branch=AsymptoticBranch.PERPENDICULAR_OVERDAMPED)
-
-    one_m_r2 = 1.0 - r * r
-    root = np.sqrt(one_m_r2 ** 2 + 4.0 * c * c * r * r)
-    # 1 - r^2 + root cancels when 1 - r^2 < 0; multiply by the conjugate there
-    alpha2 = (0.5 * (one_m_r2 + root) if one_m_r2 >= 0.0
-              else 2.0 * c * c * r * r / (root - one_m_r2))
-    alpha = np.sign(c) * np.sqrt(alpha2)
-    exexg = np.cross(e, exg)
-    b = (alpha * e
-         - (1.0 - alpha * alpha) / (s2 * r) * exg
-         - c * (1.0 - alpha * alpha) / (s2 * alpha) * exexg)
-    return AsymptoticState(b_star=b, alpha=float(alpha),
-                           branch=AsymptoticBranch.GENERAL)
+    b* = alpha e - k e x gamma - (c/alpha) k r e x (e x gamma) with
+    c = cos(theta_eg), root = sqrt((1 - r^2)^2 + 4 c^2 r^2), alpha =
+    sign(c) sqrt((1 - r^2 + root)/2) and k = 2 r/(1 + r^2 + root), which
+    is (1 - alpha^2)/(r sin^2) and holds at sin(theta_eg) = 0 too.  In
+    `_generator`'s scaled terms nothing cancels: the square root gives
+    alpha for r < 1 and c/alpha for r >= 1.  Only c = 0 with r < 1 has no
+    stationary state (the Hopf bifurcation at r = 1).  ALIGNED and
+    PERPENDICULAR_OVERDAMPED (r >= 1) mean e x gamma = 0 and c = 0 exactly."""
+    e, r, exg = model.e, model.r, model.e_cross_gamma
+    c = float(np.dot(e, model.gamma))
+    if c == 0.0 and r < 1.0:
+        return AsymptoticState(b_star=None, alpha=float("nan"),
+                               branch=AsymptoticBranch.CRITICAL_NO_STATIONARY)
+    s = min(r, 1.0)
+    q = s / r
+    d = (s - q) * (s + q)  # (s mu)^2 = d + 2 i c s q, root = R / q^2
+    R = math.hypot(d, 2.0 * c * s * q)
+    if r < 1.0:
+        alpha = math.copysign(math.sqrt((R - d) / 2.0), c)
+        c_alpha = c / alpha
+    else:
+        c_alpha = math.sqrt((R + d) / 2.0)
+        alpha = c / c_alpha if c_alpha else 0.0  # r = 1, c = 0: 0/0
+    kr = 2.0 * s * s / (s * s + q * q + R)
+    b = alpha * e - (kr / r) * exg - (c_alpha * kr) * np.cross(e, exg)
+    branch = (AsymptoticBranch.ALIGNED if not exg.any()
+              else AsymptoticBranch.PERPENDICULAR_OVERDAMPED if c == 0.0
+              else AsymptoticBranch.GENERAL)
+    return AsymptoticState(b_star=b, alpha=alpha, branch=branch)
 
 
 def mixed_magnitude(tau, r: float):

@@ -13,11 +13,14 @@ with unit vectors e = E/|E|, gamma = Gamma/|Gamma| and damping ratio
 r = |Gamma| / (2 |E|).  This module holds the immutable value types and
 the right-hand sides; everything here is a pure function.  `DensityMatrix`
 is the validated type of the matrix-equation cross-check; the exact path
-in `integrate` checks its input with `BlochState` alone.
+in `integrate` checks its input with `BlochState` alone.  Angles in
+degrees go through `_sincosd`, which is exact at multiples of 90 degrees,
+so "aligned" and "perpendicular" are exact tests of e x gamma and e.gamma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,10 +30,6 @@ import numpy as np
 # identities in the tests are held to the tighter 1e-12.
 STATE_EPS = 1e-9
 _UNIT_TOL = 1e-12
-# e and gamma count as aligned when sin^2(theta_eg) < _ALIGN_TOL, and as
-# perpendicular when |cos(theta_eg)| < _ALIGN_TOL: 1/sin^2 is
-# ill-conditioned near alignment, 1/alpha near perpendicularity
-_ALIGN_TOL = 1e-10
 # rows per block wherever a table of times is evaluated or written
 _BLOCK_ROWS = 4096
 
@@ -43,6 +42,17 @@ SIGMA = np.array(
     dtype=complex,
 )
 IDENTITY2 = np.eye(2, dtype=complex)
+
+
+def _sincosd(deg: float) -> tuple[float, float]:
+    """(cos, sin) of deg degrees, reduced exactly to [-45, 45] first (Karney,
+    J. Geodesy 87, 2013): exact at multiples of 90, with no -0.0."""
+    t = math.remainder(deg, 360.0)
+    q = round(t / 90.0)
+    x = math.radians(t - 90.0 * q)
+    c, s = math.cos(x), math.sin(x)
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[q % 4]
+    return c + 0.0, s + 0.0
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -103,12 +113,14 @@ class QubitModel:
         """Build a model in the CPT basis: e along x, gamma in the x-y plane.
 
         For theta_eg = 90 deg this puts e x gamma on the +z axis, so the
-        third Bloch component is the flavour asymmetry.
+        third Bloch component is the flavour asymmetry.  In degrees gamma
+        is exact at multiples of 90: on an axis, with no rounding tilt.
         """
-        th = np.radians(theta_eg) if degrees else float(theta_eg)
-        e = np.array([1.0, 0.0, 0.0])
-        g = np.array([np.cos(th), np.sin(th), 0.0])
-        return cls(e=e, gamma=g, r=r)
+        if not math.isfinite(theta_eg):
+            raise ValueError(f"theta_eg must be finite, got {theta_eg}")
+        g = (_sincosd(theta_eg) if degrees
+             else (math.cos(theta_eg), math.sin(theta_eg)))
+        return cls(e=np.array([1.0, 0.0, 0.0]), gamma=np.array([*g, 0.0]), r=r)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_ALIGN_TOL, _BLOCK_ROWS, IDENTITY2, SIGMA, BlochState,
-                   QubitModel, _as_vec3, _vector_field)
+from .core import (_BLOCK_ROWS, IDENTITY2, SIGMA, BlochState, QubitModel,
+                   _as_vec3, _vector_field)
 
 __all__ = [
     "Trajectory",
@@ -161,14 +161,12 @@ def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
     """s n, s mu and mu, with s = min(r, 1), for K = n.sigma/2, n = gamma +
     i e/r and mu = sqrt(n.n), Re mu >= 0.  With q = s/r and c = cos(theta_eg),
     s n = s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q: no 1/r^2
-    is formed.  |c| < _ALIGN_TOL is taken as the rounding of a perpendicular
-    geometry (the threshold `asymptotic_state` uses), so r = 1 at 90 degrees
-    gives mu = 0 exactly; mu is inf where s is too small to divide by."""
+    is formed.  mu and n read the same e and gamma, so r = 1 gives mu = 0
+    exactly where e.gamma = 0 exactly, as for `QubitModel.from_angle` at 90
+    degrees; mu is inf where s is too small to divide by."""
     s = min(model.r, 1.0)
     q = s / model.r
     c = float(np.dot(model.e, model.gamma))
-    if abs(c) < _ALIGN_TOL:
-        c = 0.0
     smu = np.sqrt(complex((s - q) * (s + q), 2.0 * c * s * q))
     return s * model.gamma + 1j * q * model.e, smu, complex(smu) / s
 

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BlochState
+from .core import BlochState, _sincosd
 from .fit import _csv_blocks
 
 __all__ = [
@@ -96,15 +96,15 @@ def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     Nothing cancels as r -> 1 and theta -> +-90, where 90 -+ theta is exact:
     1 + r^2 -+ 2 r sin(theta) = (1 - r)^2 + 4 r sin^2((90 -+ theta)/2)."""
     r, th = p.r, p.theta_eg_deg
-    cos = math.sin(math.radians(90.0 - abs(th)))
+    cos = _sincosd(th)[0]
     # Python floats: an overflowing product is inf, with no RuntimeWarning
     z = cmath.sqrt(complex((1.0 - r) * (1.0 + r), -2.0 * r * cos))
     delta_E, delta_Gamma = 2.0 * p.E_mag * z.real, -4.0 * p.E_mag * z.imag
     if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
         raise OverflowError(f"Delta E or Delta Gamma overflows at "
                             f"r = {p.r!r}, |E| = {p.E_mag!r}")
-    num = (1.0 - r) ** 2 + 4.0 * r * math.sin(math.radians(90.0 - th) / 2) ** 2
-    den = (1.0 - r) ** 2 + 4.0 * r * math.sin(math.radians(90.0 + th) / 2) ** 2
+    num = (1.0 - r) ** 2 + 4.0 * r * _sincosd((90.0 - th) / 2)[1] ** 2
+    den = (1.0 - r) ** 2 + 4.0 * r * _sincosd((90.0 + th) / 2)[1] ** 2
     if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
         raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
     return MesonObservables(delta_E=delta_E, delta_Gamma=delta_Gamma,

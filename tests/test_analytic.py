@@ -133,10 +133,11 @@ class TestAsymptoticState:
         assert np.allclose(traj.bs[-1], asymptotic_state(m).b_star, atol=1e-6)
 
     def test_aligned_branch(self):
-        m = QubitModel.from_angle(0.5, 180.0, degrees=True)
-        st = asymptotic_state(m)
-        assert st.branch is AsymptoticBranch.ALIGNED
-        assert np.allclose(st.b_star, -m.e)
+        for theta, sign in ((0.0, 1.0), (180.0, -1.0)):
+            m = QubitModel.from_angle(0.5, theta, degrees=True)
+            st = asymptotic_state(m)
+            assert st.branch is AsymptoticBranch.ALIGNED
+            assert np.allclose(st.b_star, sign * m.e)
 
     def test_perpendicular_overdamped(self):
         r = 1.5

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,15 @@ class TestSimulate:
     def test_infinite_horizon_is_flag_error(self, tmp_path):
         assert run(["--output-dir", str(tmp_path), "simulate",
                     "--r", "0.5", "--t-max", "inf"]) == 2
+
+    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    def test_non_finite_angle_is_flag_error_naming_it(self, tmp_path, capsys,
+                                                      theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "simulate", "--r",
+                        "0.5", "--theta-eg", theta]) == 2
+        assert "theta_eg" in capsys.readouterr().err
 
     def test_uniform_grid_resolves_the_period(self, tmp_path):
         # 64 rows per period, and never fewer than 257
@@ -428,6 +438,8 @@ class TestCatalogue:
     ["convert", "--from-observables", "1e300", "1e300", "1e300"],
     ["convert", "--from-bloch", "1e300", "180", "1e200"],
     ["convert", "--from-bloch", "0.5", "45", "1e308"],
+    ["simulate", "--r", "5e-324", "--t-max", "3P"],
+    ["fourier", "--r", "5e-324"],
 ])
 def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     # finite flags whose results pass the largest float
@@ -437,6 +449,8 @@ def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
     if argv[1] == "--from-observables":
         assert "Delta E" in out.err and "|q/p|" in out.err
+    if argv[0] != "convert":  # a subnormal r: omega_hat = sqrt(1 - r^2)/r
+        assert "r = 5e-324" in out.err
 
 
 @pytest.mark.parametrize("argv, want", [

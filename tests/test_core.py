@@ -63,6 +63,31 @@ class TestQubitModel:
         assert np.arccos(m.e @ m.gamma) == pytest.approx(np.pi / 3)
         assert np.allclose(np.cross(m.e, m.gamma), m.e_cross_gamma)
 
+    @pytest.mark.parametrize("theta, gamma", [
+        (0.0, [1.0, 0.0, 0.0]), (90.0, [0.0, 1.0, 0.0]),
+        (-90.0, [0.0, -1.0, 0.0]), (180.0, [-1.0, 0.0, 0.0]),
+        (-180.0, [-1.0, 0.0, 0.0]), (270.0, [0.0, -1.0, 0.0]),
+        (360.0, [1.0, 0.0, 0.0]), (450.0, [0.0, 1.0, 0.0])])
+    def test_from_angle_is_exact_at_right_angles(self, theta, gamma):
+        # cos 90 and sin 180 of the radians are 6.1e-17 and 1.2e-16
+        g = QubitModel.from_angle(0.5, theta, degrees=True).gamma
+        assert np.array_equal(g, gamma)
+        assert not np.signbit(g[g == 0.0]).any()  # no -0.0
+
+    def test_from_angle_keeps_the_bits_within_45_degrees(self):
+        thetas = np.concatenate([[0.0, 45.0, -45.0, 1e-300, 44.999999999],
+                                 np.random.default_rng(2).uniform(-45, 45, 500)])
+        for theta in thetas:
+            g = QubitModel.from_angle(0.5, theta, degrees=True).gamma
+            th = np.radians(theta)
+            assert g[0] == np.cos(th) and g[1] == np.sin(th), theta
+
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("degrees", [True, False])
+    def test_from_angle_rejects_non_finite_angle(self, theta, degrees):
+        with pytest.raises(ValueError, match="theta_eg"):
+            QubitModel.from_angle(0.5, theta, degrees=degrees)
+
     def test_e_cross_gamma_follows_replace(self):
         # the cached value belongs to the instance, not to the class
         m = QubitModel.from_angle(0.5, 90.0, degrees=True)

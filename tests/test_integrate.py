@@ -136,6 +136,14 @@ class TestEvolve:
         assert traj.taus[1] >= 1e-3
         assert traj.controller_stats["n_fev"] < 3487
 
+    @pytest.mark.parametrize("r", [0.9, 0.95, 0.99])
+    def test_repelling_pure_state_at_180_degrees_stays_in_the_ball(self, r):
+        # e is an exact fixed point once sin(180 degrees) is exactly 0; a
+        # tilt of 1.2e-16 pushed |b| past 1, where the flow blows up
+        m = QubitModel.from_angle(r, 180.0, degrees=True)
+        traj = evolve(m, m.e, 3.0 * cuq_clock(r).P_hat)
+        assert np.max(np.abs(traj.bs - propagate(m, m.e, traj.taus))) <= 1e-12
+
 
 class TestInterpolation:
     @settings(max_examples=60, deadline=None)
@@ -202,14 +210,20 @@ class TestAsymptote:
         b = evolve_to_asymptote(m, np.zeros(3))
         assert np.allclose(b, -m.e_cross_gamma, atol=1e-12)
 
-    @pytest.mark.parametrize("r, theta", [(1.0, 90.0), (0.2, 89.0)])
+    @pytest.mark.parametrize("r, theta", [
+        (1.0, 90.0), (0.2, 89.0), (0.5, 5e-4), (2.0, 179.9995),
+        (1e100, 30.0), (1e300, 150.0)])
     def test_matches_closed_form_from_any_start(self, r, theta):
-        # the exceptional point and a slowly settling near-perpendicular
-        # geometry; the limit does not depend on b0
+        # the exceptional point, a slowly settling near-perpendicular
+        # geometry, two near-aligned ones and r past sqrt of the float
+        # range; the limit does not depend on b0.  At r = 1e100 and 1e300
+        # -gamma is the repeller to within 1/r, so -e starts there instead
         m = QubitModel.from_angle(r, theta, degrees=True)
         ref = asymptotic_state(m).b_star
-        for b0 in (np.zeros(3), m.gamma, -m.gamma, m.e_cross_gamma):
-            assert np.allclose(evolve_to_asymptote(m, b0), ref, atol=1e-12)
+        minus = -m.gamma if r < 1e50 else -m.e
+        for b0 in (np.zeros(3), m.gamma, minus, m.e_cross_gamma):
+            assert np.allclose(evolve_to_asymptote(m, b0), ref, rtol=0.0,
+                               atol=1e-15)
 
     def test_repelling_fixed_point(self):
         # aligned model: -e is a fixed point of the flow, +e attracts
@@ -322,10 +336,15 @@ class TestPropagate:
         assert np.max(np.abs(b @ m.e_cross_gamma - bexg)) < 1e-14
 
     def test_repelling_state_stays_put(self):
-        # aligned model: -e is a fixed point; e^{-mu tau} underflows at 1e6
-        m = QubitModel.from_angle(0.25, 0.0, degrees=True)
-        b = propagate(m, -m.e, [0.0, 1.0, 1e6])
-        assert np.allclose(b, -m.e, rtol=0.0, atol=1e-15)
+        # aligned models: -e at 0 degrees and +e at 180 are fixed points;
+        # e^{-mu tau} underflows at 1e6.  A tilt of sin(180 degrees) =
+        # 1.2e-16 sent +e to (0, 0, 1) at r = 0.5 and to -e at r = 2
+        for r, theta, b0 in ((0.25, 0.0, [-1.0, 0.0, 0.0]),
+                             (0.5, 180.0, [1.0, 0.0, 0.0]),
+                             (2.0, 180.0, [1.0, 0.0, 0.0])):
+            m = QubitModel.from_angle(r, theta, degrees=True)
+            b = propagate(m, b0, [0.0, 1.0, 1e2, 1e3, 1e6])
+            assert np.allclose(b, b0, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("r, theta, b0", [
         (0.85, 90.0, [0.0, 0.0, 1.0]), (2.5, 37.0, [0.3, -0.2, 0.1]),
