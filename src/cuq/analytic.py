@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QubitModel
+from .core import QubitModel, _scaled_split
+from .integrate import _generator
 
 __all__ = [
     "CuqClock",
@@ -133,31 +134,27 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     b* = alpha e - k e x gamma - (c/alpha) k r e x (e x gamma) with
     c = cos(theta_eg), root = sqrt((1 - r^2)^2 + 4 c^2 r^2), alpha =
     sign(c) sqrt((1 - r^2 + root)/2) and k = 2 r/(1 + r^2 + root), which
-    is (1 - alpha^2)/(r sin^2) and holds at sin(theta_eg) = 0 too.  In
-    `_generator`'s scaled terms nothing cancels: the square root gives
-    alpha for r < 1 and c/alpha for r >= 1.  Only c = 0 with r < 1 has no
-    stationary state (the Hopf bifurcation at r = 1).  ALIGNED and
-    PERPENDICULAR_OVERDAMPED (r >= 1) mean e x gamma = 0 and c = 0 exactly."""
-    e, r, exg = model.e, model.r, model.e_cross_gamma
-    c = float(np.dot(e, model.gamma))
-    if c == 0.0 and r < 1.0:
+    is (1 - alpha^2)/(r sin^2) and holds at sin(theta_eg) = 0 too.  All
+    three read the generator's root mu = sqrt(1 - 1/r^2 + 2 i c/r),
+    Re mu >= 0 (`integrate._generator`): alpha = r Im mu, c/alpha = Re mu
+    and k r = 1/(1 + (Im mu)^2).  In the scaled terms s mu, s = min(r, 1)
+    and q = s/r these are Im(s mu)/q, Re(s mu)/s and s^2/(s^2 + Im(s mu)^2),
+    so nothing cancels and no r^2 is formed.  Re mu = 0 != mu, which is
+    e.gamma = 0 with r < 1, has no stationary state (the Hopf bifurcation
+    at r = 1).  ALIGNED and PERPENDICULAR_OVERDAMPED (r >= 1) mean
+    e x gamma = 0 and c = 0 exactly."""
+    _, smu, mu = _generator(model)
+    if mu.real == 0.0 and mu != 0.0:
         return AsymptoticState(b_star=None, alpha=float("nan"),
                                branch=AsymptoticBranch.CRITICAL_NO_STATIONARY)
-    s = min(r, 1.0)
-    q = s / r
-    d = (s - q) * (s + q)  # (s mu)^2 = d + 2 i c s q, root = R / q^2
-    R = math.hypot(d, 2.0 * c * s * q)
-    if r < 1.0:
-        alpha = math.copysign(math.sqrt((R - d) / 2.0), c)
-        c_alpha = c / alpha
-    else:
-        c_alpha = math.sqrt((R + d) / 2.0)
-        alpha = c / c_alpha if c_alpha else 0.0  # r = 1, c = 0: 0/0
-    kr = 2.0 * s * s / (s * s + q * q + R)
-    b = alpha * e - (kr / r) * exg - (c_alpha * kr) * np.cross(e, exg)
+    e, exg = model.e, model.e_cross_gamma
+    s, q, _ = _scaled_split(model.r)
+    alpha = smu.imag / q
+    D = s * s + smu.imag ** 2  # s^2 / (k r)
+    b = alpha * e - (s * q / D) * exg - (s * smu.real / D) * np.cross(e, exg)
     branch = (AsymptoticBranch.ALIGNED if not exg.any()
-              else AsymptoticBranch.PERPENDICULAR_OVERDAMPED if c == 0.0
-              else AsymptoticBranch.GENERAL)
+              else AsymptoticBranch.PERPENDICULAR_OVERDAMPED
+              if e @ model.gamma == 0.0 else AsymptoticBranch.GENERAL)
     return AsymptoticState(b_star=b, alpha=alpha, branch=branch)
 
 

@@ -110,16 +110,17 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
     the last form a sum of terms >= 0.  Where x = 0 the end state is pure.
     """
     r = model.r
-    BlochState(beta * model.gamma)  # rejects |beta| > 1, where the forms fail
+    BlochState([beta, 0.0, 0.0])  # rejects |beta| > 1 + STATE_EPS
+    beta = min(max(beta, -1.0), 1.0)  # a |beta| rounded past 1 is pure
     if r >= 1.0:
-        mu = math.sqrt((1.0 - 1.0 / r) * (1.0 + 1.0 / r))
+        mu = integrate._generator(model)[2].real  # real at e.gamma = 0
         x = math.exp(-50.0 * r * mu)
         a = (1.0 + x) / 2.0
         k = -math.expm1(-50.0 * r * mu) / (2.0 * mu) if mu > 0.0 else 25.0 * r
         T = (a - k) ** 2 + (k / r) ** 2 + 2.0 * (1.0 + beta) * a * k
         return max(abs(beta), 1.0 if x == 0.0 else
                    math.sqrt(1.0 - x * x * (1.0 - beta * beta) / (T * T)))
-    c = math.sqrt(max(1.0 - beta * beta, 0.0))
+    c = math.sqrt(1.0 - beta * beta)
     s = math.sqrt(r * r + beta * beta * (1.0 - r * r))
     D = 1.0 + r * s
     return math.sqrt((beta * beta / (1.0 + c) + r * r * c + r * s)

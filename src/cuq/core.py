@@ -55,6 +55,16 @@ def _sincosd(deg: float) -> tuple[float, float]:
     return c + 0.0, s + 0.0
 
 
+def _scaled_split(r: float) -> tuple[float, float, float]:
+    """s = min(r, 1), q = s/r and s - q = (r - 1)/max(r, 1), for r > 0:
+    the split that forms the generator's root mu = sqrt(1 - 1/r^2 + 2 i c/r)
+    as (s mu)^2 = (s - q)(s + q) + 2 i c s q.  One of s and q is 1 and the
+    other at most 1, so no r^2 or 1/r^2 is formed, and s - q is rounded
+    once, so it does not cancel next to r = 1.  For r <= 1: r, 1, r - 1."""
+    s = min(r, 1.0)
+    return s, s / r, (r - 1.0) / max(r, 1.0)
+
+
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
@@ -72,9 +82,9 @@ class BlochState:
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_vec3(self.b))
-        if np.linalg.norm(self.b) > 1.0 + STATE_EPS:
-            raise ValueError(
-                f"|b| = {np.linalg.norm(self.b)} exceeds 1 + {STATE_EPS}")
+        size = math.hypot(*self.b)  # no overflow where |b| is finite
+        if size > 1.0 + STATE_EPS:
+            raise ValueError(f"|b| = {size} exceeds 1 + {STATE_EPS}")
 
 
 @dataclass(frozen=True)

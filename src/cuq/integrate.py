@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (_BLOCK_ROWS, IDENTITY2, SIGMA, BlochState, QubitModel,
-                   _as_vec3, _vector_field)
+                   _as_vec3, _scaled_split, _vector_field)
 
 __all__ = [
     "Trajectory",
@@ -158,16 +158,16 @@ def evolve(model: QubitModel, b0, tau_end: float,
 
 
 def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
-    """s n, s mu and mu, with s = min(r, 1), for K = n.sigma/2, n = gamma +
-    i e/r and mu = sqrt(n.n), Re mu >= 0.  With q = s/r and c = cos(theta_eg),
-    s n = s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q: no 1/r^2
-    is formed.  mu and n read the same e and gamma, so r = 1 gives mu = 0
-    exactly where e.gamma = 0 exactly, as for `QubitModel.from_angle` at 90
-    degrees; mu is inf where s is too small to divide by."""
-    s = min(model.r, 1.0)
-    q = s / model.r
+    """s n, s mu and mu for K = n.sigma/2, n = gamma + i e/r and
+    mu = sqrt(n.n), Re mu >= 0, the root every exact form reads.  With s, q
+    and s - q from `core._scaled_split` and c = cos(theta_eg), s n =
+    s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q.  mu and n
+    read the same e and gamma, so r = 1 gives mu = 0 exactly where e.gamma
+    = 0 exactly, as for `QubitModel.from_angle` at 90 degrees; mu is inf
+    where s is too small to divide by."""
+    s, q, s_q = _scaled_split(model.r)
     c = float(np.dot(model.e, model.gamma))
-    smu = np.sqrt(complex((s - q) * (s + q), 2.0 * c * s * q))
+    smu = np.sqrt(complex(s_q * (s + q), 2.0 * c * s * q))
     return s * model.gamma + 1j * q * model.e, smu, complex(smu) / s
 
 
@@ -185,6 +185,14 @@ def _gram_bloch(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bloch / tr[:, None], tr
 
 
+def _state_root(b0: np.ndarray) -> np.ndarray:
+    """L with L L^dagger proportional to rho0 = (1 + b0.sigma)/2: as
+    rho0^2 = rho0 - d I with d = det rho0, L = rho0 + sqrt(d) I gives
+    L L^dagger = (1 + 2 sqrt(d)) rho0.  A |b0| that rounds past 1 is pure."""
+    return (0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
+            + 0.5 * np.sqrt(max(1.0 - b0 @ b0, 0.0)) * IDENTITY2)
+
+
 def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     """Bloch vectors at each of taus >= 0 from b0, exactly; shape (n, 3).
 
@@ -193,7 +201,8 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     factor drops out of the normalisation, |x| <= 1 keeps U finite, and at
     mu = 0 (r = 1, e perpendicular to gamma) the sigma coefficient is tau/2.
     The state is the Gram matrix W W^dagger, W = U L with L L^dagger
-    proportional to rho0, so |b| <= 1 under rounding.  Any split of the
+    proportional to rho0 (`_state_root`), so |b| <= 1 up to the rounding
+    of its sums: a pure |b| may be a few ulps past 1.  Any split of the
     times gives the same bits; they are taken _BLOCK_ROWS at a time.  A
     phase Im(mu tau) past the float range, with x not 0, is an OverflowError.
     """
@@ -202,9 +211,7 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
         raise ValueError("taus must be a 1-D array of finite times >= 0")
     n, mu, rate = _generator(model)  # U takes s n/(s mu) = n/mu
-    # rho0^2 = rho0 - s^2 I with s = sqrt(det rho0): L L^dagger = (1 + 2s) rho0
-    L = (0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
-         + 0.5 * np.sqrt(max(1.0 - b0 @ b0, 0.0)) * IDENTITY2)
+    L = _state_root(b0)
     nL = np.einsum("i,ijk->jk", n, SIGMA) @ L
     out = np.empty((t.size, 3))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,17 +240,16 @@ def evolve_to_asymptote(model: QubitModel, b0):
     e^{K tau} grows like M = mu I + n.sigma, also at the exceptional point
     mu = 0 (r = 1, e perpendicular to gamma) where K is nilpotent.
     Re mu = 0 != mu (e perpendicular to gamma, r < 1) keeps both modes
-    alive forever.  M has rank one: M rho0 M^dagger is a multiple of
-    M M^dagger unless it vanishes, when b0 is the repelling fixed point.
+    alive forever.  M has rank one: the state M L L^dagger M^dagger, with
+    `propagate`'s L, is a multiple of M M^dagger unless W = M L is exactly
+    0, which is `propagate`'s own test for the repelling fixed point.
     """
     b0 = BlochState(b0).b
     n, mu, _ = _generator(model)  # s M has M's direction
     if mu.real == 0.0 and mu != 0.0:
         return NON_CONVERGENT
     M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)
-    rho0 = 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
-    weight = np.trace(M @ rho0 @ M.conj().T).real
-    b, tr = _gram_bloch(M[None])
-    if weight <= 1e-12 * tr[0]:
+    if not (M @ _state_root(b0)).any():
         return b0
+    b, _ = _gram_bloch(M[None])
     return b[0]

@@ -9,8 +9,11 @@ the CP-violation measure |q/p|.  With z = sqrt(1 - r^2 - 2 i r cos(theta))
     Delta Gamma = -4 |E| Im z
     |q/p|^4     = (1 + r^2 - 2 r sin(theta)) / (1 + r^2 + 2 r sin(theta))
 
-where theta is the angle between the energy and decay directions.  With
-w = Delta E/2 - i Delta Gamma/4 = |E| z and t = tanh(ln|q/p|), the inverse is
+where theta is the angle between the energy and decay directions.  z^2 is
+-(r mu)^2 for the generator's root mu (`integrate._generator`), and the
+forward map forms z/max(r, 1) from the same `core._scaled_split`, so it
+forms no r^2.  With w = Delta E/2 - i Delta Gamma/4 = |E| z and
+t = tanh(ln|q/p|), the inverse is
 
     r e^{-i theta} = (i t Re w - Im w) / (Re w + i t Im w)
     |E|            = cosh(ln|q/p|) |Re w + i t Im w|
@@ -29,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BlochState, _sincosd
+from .core import BlochState, _scaled_split, _sincosd
 from .fit import _csv_blocks
 
 __all__ = [
@@ -93,18 +96,25 @@ class BlochParameters:
 
 def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign.
-    Nothing cancels as r -> 1 and theta -> +-90, where 90 -+ theta is exact:
-    1 + r^2 -+ 2 r sin(theta) = (1 - r)^2 + 4 r sin^2((90 -+ theta)/2)."""
-    r, th = p.r, p.theta_eg_deg
+
+    With s, q and s - q = (r - 1)/m, m = max(r, 1), from
+    `core._scaled_split`, z/m = sqrt((q - s)(s + q) - 2 i c s q), and the
+    |q/p| ratio is taken over m^2: (1 + r^2 -+ 2 r sin(theta))/m^2 =
+    (s - q)^2 + 4 s q sin^2((90 -+ theta)/2), where 90 -+ theta is exact,
+    so nothing cancels as r -> 1 and theta -> +-90.  |E| m multiplies
+    z/m, so any finite r with finite Delta E and Delta Gamma works."""
+    th = p.theta_eg_deg
+    s, q, s_q = _scaled_split(p.r)
     cos = _sincosd(th)[0]
+    z = cmath.sqrt(complex(-s_q * (s + q), -2.0 * cos * s * q))  # z/m
     # Python floats: an overflowing product is inf, with no RuntimeWarning
-    z = cmath.sqrt(complex((1.0 - r) * (1.0 + r), -2.0 * r * cos))
-    delta_E, delta_Gamma = 2.0 * p.E_mag * z.real, -4.0 * p.E_mag * z.imag
+    scale = p.E_mag * max(p.r, 1.0)
+    delta_E, delta_Gamma = scale * (2.0 * z.real), scale * (-4.0 * z.imag)
     if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
         raise OverflowError(f"Delta E or Delta Gamma overflows at "
                             f"r = {p.r!r}, |E| = {p.E_mag!r}")
-    num = (1.0 - r) ** 2 + 4.0 * r * _sincosd((90.0 - th) / 2)[1] ** 2
-    den = (1.0 - r) ** 2 + 4.0 * r * _sincosd((90.0 + th) / 2)[1] ** 2
+    num = s_q ** 2 + 4.0 * s * q * _sincosd((90.0 - th) / 2)[1] ** 2
+    den = s_q ** 2 + 4.0 * s * q * _sincosd((90.0 + th) / 2)[1] ** 2
     if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
         raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
     return MesonObservables(delta_E=delta_E, delta_Gamma=delta_Gamma,

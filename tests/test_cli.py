@@ -1,9 +1,13 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -224,6 +228,13 @@ class TestSweep:
                     "--r-grid", "0.5,2", "--b0-grid", "1.5"]) == 2
         assert not (tmp_path / "bmax.csv").exists()
 
+    def test_b0_rounded_past_one_is_pure(self, tmp_path):
+        # |b0| <= 1 + 1e-9 is the pure state it rounds from, as in propagate
+        assert run(["--output-dir", str(tmp_path), "sweep-bmax",
+                    "--r-grid", "0.5,2", "--b0-grid", "1.0000000001"]) == 0
+        table = np.loadtxt(tmp_path / "bmax.csv", delimiter=",", skiprows=1)
+        assert list(table[:, 2]) == [1.0, 1.0]
+
 
 GOLDEN = DATA / "cli_golden"
 
@@ -293,6 +304,14 @@ class TestConvert:
         assert run(["convert", "--from-bloch", "0.5", "-1.2e+02", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["bloch"]["theta_eg_deg"] == -120.0
+
+    def test_forward_map_at_huge_r_with_finite_splittings(self, capsys):
+        # r^2 = 1e400 is past the float range; r |E| = 1 is not
+        assert run(["convert", "--from-bloch", "1e200", "30", "1e-200"]) == 0
+        out = json.loads(capsys.readouterr().out)["observables"]
+        assert out["delta_E"] == pytest.approx(2e-200 * math.sqrt(0.75),
+                                               rel=1e-15)
+        assert out["delta_Gamma"] == 4.0
 
     def test_inverse_roundtrip(self, capsys):
         assert run(["convert", "--from-observables", "0.005293",
@@ -477,6 +496,70 @@ def test_observables_of_any_finite_scale_invert(argv, want, capsys):
         # +0.0, not -0.0, so the mirror is 180, not -180
         assert math.copysign(1.0, got["theta_eg_deg"]) == 1.0
         assert out["branch"] == "mirror branch: theta = 180 deg"
+
+
+# edge values of the float range and of the models, and random ones
+EDGE = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan, math.nextafter(1.0, 2.0),
+                     math.nextafter(1.0, 0.0), 1.0 + 1e-10, 90.0 + 1e-8,
+                     90.0 - 1e-8]),
+    st.floats(-10.0, 10.0))
+_ERRNO_ONLY = re.compile(r"numerical failure: (\(\d+, '[^']*'\)"
+                         r"|math (range|domain) error)")
+
+
+def _arg(x):
+    return repr(float(x))
+
+
+def _argvs():
+    b0 = st.one_of(st.sampled_from(["exg", "gamma", "e", "mixed"]),
+                   st.lists(EDGE, min_size=3, max_size=3).map(
+                       lambda v: ",".join(map(_arg, v))))
+    grid = st.lists(EDGE, min_size=1, max_size=3).map(
+        lambda v: ",".join(map(_arg, v)))
+    # small --t-max values; a range that needs too many rows is a flag error
+    t_max = st.one_of(st.sampled_from(["1P", "0.5"]), EDGE.map(_arg))
+    simulate = st.tuples(EDGE, EDGE, b0, t_max).map(
+        lambda a: ["simulate", "--r", _arg(a[0]), "--theta-eg", _arg(a[1]),
+                   "--b0", a[2], "--t-max", a[3]])
+    sweep = st.tuples(grid, grid).map(
+        lambda a: ["sweep-bmax", "--r-grid", a[0], "--b0-grid", a[1]])
+    convert = st.tuples(st.sampled_from(["--from-bloch",
+                                         "--from-observables"]),
+                        st.lists(EDGE, min_size=3, max_size=3)).map(
+        lambda a: ["convert", a[0], *map(_arg, a[1])])
+    return st.one_of(simulate, sweep, convert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_any_argv_exits_cleanly(argv):
+    # in process: a traceback fails the test; argparse exits with 2
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--output-dir", tmp] + argv)
+        files = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                 for path in Path(tmp).glob("*.csv")] if code == 0 else []
+    assert code in (0, 2, 4), (code, err.getvalue())
+    assert not _ERRNO_ONLY.fullmatch(err.getvalue().strip()), err.getvalue()
+    if code != 0:
+        return
+    if argv[0] == "convert":
+        report = json.loads(out.getvalue())
+        values = [*report["observables"].values(), *report["bloch"].values()]
+        assert all(math.isfinite(x) for x in values), report
+        return
+    (table,) = files
+    assert np.all(np.isfinite(table)), argv
+    if argv[0] == "simulate":
+        # the Gram form rounds a pure |b| up to 2 eps past 1, and the
+        # frozen outputs hold such rows
+        assert np.all(table[:, 4] <= 1.0 + 4 * sys.float_info.epsilon), argv
+    else:
+        assert np.all(table[:, 2] <= 1.0), argv
 
 
 class TestFlagErrors:

@@ -234,6 +234,16 @@ class TestAsymptote:
             assert np.allclose(evolve_to_asymptote(m, -scale * m.e), m.e,
                                atol=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-7, 1e-6])
+    def test_pure_start_next_to_the_repeller_reaches_the_attractor(self,
+                                                                   delta):
+        # only the exact repeller stays; a pure start delta radians from
+        # it is carried to the attractor, as by `propagate` and the flow
+        m = QubitModel.from_angle(0.5, 0.0, degrees=True)
+        b0 = np.array([-np.cos(delta), np.sin(delta), 0.0])
+        assert np.allclose(evolve_to_asymptote(m, b0),
+                           asymptotic_state(m).b_star, rtol=0.0, atol=1e-15)
+
     def test_cuq_flagged_non_convergent(self):
         m = perp_model(0.85)
         out = evolve_to_asymptote(m, m.e_cross_gamma)

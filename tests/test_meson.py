@@ -79,8 +79,8 @@ class TestForwardMap:
             observables_from_bloch(BlochParameters(r, theta, E))
 
     def test_overflowing_r_is_named(self):
-        # r^2 is formed as a product, so it overflows to inf, not to
-        # Python's "Numerical result out of range"
+        # r |E| = 1e500 is past the float range, and so are the splittings;
+        # the product |E| r overflows to inf, which names r and |E|
         with pytest.raises(OverflowError,
                            match=re.escape("r = 1e+300, |E| = 1e+200")):
             observables_from_bloch(BlochParameters(1e300, 180.0, 1e200))

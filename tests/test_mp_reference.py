@@ -8,7 +8,9 @@ relative to max(|Delta E|, |Delta Gamma|) for the splittings, relative for
 bound is 4 eps.  Over 45,000 seeded random draws from the ranges below,
 the worst cases were 1.0 (Delta E), 1.5 (Delta Gamma) and 1.7 (|q/p|) for
 the forward map, and 2.0 (r), 2.9 (theta) and 2.4 (|E|) for the inverse,
-so the bound has a headroom of at least 1.37.
+so the bound has a headroom of at least 1.37.  The forward map also draws
+r up to 1e300, where r^2 is past the float range and r |E| is not: over
+20,000 draws, half of them there, the worst cases were 1.1, 1.6 and 1.4.
 
 `propagate` is held to mp.expm(K tau) applied to rho0, which does not use
 the propagator's U = P + x Q split, as the largest absolute error of a
@@ -22,18 +24,24 @@ term; 6,000 further draws gave at most 1.06.
 `asymptotic_state` and `evolve_to_asymptote` from the mixed state are held
 to the Bloch vector of M M^dagger, M = mu I + n.sigma, at 40 digits, as
 the largest absolute error of a component.  The bound is 2 eps times
-1 + |n|/|mu|: near the exceptional point (r = 1, e perpendicular to
-gamma) both read 1 - 1/r^2 off the rounded q = 1/r, an error that the
-closeness of M's eigenvalues amplifies (1,500 eps at r = 1 + 8e-9,
-89.9999999999998 degrees).  Over 21,000 draws from r log-uniform in
-[1e-4, 1e4] and within 1e-16 to 1e-1 of 1, and theta uniform, within
-1e-15 to 1e-3 of 0, +-90 and 180 or exactly there, the worst case was
-0.91 eps times the factor, so the headroom is 2.2.  The overdamped
-`sweep-bmax` end value is held to 1 eps with no condition factor: the form
-has no cancellation.  Over 4,000 draws the worst case was 0.37 eps, a
-headroom of 2.7.  The frozen `simulate` and overdamped `sweep-bmax`
-outputs in tests/data/cli_golden are held to the same bounds on 25 rows
-each.
+1 + |n|/|mu|.  Both read mu off `core._scaled_split`, whose s - q =
+(r - 1)/r is rounded once, so 1 - 1/r^2 no longer cancels.  The factor
+is there because the reference takes the model's floats literally, and a
+float gamma is of unit length only to about an ulp: that moves n.n by
+|gamma|^2 - 1, and the closeness of M's eigenvalues near the exceptional
+point (r = 1, e perpendicular to gamma) amplifies it.  At r = 1 + 1.1e-13,
+theta = 89.9999993877748, |gamma|^2 - 1 = -1.1e-16 and the error is 1,175
+eps; against gamma scaled to unit length it is 0.24 eps.  Over 21,000
+draws from r log-uniform in [1e-4, 1e4] and within 1e-16 to 1e-1 of 1,
+and theta uniform, within 1e-15 to 1e-3 of 0, +-90 and 180 or exactly
+there, the worst case was 0.91 eps times the factor, so the headroom is
+2.2; the worst raw error was 1,213 eps.  Where gamma is unit to 1e-29,
+at r = 1 + 8e-9, theta = 89.9999999999998 (a factor of 11,181), both are
+held to 2 eps with no factor.  The overdamped `sweep-bmax` end value is
+held to 1 eps with no condition factor: the form has no cancellation.
+Over 4,000 draws the worst case was 0.37 eps, a headroom of 2.7.  The
+frozen `simulate` and overdamped `sweep-bmax` outputs in
+tests/data/cli_golden are held to the same bounds on 25 rows each.
 """
 
 import math
@@ -104,8 +112,12 @@ def _splitting_errors(got, want):
             abs(got[2] / want[2] - 1)]
 
 
+# r up to 1e300, where r^2 is past the float range and r |E| <= 1e303 is not
+R_HUGE = st.floats(4.0, 300.0).map(lambda x: 10.0 ** x)
+
+
 @settings(max_examples=150, deadline=None)
-@given(R, THETA, E_MAG)
+@given(st.one_of(R, R_HUGE), THETA, E_MAG)
 def test_forward_map_within_4_eps(r, theta, E):
     o = _observables(r, theta, E)
     with mp.workdps(50):
@@ -267,6 +279,18 @@ def test_stationary_state_within_2_eps_times_its_condition(r, theta):
         for got in (state.b_star, limit):
             err = max(abs(mp.mpf(x) - y) for x, y in zip(got, want))
             assert err <= STATIONARY_BOUND * EPS * cond, float(err / EPS)
+
+
+def test_stationary_state_next_to_the_exceptional_point_within_2_eps():
+    # the condition factor is 11,181 here, but gamma is unit to 1e-29,
+    # so the rounding of the model's floats is not amplified
+    m = QubitModel.from_angle(1.0 + 8e-9, 89.9999999999998, degrees=True)
+    with mp.workdps(40):
+        want = _mp_limit(m)[0]
+        for got in (asymptotic_state(m).b_star,
+                    evolve_to_asymptote(m, np.zeros(3))):
+            err = max(abs(mp.mpf(x) - y) for x, y in zip(got, want))
+            assert err <= STATIONARY_BOUND * EPS, float(err / EPS)
 
 
 SWEEP_BOUND = 1.0
