@@ -11,6 +11,8 @@ fitted parameter.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -163,15 +165,13 @@ class FitResult:
         Uses the statistic d_n / err(d_n) on a t-distribution with the fit's
         residual degrees of freedom.  A zero standard error yields NaN.
         """
-        # imported here: scipy.special is most of a cold start with no fit
-        from scipy.special import stdtr
-
         if self.dof < 1:
             raise ValueError("p-values need at least one degree of freedom")
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = np.where(self.errors > 0.0,
                              self.coefficients / self.errors, np.nan)
-        return 2.0 * stdtr(self.dof, -np.abs(tstat))
+        return np.array([_student_t_pvalue(t, self.dof)
+                         for t in tstat.tolist()])
 
     @property
     def n_harmonics(self) -> int:
@@ -183,6 +183,93 @@ class FitResult:
                                kind=SeriesKind.EVEN,
                                d0_err=float(self.errors[0]),
                                coeff_errs=self.errors[1:])
+
+
+def _student_t_pvalue(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with dof degrees of freedom, to a few
+    eps times 1 + |ln p| down to underflow: I_x(a, 1/2) with a = dof/2 and
+    x = dof/(dof + t^2).
+
+    x, 1 - x = t^2/(dof + t^2) and ln x = -log1p(t^2/dof) are each formed
+    from t^2 with relative precision, and ln B(a, 1/2) is read off
+    `_log_gamma_ratio`.  For t^2 > 1 (p < 1/2) the continued fraction
+    gives I_x(a, 1/2) itself; for t^2 <= 1 (p > 0.3) it gives
+    I_{1-x}(1/2, a) = 1 - p.
+    """
+    s = t * t
+    if s != s:
+        return math.nan
+    a = 0.5 * dof
+    if s == math.inf:
+        x, y, ln_x = 0.0, 1.0, -2.0 * math.log(abs(t) / math.sqrt(dof))
+    else:
+        x, y, ln_x = dof / (dof + s), s / (dof + s), -math.log1p(s / dof)
+    # exp(front) sqrt(y/(pi a)) = x^a y^(1/2)/(a B(a, 1/2)), the prefactor
+    # of I_x(a, 1/2); 2a times it is that of I_y(1/2, a)
+    front = a * ln_x + _log_gamma_ratio(a)
+    if s > 1.0:
+        return math.exp(front + math.log(math.sqrt(y / (math.pi * a))
+                                         * _beta_fraction(a, 0.5, x, y)))
+    return 1.0 - (math.exp(front) * math.sqrt(2.0 * dof * y / math.pi)
+                  * _beta_fraction(0.5, a, y, x))
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """ln(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) to an ulp for a > 0.
+
+    The ratio is the product over j >= 0 of sqrt(1 - (2a + 2j + 1)^-2).
+    The logs of its factors below a + j = 50 go to `math.fsum`, and the
+    asymptotic series in 1/(a + j), to the seventh power, gives the rest
+    to 1e-19.
+    """
+    terms = []
+    while a < 50.0:
+        terms.append(0.5 * math.log1p(-1.0 / (2.0 * a + 1.0) ** 2))
+        a += 1.0
+    u = 1.0 / (a * a)
+    terms.append((-1.0 / 8.0 + u * (1.0 / 192.0 + u * (-1.0 / 640.0
+                                                       + u * 17.0 / 14336.0)))
+                 / a)
+    return math.fsum(terms)
+
+
+def _beta_fraction(a: float, b: float, v: float, w: float) -> float:
+    """h in I_v(a, b) = v^a w^b h / (a B(a, b)), with w = 1 - v.
+
+    h = 1/(1 + d_1/(1 + d_2/(1 + ...))) is DLMF 8.17.22's continued
+    fraction, summed in its even contraction
+    1/(beta_0 + alpha_1/(beta_1 + alpha_2/(beta_2 + ...))) with
+    beta_m = 1 + d_2m + d_2m+1 and alpha_m = -d_2m-1 d_2m.  Formed from
+    v, beta_m cancels near v = 1, where v carries the rounding and w does
+    not; so it is (w P + Q)/D when P and Q are both non-negative, with no
+    cancellation, and 1 - v P/D otherwise: no cancellation for P < 0, and
+    beta_0 at b > 1, the one case left, only comes with a small v.
+    The fraction is summed backward, from depths 4, 8, 16, ... until two
+    depths agree to an ulp.
+    """
+    def beta(m):
+        if m == 0:
+            P, Q, D = a + b, 1.0 - b, a + 1.0
+        else:
+            P = a * a + a * b + 2 * a * m - a - b + 2 * m * m
+            Q = -a * b + 2 * a * m + a + b + 2 * m * m - 1.0
+            D = (a + 2 * m - 1.0) * (a + 2 * m + 1.0)
+        return (w * P + Q) / D if min(P, Q) >= 0.0 else 1.0 - v * P / D
+
+    def alpha(m):
+        A = a + 2 * m
+        return ((a + m - 1) * (a + b + m - 1) * m * (b - m) * v * v
+                / ((A - 2) * (A - 1) ** 2 * A))
+
+    h, depth = math.nan, 4
+    while depth < 1 << 16:
+        g = beta(depth)
+        for m in range(depth, 0, -1):
+            g = beta(m - 1) + alpha(m) / g
+        if abs(1.0 / g - h) <= sys.float_info.epsilon / g:
+            break
+        h, depth = 1.0 / g, 2 * depth
+    return 1.0 / g
 
 
 def design_matrix(t, omega: float, N: int) -> np.ndarray:
@@ -205,7 +292,8 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     yw = data.delta / data.sigma
     q, r = np.linalg.qr(Xw)
     diag = np.abs(np.diag(r))
-    cond = diag.max() / diag.min() if diag.min() > 0.0 else np.inf
+    with np.errstate(over="ignore"):  # inf past the float range
+        cond = diag.max() / diag.min() if diag.min() > 0.0 else np.inf
     if cond > 1e10:
         raise RankDeficientDesign(
             f"design matrix condition estimate {cond:.2e} (aliased times?)")

@@ -187,10 +187,11 @@ class Damping(Enum):
 
 def classify_damping(r: float) -> Damping:
     """r < 1 oscillates, r = 1 is the non-diagonalisable boundary, r > 1
-    approaches its long-lived state without oscillation."""
+    approaches its long-lived state without oscillation; decided on the
+    float r exactly, as the exact forms decide it."""
     if not r > 0.0:
         raise ValueError("r must be positive")
-    if abs(r - 1.0) <= 1e-12:
+    if r == 1.0:
         return Damping.CRITICAL
     return Damping.OSCILLATORY if r < 1.0 else Damping.OVERDAMPED
 

@@ -296,6 +296,15 @@ class TestConvert:
                                                               abs=2e-6)
         assert out["damping"] == "oscillatory"
 
+    @pytest.mark.parametrize("r, theta, damping", [
+        ("1.0000000000001", "90", "overdamped"),
+        ("0.9999999999995", "90", "oscillatory"),
+        ("1", "45", "critical")])
+    def test_damping_is_decided_on_r_exactly(self, capsys, r, theta,
+                                             damping):
+        assert run(["convert", "--from-bloch", r, theta, "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["damping"] == damping
+
     def test_negative_numbers_in_exponent_form(self, capsys):
         assert run(["convert", "--from-observables", "0.5", "-9.4e-05",
                     "1.0"]) == 0
@@ -530,7 +539,17 @@ def _argvs():
                                          "--from-observables"]),
                         st.lists(EDGE, min_size=3, max_size=3)).map(
         lambda a: ["convert", a[0], *map(_arg, a[1])])
-    return st.one_of(simulate, sweep, convert)
+    # within 1e-4 below r = 1 the quadrature takes about 0.6 s to give up,
+    # an exit that TestFourier covers; a fit of many harmonics at a tiny
+    # --omega spends as long in QR on subnormal numbers before its exit 4
+    fourier = st.tuples(EDGE.filter(lambda r: not 0.9999 < r < 1.0),
+                        st.integers(-1, 8)).map(
+        lambda a: ["fourier", "--r", _arg(a[0]), "--n-max", str(a[1])])
+    fit = st.tuples(EDGE, st.integers(-1, 24), st.none() | EDGE).map(
+        lambda a: ["fit", "--data", str(DATA / "fit_golden" / "data.csv"),
+                   "--omega", _arg(a[0]), "--n-harmonics", str(a[1])]
+        + ([] if a[2] is None else ["--amplitude", _arg(a[2])]))
+    return st.one_of(simulate, sweep, convert, fourier, fit)
 
 
 @settings(max_examples=150, deadline=None)
@@ -543,6 +562,8 @@ def test_any_argv_exits_cleanly(argv):
         code = run(["--output-dir", tmp] + argv)
         files = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
                  for path in Path(tmp).glob("*.csv")] if code == 0 else []
+        fit_json = (json.loads((Path(tmp) / "fit.json").read_text())
+                    if code == 0 and argv[0] == "fit" else None)
     assert code in (0, 2, 4), (code, err.getvalue())
     assert not _ERRNO_ONLY.fullmatch(err.getvalue().strip()), err.getvalue()
     if code != 0:
@@ -553,12 +574,20 @@ def test_any_argv_exits_cleanly(argv):
         assert all(math.isfinite(x) for x in values), report
         return
     (table,) = files
+    if argv[0] == "fourier":
+        # the odd series has no d_0: its n = 0 cell is nan
+        assert np.isnan(table[0, 2]), argv
+        table[0, 2] = 0.0
     assert np.all(np.isfinite(table)), argv
+    if argv[0] == "fit":
+        for c in fit_json["coefficients"]:
+            p = c["p_value"]
+            assert p is None or (math.isfinite(p) and 0.0 <= p <= 1.0), c
     if argv[0] == "simulate":
         # the Gram form rounds a pure |b| up to 2 eps past 1, and the
         # frozen outputs hold such rows
         assert np.all(table[:, 4] <= 1.0 + 4 * sys.float_info.epsilon), argv
-    else:
+    elif argv[0] == "sweep-bmax":
         assert np.all(table[:, 2] <= 1.0), argv
 
 
@@ -575,15 +604,27 @@ class TestFlagErrors:
                     "catalogue"]) == 2
 
 
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded after `code` runs in a fresh interpreter,
+    with src/ first on the path and args from sys.argv[2]."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
+            "print(','.join(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.')), file=sys.stderr)")
+    return subprocess.run([sys.executable, "-c", code, str(src), *args],
+                          capture_output=True, text=True,
+                          check=True).stderr.strip()
+
+
 class TestImport:
     def test_runtime_path_loads_no_scipy(self):
-        # scipy.special alone costs more than numpy on a cold start; only
-        # the fit's p-values need it, and they import it themselves
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "import cuq, cuq.cli; "
-                "print(','.join(m for m in sys.modules if m == 'scipy' "
-                "or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code, str(src)],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == ""
+        assert _scipy_modules_after("import cuq, cuq.cli") == ""
+
+    def test_cold_fit_loads_no_scipy(self, tmp_path):
+        # p-values included
+        code = ("from cuq.cli import main; "
+                "assert main(['--output-dir', sys.argv[2], 'fit', '--data', "
+                "sys.argv[3], '--omega', '0.8', '--n-harmonics', '3']) == 0")
+        assert _scipy_modules_after(
+            code, str(tmp_path), str(DATA / "fit_golden" / "data.csv")) == ""
+        assert (tmp_path / "fit.json").exists()

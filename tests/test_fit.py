@@ -1,18 +1,22 @@
 """Data layer and Fourier-mode regression."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
 from cuq.analytic import restore_units
 from cuq.fit import (_BLOCK_ROWS, AsymmetryDataset, DatasetFormatError,
-                     RankDeficientDesign, _csv_blocks, estimate_r,
+                     FitResult, RankDeficientDesign, _csv_blocks, estimate_r,
                      fit_fourier_modes, fit_result_to_json, load_dataset,
                      save_dataset, synthesize_dataset)
 from cuq.fourier import closed_form_cn, closed_form_d0
 
+EPS = np.finfo(float).eps
 R_REF = 0.85
 P_REF, OMEGA_REF = restore_units(R_REF, 1.0)
 
@@ -169,6 +173,44 @@ class TestRegression:
             pvals.append(fit_fourier_modes(ds, 2).p_values[2])
         assert stats.kstest(pvals, "uniform").pvalue > 0.05
 
+    @pytest.mark.parametrize("dof", [2, 3, 7, 146, 4500, 10 ** 6])
+    def test_pvalues_agree_with_scipy(self, dof):
+        # scipy.special.stdtr as an independent oracle, where its t^2 stays
+        # finite; both are within 4 eps (1 + |ln p|) of the 50-digit
+        # reference (tests/test_mp_reference.py)
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 80),
+                            np.geomspace(40.0, 1e150, 80)])
+        fit = _stat_fit(np.concatenate([t, -t]), dof)
+        want = 2.0 * stdtr(dof, -np.abs(fit.coefficients))
+        ok = want > 1e-300
+        assert ok.sum() >= 100
+        got = fit.p_values
+        err = np.abs(got[ok] - want[ok]) / (want[ok] * (1.0 - np.log(want[ok])))
+        assert err.max() <= 8.0 * EPS, err.max() / EPS
+        assert np.all(got[~ok] < 1e-290)
+
+    def test_pvalues_at_one_dof_are_the_cauchy_closed_form(self):
+        # P(|T| >= t) = (2/pi) atan(1/t); scipy is 100 eps off at t = 1e-3
+        t = np.geomspace(1e-3, 1e300, 200)
+        want = 2.0 / np.pi * np.arctan(1.0 / t)
+        err = np.abs(_stat_fit(t, 1).p_values - want) / (
+            want * (1.0 - np.log(want)))
+        assert err.max() <= 8.0 * EPS, err.max() / EPS
+
+    def test_pvalue_of_zero_error_is_nan_and_infinite_t_is_zero(self):
+        fit = _stat_fit(np.array([1.0, np.inf, 0.0]), 5,
+                        errors=np.array([0.0, 1.0, 1.0]))
+        p = fit.p_values
+        assert np.isnan(p[0]) and p[1] == 0.0 and p[2] == 1.0
+
+    def test_pvalues_at_a_million_dof_take_under_10_ms_each(self):
+        # t just past 1 needs the deepest continued fraction
+        t = np.array([1.0001, 1.05, 1.5, 3.0, 38.0])
+        fit = _stat_fit(t, 10 ** 6)
+        start = time.perf_counter()
+        fit.p_values
+        assert (time.perf_counter() - start) / len(t) < 0.01
+
     def test_unbiased_coefficients(self):
         # mean of d_1 over 200 noisy replicas within 3 standard errors
         vals, errs = [], []
@@ -179,6 +221,14 @@ class TestRegression:
             errs.append(fit.errors[1])
         mean_err = np.mean(errs) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - closed_form_cn(1, R_REF)) < 3 * mean_err
+
+
+def _stat_fit(tstat, dof, errors=None):
+    """A FitResult whose coefficients are the given t statistics."""
+    errors = np.ones_like(tstat) if errors is None else errors
+    return FitResult(coefficients=np.asarray(tstat, dtype=float),
+                     errors=errors, covariance=np.diag(errors ** 2),
+                     chi2=float(dof), dof=dof, omega=1.0)
 
 
 class TestREstimation:

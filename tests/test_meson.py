@@ -257,7 +257,10 @@ class TestDamping:
         assert classify_damping(0.5) is Damping.OSCILLATORY
         assert classify_damping(2.0) is Damping.OVERDAMPED
         assert classify_damping(1.0) is Damping.CRITICAL
-        assert classify_damping(1.0 + 1e-13) is Damping.CRITICAL
+        # exact: the neighbours of 1 are an oscillating CUQ and an
+        # overdamped model with a stationary state
+        assert classify_damping(1.0 + 1e-13) is Damping.OVERDAMPED
+        assert classify_damping(1.0 - 5e-13) is Damping.OSCILLATORY
 
 
 class TestCatalogue:
