@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QubitModel, _scaled_split
+from .core import QubitModel, _one_minus_r2, _scaled_split
 from .integrate import _generator
 
 __all__ = [
@@ -49,10 +49,14 @@ class CuqClock:
 
 
 def cuq_clock(r: float) -> CuqClock:
-    """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat."""
+    """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat.
+
+    omega_hat = sqrt(1 - r^2)/r is Im mu, the generator's root at
+    e.gamma = 0 (`integrate._generator`), bit for bit: both form 1 - r^2
+    with `core._one_minus_r2`, so the clock and `propagate` keep time."""
     _check_r_oscillatory(r)
     r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
-    root = math.sqrt(1.0 - r * r)
+    root = math.sqrt(_one_minus_r2(r))
     if root / r == math.inf:  # a subnormal r
         raise OverflowError(f"omega_hat overflows at r = {r!r}")
     return CuqClock(P_hat=2.0 * math.pi * r / root, omega_hat=root / r)
@@ -66,7 +70,7 @@ def restore_units(r: float, E_mag: float) -> tuple[float, float]:
     _check_r_oscillatory(r)
     if not E_mag > 0.0:
         raise ValueError("E_mag must be positive")
-    root = np.sqrt(1.0 - r * r)
+    root = np.sqrt(_one_minus_r2(r))
     return np.pi / (E_mag * root), 2.0 * E_mag * root
 
 
@@ -77,7 +81,7 @@ def half_angle_slope(r: float) -> float:
     """
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must be in [0, 1), got {r}")
-    return r / (1.0 + np.sqrt(1.0 - r * r))
+    return r / (1.0 + np.sqrt(_one_minus_r2(r)))
 
 
 def cuq_theta(tau, r: float):
@@ -109,7 +113,7 @@ def cuq_projections(tau, r: float):
     w = cuq_clock(r).omega_hat
     tau = np.asarray(tau, dtype=float)
     denom = 1.0 - r * np.cos(w * tau)
-    b_gamma = np.sqrt(1.0 - r * r) * np.sin(w * tau) / denom
+    b_gamma = np.sqrt(_one_minus_r2(r)) * np.sin(w * tau) / denom
     b_exg = (np.cos(w * tau) - r) / denom
     return b_gamma, b_exg
 
@@ -139,14 +143,16 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     Re mu >= 0 (`integrate._generator`): alpha = r Im mu, c/alpha = Re mu
     and k r = 1/(1 + (Im mu)^2).  In the scaled terms s mu, s = min(r, 1)
     and q = s/r these are Im(s mu)/q, Re(s mu)/s and s^2/(s^2 + Im(s mu)^2),
-    so nothing cancels and no r^2 is formed.  Re mu = 0 != mu, which is
-    e.gamma = 0 with r < 1, has no stationary state (the Hopf bifurcation
-    at r = 1).  ALIGNED and PERPENDICULAR_OVERDAMPED (r >= 1) mean
-    e x gamma = 0 and c = 0 exactly."""
-    _, smu, mu = _generator(model)
-    if mu.real == 0.0 and mu != 0.0:
+    so nothing cancels and no r^2 is formed.  e.gamma = 0 with r < 1, the
+    CUQ (Re mu = 0 != mu), has no stationary state (the Hopf bifurcation
+    at r = 1); it is decided on the geometry exactly, as are ALIGNED and
+    PERPENDICULAR_OVERDAMPED (r >= 1), which mean e x gamma = 0 and c = 0.
+    At a subnormal r the scaled 2 c s q underflows to a zero that keeps
+    the sign of c, so alpha still does."""
+    if model.r < 1.0 and model.e @ model.gamma == 0.0:
         return AsymptoticState(b_star=None, alpha=float("nan"),
                                branch=AsymptoticBranch.CRITICAL_NO_STATIONARY)
+    _, smu, _ = _generator(model)
     e, exg = model.e, model.e_cross_gamma
     s, q, _ = _scaled_split(model.r)
     alpha = smu.imag / q
@@ -161,19 +167,21 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
 def mixed_magnitude(tau, r: float):
     """|b(tau)| for a fully mixed start b(0) = 0, with e perpendicular to gamma.
 
-    r < 1: |b|^2 = 1 - (1-r^2)^2 [1 - r^2 cos(sqrt(1-r^2) tau / r)]^{-2}
-    r = 1: |b|^2 = 1 - 4 / (2 + tau^2)^2
+    The paper's |b|^2 = 1 - (1 - r^2)^2 / (1 - r^2 cos(omega_hat tau))^2,
+    1 - 4/(2 + tau^2)^2 at r = 1, is u^2 (4 + u^2)/(2 + u^2)^2 with
+    u = 2 sin(omega_hat tau/2)/omega_hat (u = tau at r = 1, where
+    omega_hat = 0).  So |b| = 2 s/(1 + s^2) with s = |u|/hypot(2, u) in
+    [0, 1): one formula for 0 < r <= 1 that cancels nowhere, at r -> 1,
+    at small r or at small tau.  At omega_hat tau = pi, s = r.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must be in (0, 1], got {r}")
-    tau = np.asarray(tau, dtype=float)
-    if r == 1.0:
-        mag2 = 1.0 - 4.0 / (2.0 + tau * tau) ** 2
-    else:
-        one_m_r2 = 1.0 - r * r
-        denom = 1.0 - r * r * np.cos(np.sqrt(one_m_r2) * tau / r)
-        mag2 = 1.0 - one_m_r2 ** 2 / denom ** 2
-    return np.sqrt(np.clip(mag2, 0.0, None))
+    u = np.asarray(tau, dtype=float)
+    if r < 1.0:
+        w = cuq_clock(r).omega_hat
+        u = 2.0 * np.sin(w * u / 2.0) / w
+    s = np.abs(u) / np.hypot(2.0, u)
+    return 2.0 * s / (1.0 + s * s)
 
 
 def mixed_magnitude_vs_angle(phi, r: float):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, fourier, integrate, meson
-from .core import BlochState, QubitModel
+from .core import BlochState, QubitModel, _one_minus_r2
 from .fit import (DatasetFormatError, RankDeficientDesign, _csv_blocks,
                   design_matrix, estimate_r, fit_fourier_modes,
                   fit_result_to_json, load_dataset)
@@ -120,11 +120,11 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
         T = (a - k) ** 2 + (k / r) ** 2 + 2.0 * (1.0 + beta) * a * k
         return max(abs(beta), 1.0 if x == 0.0 else
                    math.sqrt(1.0 - x * x * (1.0 - beta * beta) / (T * T)))
-    c = math.sqrt(1.0 - beta * beta)
-    s = math.sqrt(r * r + beta * beta * (1.0 - r * r))
+    c, w = math.sqrt(1.0 - beta * beta), _one_minus_r2(r)
+    s = math.sqrt(r * r + beta * beta * w)
     D = 1.0 + r * s
     return math.sqrt((beta * beta / (1.0 + c) + r * r * c + r * s)
-                     * (D + c * (1.0 - r * r))) / D
+                     * (D + c * w)) / D
 
 
 def cmd_simulate(args) -> int:
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, FileNotFoundError) as exc:
+    except (DatasetFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (RankDeficientDesign, meson.UnphysicalObservables,

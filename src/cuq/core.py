@@ -65,6 +65,15 @@ def _scaled_split(r: float) -> tuple[float, float, float]:
     return s, s / r, (r - 1.0) / max(r, 1.0)
 
 
+def _one_minus_r2(r: float) -> float:
+    """1 - r^2 as (1 - r)(1 + r), which does not cancel next to r = 1
+    (Goldberg, ACM Comput. Surv. 23, 1991, sec. 1.4).  For r <= 1 it is bit
+    for bit -(s - q)(s + q) of `_scaled_split`, the (s mu)^2 that
+    `integrate._generator` takes the root of at e.gamma = 0: every r <= 1
+    closed form reads the generator's own Im mu = sqrt(1 - r^2)/r."""
+    return (1.0 - r) * (1.0 + r)
+
+
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):

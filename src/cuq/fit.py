@@ -90,35 +90,38 @@ class AsymmetryDataset:
 def load_dataset(path, omega: float) -> AsymmetryDataset:
     """Read a `t_ps,asymmetry,sigma` CSV (UTF-8, header required, '#' comments)."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = []
-    with path.open(encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = tuple(col.strip() for col in line.split(","))
-                if header != CSV_HEADER:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: header must be "
-                        f"'{','.join(CSV_HEADER)}', got '{line}'")
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                t, d, s = (float(p) for p in parts)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not np.all(np.isfinite((t, d, s))):
-                raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
-            if s <= 0.0:
-                raise DatasetFormatError(f"{path}:{lineno}: sigma must be > 0")
-            if rows and t <= rows[-1][0]:
+    header = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = tuple(col.strip() for col in line.split(","))
+            if header != CSV_HEADER:
                 raise DatasetFormatError(
-                    f"{path}:{lineno}: time not increasing")
-            rows.append((t, d, s))
+                    f"{path}:{lineno}: header must be "
+                    f"'{','.join(CSV_HEADER)}', got '{line}'")
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DatasetFormatError(f"{path}:{lineno}: expected 3 fields")
+        try:
+            t, d, s = (float(p) for p in parts)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.all(np.isfinite((t, d, s))):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
+        if s <= 0.0:
+            raise DatasetFormatError(f"{path}:{lineno}: sigma must be > 0")
+        if rows and t <= rows[-1][0]:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: time not increasing")
+        rows.append((t, d, s))
     if header is None:
         raise DatasetFormatError(f"{path}: empty file")
     arr = np.array(rows, dtype=float).reshape(-1, 3)
@@ -282,14 +285,22 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
 
     Solved by QR decomposition of the sigma-weighted design matrix; the
     covariance is the inverse normal matrix, with no error-bar inflation.
+    sigma is weighted as sigma 2^-k, the smallest in [1/2, 1): every step
+    is exact under a power-of-two scaling, so the coefficients have the
+    same bits at any scale of sigma, and chi2, the errors and the
+    covariance are scaled back exactly.  A chi2 past the largest float, or
+    a standard error below the smallest normal or whose square is past the
+    largest float, is an OverflowError; the covariance may underflow.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0 harmonics, got N = {N}")
     if len(data) < N + 2:
         raise ValueError(f"need at least {N + 2} points for N = {N} harmonics")
     X = design_matrix(data.t, data.omega, N)
-    Xw = X / data.sigma[:, None]
-    yw = data.delta / data.sigma
+    k = math.frexp(data.sigma.min())[1]
+    sigma = np.ldexp(data.sigma, -k)
+    Xw = X / sigma[:, None]
+    yw = data.delta / sigma
     q, r = np.linalg.qr(Xw)
     diag = np.abs(np.diag(r))
     with np.errstate(over="ignore"):  # inf past the float range
@@ -302,10 +313,23 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     cov = rinv @ rinv.T
     errors = np.sqrt(np.diag(cov))
     resid = yw - Xw @ coeff
-    chi2 = float(resid @ resid)
+    # back to the scale of sigma: chi2 times 4^-k, errors times 2^k
+    try:
+        chi2 = math.ldexp(float(resid @ resid), -2 * k)
+    except OverflowError:
+        raise OverflowError(f"chi2 overflows at sigma down to "
+                            f"{data.sigma.min():.3g}") from None
+    e = errors.tolist()  # cov is at most max(e)^2, so it stays finite
+    if (math.frexp(max(e))[1] + k > 512
+            or math.ldexp(min(e), k) < sys.float_info.min):
+        raise OverflowError(f"a standard error or its square is outside the "
+                            f"float range at sigma from "
+                            f"{data.sigma.min():.3g} to "
+                            f"{data.sigma.max():.3g}")
     dof = len(data) - (N + 1)
-    return FitResult(coefficients=coeff, errors=errors, covariance=cov,
-                     chi2=chi2, dof=dof, omega=data.omega, label=data.label)
+    return FitResult(coefficients=coeff, errors=np.ldexp(errors, k),
+                     covariance=np.ldexp(cov, 2 * k), chi2=chi2, dof=dof,
+                     omega=data.omega, label=data.label)
 
 
 @dataclass(frozen=True)
@@ -361,10 +385,13 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
                            weighted_r_err=float("nan"),
                            diagnostics="all ratios unreliable "
                                        "(denominators consistent with zero)")
-    w = np.array([1.0 / e.r_err ** 2 for e in usable])
+    # the errors scaled by 2^-k, the smallest in [1/2, 1): the weights are
+    # at most 4 and their sum at least 1, and the average keeps its bits
+    k = math.frexp(min(e.r_err for e in usable))[1]
+    w = np.array([1.0 / math.ldexp(e.r_err, -k) ** 2 for e in usable])
     vals = np.array([e.r_hat for e in usable])
     weighted = float(np.sum(w * vals) / np.sum(w))
-    err = float(1.0 / np.sqrt(np.sum(w)))
+    err = math.ldexp(float(1.0 / np.sqrt(np.sum(w))), k)
     return RExtraction(per_ratio=estimates, weighted_r=weighted,
                        weighted_r_err=err)
 
@@ -393,25 +420,31 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
                             omega=omega, label="synthetic")
 
 
+def _json_float(x) -> float | None:
+    """x as a JSON number, or None (null) where it is not finite."""
+    return float(x) if np.isfinite(x) else None
+
+
 def fit_result_to_json(fit: FitResult, extraction: RExtraction) -> str:
-    """Machine-readable fit output (schema used by the CLI)."""
+    """Machine-readable fit output (schema used by the CLI); a value that is
+    not finite is null, so the text is strict JSON."""
     out = {
         "label": fit.label,
         "omega": fit.omega,
         "N": fit.n_harmonics,
         "coefficients": [
             {"n": int(n), "value": float(v), "error": float(e),
-             "p_value": None if not np.isfinite(p) else float(p)}
+             "p_value": _json_float(p)}
             for n, v, e, p in zip(range(fit.n_harmonics + 1),
                                   fit.coefficients, fit.errors, fit.p_values)
         ],
         "chi2": fit.chi2,
         "dof": fit.dof,
         "r_estimates": [
-            {"kind": e.kind.value, "order": e.order_n, "ratio": e.ratio,
-             "ratio_err": e.ratio_err,
-             "r": None if not np.isfinite(e.r_hat) else e.r_hat,
-             "r_err": None if not np.isfinite(e.r_err) else e.r_err,
+            {"kind": e.kind.value, "order": e.order_n,
+             "ratio": _json_float(e.ratio),
+             "ratio_err": _json_float(e.ratio_err),
+             "r": _json_float(e.r_hat), "r_err": _json_float(e.r_err),
              "reliable": e.reliable}
             for e in extraction.per_ratio
         ],
@@ -422,4 +455,4 @@ def fit_result_to_json(fit: FitResult, extraction: RExtraction) -> str:
     }
     if extraction.diagnostics:
         out["diagnostics"] = extraction.diagnostics
-    return json.dumps(out, indent=2)
+    return json.dumps(out, indent=2, allow_nan=False)

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import half_angle_slope
+from .core import _one_minus_r2
 
 __all__ = [
     "SeriesKind",
@@ -88,7 +89,7 @@ def closed_form_cn(n: int, r: float) -> float:
     q = half_angle_slope(r)
     if r == 0.0:
         return 1.0 if n == 1 else 0.0
-    return 2.0 * np.sqrt(1.0 - r * r) / r * q ** n
+    return 2.0 * np.sqrt(_one_minus_r2(r)) / r * q ** n
 
 
 def closed_form_d0(r: float) -> float:

@@ -239,15 +239,16 @@ def evolve_to_asymptote(model: QubitModel, b0):
     With mu and n from the generator K = n.sigma/2 (see `propagate`),
     e^{K tau} grows like M = mu I + n.sigma, also at the exceptional point
     mu = 0 (r = 1, e perpendicular to gamma) where K is nilpotent.
-    Re mu = 0 != mu (e perpendicular to gamma, r < 1) keeps both modes
-    alive forever.  M has rank one: the state M L L^dagger M^dagger, with
+    e.gamma = 0 with r < 1 (the CUQ, Re mu = 0 != mu), decided on the
+    geometry exactly as `_generator` reads it, keeps both modes alive
+    forever.  M has rank one: the state M L L^dagger M^dagger, with
     `propagate`'s L, is a multiple of M M^dagger unless W = M L is exactly
     0, which is `propagate`'s own test for the repelling fixed point.
     """
     b0 = BlochState(b0).b
-    n, mu, _ = _generator(model)  # s M has M's direction
-    if mu.real == 0.0 and mu != 0.0:
+    if model.r < 1.0 and model.e @ model.gamma == 0.0:
         return NON_CONVERGENT
+    n, mu, _ = _generator(model)  # s M has M's direction
     M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)
     if not (M @ _state_root(b0)).any():
         return b0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cuq.analytic import (AsymptoticBranch, asymptotic_state, cuq_clock,
@@ -10,7 +12,11 @@ from cuq.analytic import (AsymptoticBranch, asymptotic_state, cuq_clock,
                           mixed_magnitude_vs_angle, polar_rates,
                           restore_units)
 from cuq.core import QubitModel
-from cuq.integrate import evolve
+from cuq.integrate import _generator, evolve, propagate
+
+# r log-uniform down to 1e-8, and 1 - r log-uniform down to 1e-15
+R_OSC = st.one_of(st.floats(-8.0, -0.01).map(lambda x: 10.0 ** x),
+                  st.floats(-15.0, -1.0).map(lambda x: 1.0 - 10.0 ** x))
 
 
 class TestClock:
@@ -32,6 +38,26 @@ class TestClock:
             oracle, est = quad(lambda th: 1.0 / (1.0 / r + np.cos(th)),
                                0.0, 2.0 * np.pi)
             assert cuq_clock(r).P_hat == pytest.approx(oracle, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(R_OSC)
+    def test_clock_is_the_generators_root(self, r):
+        # omega_hat = sqrt(1 - r^2)/r is Im mu of the model at 90 degrees,
+        # bit for bit: both form 1 - r^2 as (1 - r)(1 + r)
+        m = QubitModel.from_angle(r, 90.0, degrees=True)
+        assert cuq_clock(r).omega_hat == _generator(m)[2].imag
+
+    @settings(max_examples=100, deadline=None)
+    @given(R_OSC.filter(lambda r: 1.0 - r >= 1e-9))
+    @example(1.0 - 1e-9)
+    def test_propagate_returns_after_one_and_three_periods(self, r):
+        # the pure CUQ orbit through e x gamma closes after every P_hat; what
+        # is left is propagate's own rounding, up to 1.9e-10 next to
+        # 1 - r = 1e-9 over 2,000 draws
+        m = QubitModel.from_angle(r, 90.0, degrees=True)
+        P = cuq_clock(r).P_hat
+        b = propagate(m, m.e_cross_gamma, [P, 3.0 * P])
+        assert np.max(np.abs(b - m.e_cross_gamma)) <= 1e-9
 
     def test_restore_units(self):
         P, omega = restore_units(0.85, 2.0)

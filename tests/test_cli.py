@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from cuq.cli import MAX_ROWS, _peak_magnitude, main
 from cuq.core import QubitModel
-from cuq.fit import _BLOCK_ROWS, save_dataset, synthesize_dataset
+from cuq.fit import (_BLOCK_ROWS, AsymmetryDataset, save_dataset,
+                     synthesize_dataset)
 from cuq.integrate import propagate
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -429,6 +430,33 @@ class TestFit:
         assert run(["--output-dir", str(tmp_path), "fit",
                     "--data", str(bad), "--omega", "1.0"]) == 3
 
+    def test_directory_as_data_is_data_error(self, tmp_path, capsys):
+        assert run(["--output-dir", str(tmp_path), "fit",
+                    "--data", str(tmp_path), "--omega", "1.0"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_file_is_data_error_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"t_ps,asymmetry,sigma\n0.0,0.1,0.1 # \xe9\n")
+        assert run(["--output-dir", str(tmp_path), "fit",
+                    "--data", str(bad), "--omega", "1.0"]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "UTF-8" in err
+
+    def test_tiny_sigma_is_named_overflow_and_writes_no_json(self, tmp_path,
+                                                             capsys):
+        # chi2 at sigma = 1e-160 is past the largest float; no warning
+        ds = synthesize_dataset(0.3, 1.0, 200, 60.0, 1e-3, 1)
+        data = tmp_path / "tiny.csv"
+        save_dataset(AsymmetryDataset(ds.t, ds.delta, np.full(200, 1e-160),
+                                      ds.omega), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                        str(data), "--omega", repr(float(ds.omega))]) == 4
+        assert "chi2 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_infinite_omega_is_flag_error(self, tmp_path):
         # --omega is a flag: a non-finite value is a flag error
         data = tmp_path / "data.csv"
@@ -457,6 +485,13 @@ class TestCatalogue:
         assert [r["system"] for r in rows] == ["K0", "D0", "Bd0", "Bs0"]
         header = (tmp_path / "catalogue.csv").read_text().splitlines()[0]
         assert header.startswith("system,delta_E")
+
+    def test_unwritable_output_dir_is_data_error(self, tmp_path, capsys):
+        # the output directory would sit below a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["--output-dir", str(blocker / "sub"), "catalogue"]) == 3
+        assert str(blocker / "sub") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Data layer and Fourier-mode regression."""
 
+import math
 import time
 
 import numpy as np
@@ -291,6 +292,39 @@ class TestSigmaScale:
                                    rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b.errors, k * a.errors, rtol=1e-12)
         assert b.chi2 == pytest.approx(a.chi2 / k ** 2, rel=1e-12)
+
+    def test_power_of_two_sigma_scales_exactly_until_chi2_overflows(self):
+        # sigma 2^-k: the coefficients and weighted r keep their bits, the
+        # errors scale by 2^-k and chi2 by 4^k, until chi2 is past the
+        # float range, where the fit raises a named OverflowError
+        ds = synthesize_dataset(0.3, 1.0, 200, 60.0, 1e-3, 1)
+        a = fit_fourier_modes(ds, 2)
+        est = estimate_r(a)
+        for k in range(0, 1100, 25):
+            scaled = AsymmetryDataset(t=ds.t, delta=ds.delta,
+                                      sigma=np.ldexp(ds.sigma, -k),
+                                      omega=ds.omega)
+            if math.frexp(a.chi2)[1] + 2 * k > 1024:  # 4^k chi2 overflows
+                with pytest.raises(OverflowError, match="chi2 overflows"):
+                    fit_fourier_modes(scaled, 2)
+                break
+            b = fit_fourier_modes(scaled, 2)
+            assert np.array_equal(b.coefficients, a.coefficients)
+            assert np.array_equal(b.errors, np.ldexp(a.errors, -k))
+            assert b.chi2 == np.ldexp(a.chi2, 2 * k)
+            out = estimate_r(b)
+            assert out.weighted_r == est.weighted_r, k
+            assert out.weighted_r_err == np.ldexp(est.weighted_r_err, -k)
+        else:
+            pytest.fail("chi2 never overflowed")
+
+    def test_errors_below_the_normal_range_are_named_overflow(self):
+        # zero asymmetry is fit exactly, with chi2 = 0, so only the errors
+        # (about 1e-311, subnormal) leave the range
+        ds = AsymmetryDataset(t=np.arange(20.0), delta=np.zeros(20),
+                              sigma=np.full(20, 1e-310), omega=0.5)
+        with pytest.raises(OverflowError, match="standard error"):
+            fit_fourier_modes(ds, 2)
 
 
 class TestSynthesis:

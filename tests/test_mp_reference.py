@@ -41,7 +41,30 @@ held to 2 eps with no factor.  The overdamped `sweep-bmax` end value is
 held to 1 eps with no condition factor: the form has no cancellation.
 Over 4,000 draws the worst case was 0.37 eps, a headroom of 2.7.  The
 frozen `simulate` and overdamped `sweep-bmax` outputs in
-tests/data/cli_golden are held to the same bounds on 25 rows each.
+tests/data/cli_golden are held to the same bounds on 25 rows each.  Four
+subnormal-r models off the perpendicular are held to 2 eps with no
+factor: 2 c s q underflows there, and the CUQ is decided on e.gamma.
+
+The r <= 1 closed forms are held to 50-digit evaluations at the float
+inputs (100 digits for `mixed_magnitude`), with r log-uniform down to
+1e-8 and 1 - r log-uniform down to 1e-15.  The bound is 3 eps times a
+condition factor: 1 for the relative errors of `cuq_clock`,
+`restore_units`, `half_angle_slope` and `closed_form_d0` and the absolute
+error of the oscillating `sweep-bmax` peak; n + 1 for the relative error
+of `closed_form_cn`, whose q^n carries n roundings of q, plus one
+subnormal unit of q^n times the prefactor; 1 + |w tau| |d/d(w tau)| for
+the absolute error of `cuq_projections`, as the phase w tau is rounded;
+and 1 + |phi cot phi|, phi = w tau/2, for the relative error of
+`mixed_magnitude`.  Over 6,000 draws per form (12,000 for the spectrum)
+the worst cases were 1.48 (`restore_units`), 1.35 (the clock), 0.98
+(the slope), 0.94 (c_n), 1.26 (projections), 1.36 (`mixed_magnitude`,
+0.83 at r = 1) and 1.10 (the peak), so the headroom is at least 2.0.
+The bounds catch a 1 - r^2 formed as 1 - r * r, which cancels: over 600
+draws that puts the clock and c_1 off by up to 7.9e6 eps and
+`mixed_magnitude`'s former two-branch form off by 2.3e15 eps, at small r
+as at r = 1.  The projections are drawn with their phase at least pi/2 from
+0 mod 2 pi: next to it and to r = 1, 1 - r cos(w tau) cancels (a strict
+xfail pins it).
 
 `fit._student_t_pvalue(t, dof)` is held to a 50-digit
 mp.betainc(dof/2, 1/2, 0, x), x = dof/(dof + t^2) at the float t, in
@@ -65,10 +88,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cuq.analytic import asymptotic_state
+from cuq.analytic import (AsymptoticBranch, asymptotic_state, cuq_clock,
+                          cuq_projections, half_angle_slope, mixed_magnitude,
+                          restore_units)
 from cuq.cli import _peak_magnitude
 from cuq.core import QubitModel
 from cuq.fit import _student_t_pvalue
+from cuq.fourier import closed_form_cn, closed_form_d0
 from cuq.integrate import NON_CONVERGENT, evolve_to_asymptote, propagate
 from cuq.meson import (BlochParameters, bloch_from_observables,
                        observables_from_bloch)
@@ -305,6 +331,22 @@ def test_stationary_state_next_to_the_exceptional_point_within_2_eps():
             assert err <= STATIONARY_BOUND * EPS, float(err / EPS)
 
 
+@pytest.mark.parametrize("r, theta", [
+    (1e-320, 89.99), (5e-324, 80.0), (1e-320, 90.01), (5e-324, 100.0)])
+def test_subnormal_r_has_a_stationary_state_within_2_eps(r, theta):
+    # 2 c s q underflows to a zero with the sign of c: a general state,
+    # not a CUQ, and alpha keeps the sign of c
+    m = QubitModel.from_angle(r, theta, degrees=True)
+    state = asymptotic_state(m)
+    assert state.branch is AsymptoticBranch.GENERAL
+    assert math.copysign(1.0, state.alpha) == math.copysign(1.0, m.gamma[0])
+    with mp.workdps(40):
+        want = _mp_limit(m)[0]
+        for got in (state.b_star, evolve_to_asymptote(m, np.zeros(3))):
+            err = max(abs(mp.mpf(x) - y) for x, y in zip(got, want))
+            assert err <= STATIONARY_BOUND * EPS, float(err / EPS)
+
+
 SWEEP_BOUND = 1.0
 
 
@@ -368,3 +410,125 @@ def test_pvalue_within_4_eps_times_1_plus_its_log(draw):
         return
     err = float(abs(p - want) / want) / (1 + abs(float(mp.log(want))))
     assert err <= BOUND * EPS, err / EPS
+
+
+# -- the r <= 1 closed forms ------------------------------------------------
+
+# r log-uniform down to 1e-8, and 1 - r log-uniform down to 1e-15
+R_OSC = st.one_of(st.floats(-8.0, -0.01).map(lambda x: 10.0 ** x),
+                  st.floats(-15.0, -1.0).map(lambda x: 1.0 - 10.0 ** x))
+CLOSED_BOUND = 3.0
+
+
+def _mp_root(r):
+    """sqrt(1 - r^2) at the float r, in the working precision."""
+    r = mp.mpf(r)
+    return mp.sqrt(1 - r * r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(R_OSC, E_MAG)
+def test_clock_and_units_within_3_eps(r, E):
+    clock, (P, omega) = cuq_clock(r), restore_units(r, E)
+    with mp.workdps(50):
+        root, R_, E_ = _mp_root(r), mp.mpf(r), mp.mpf(E)
+        errors = [abs(clock.P_hat / (2 * mp.pi * R_ / root) - 1),
+                  abs(clock.omega_hat / (root / R_) - 1),
+                  abs(P / (mp.pi / (E_ * root)) - 1),
+                  abs(omega / (2 * E_ * root) - 1)]
+    assert max(errors) <= CLOSED_BOUND * EPS, [float(e / EPS) for e in errors]
+
+
+@settings(max_examples=100, deadline=None)
+@given(R_OSC, st.integers(1, 64))
+def test_spectrum_within_3_eps_times_n_plus_1(r, n):
+    # q^n past underflow rounds to a subnormal: one unit of it, times the
+    # prefactor, is added to the bound
+    with mp.workdps(50):
+        root, R_ = _mp_root(r), mp.mpf(r)
+        q = R_ / (1 + root)
+        assert abs(half_angle_slope(r) / q - 1) <= CLOSED_BOUND * EPS
+        assert abs(-closed_form_d0(r) / q - 1) <= CLOSED_BOUND * EPS
+        want = 2 * root / R_ * q ** n
+        err = abs(closed_form_cn(n, r) - want)
+        tol = (CLOSED_BOUND * EPS * (n + 1) * want
+               + 2 * root / R_ * mp.mpf(2) ** -1074)
+    assert err <= tol, float(err / (EPS * (n + 1) * want))
+
+
+def _projections_error(r, tau):
+    """The absolute error of `cuq_projections` at tau over eps times
+    1 + |w tau| |d/d(w tau)| of the projections: the phase w tau is
+    rounded, with an error of about eps |w tau|."""
+    got = cuq_projections(tau, r)
+    with mp.workdps(50):
+        root, R_ = _mp_root(r), mp.mpf(r)
+        ph = root / R_ * mp.mpf(tau)
+        c, s = mp.cos(ph), mp.sin(ph)
+        den = 1 - R_ * c
+        want = (root * s / den, (c - R_) / den)
+        slope = (root * (c - R_) / den ** 2, -root * root * s / den ** 2)
+        err = max(abs(g - w) for g, w in zip(got, want))
+        return float(err / (EPS * (1 + abs(ph) * max(map(abs, slope)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(R_OSC, st.one_of(st.floats(0.25, 0.75), st.floats(1.25, 1.75)))
+def test_projections_within_3_eps_times_the_phase_condition(r, f):
+    # tau = f P_hat, with the phase at least pi/2 from 0 mod 2 pi: there
+    # the rounding of cos(w tau) in 1 - r cos(w tau) cancels next to r = 1
+    # (test_projections_cancel_next_to_phase_zero)
+    error = _projections_error(r, f * cuq_clock(r).P_hat)
+    assert error <= CLOSED_BOUND, error
+
+
+@pytest.mark.xfail(strict=True, reason="1 - r cos(w tau) cancels next to "
+                   "r = 1 and w tau = 0 mod 2 pi")
+def test_projections_cancel_next_to_phase_zero():
+    # r = 1 - 1.7e-9 at tau = 1.8e-4 P_hat is 2.5e5 eps times the phase
+    # condition off: cos(w tau) rounds by up to eps/2, and 1 - r cos(w tau)
+    # is only 6e-7 there; the half-angle forms 1 - r + 2 r sin^2(w tau/2)
+    # and 1 - r - 2 sin^2(w tau/2) avoid it
+    r = 0.9999999982829951
+    error = _projections_error(r, 0.00017776790755585914 * cuq_clock(r).P_hat)
+    assert error <= CLOSED_BOUND, error
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(R_OSC, st.just(1.0)),
+       st.one_of(st.floats(-10.0, 0.5).map(lambda x: 10.0 ** x),
+                 st.floats(0.01, 3.0)))
+def test_mixed_magnitude_within_3_eps_times_the_phase_condition(r, t):
+    # tau = t P_hat (t at r = 1), against the paper's form at 100 digits,
+    # which cancels up to 35 of them at the smallest |b|.  The relative
+    # error is held to 3 eps times 1 + |phi cot phi|, phi = w tau/2, the
+    # condition of sin(phi) on a rounded phase (2 at r = 1)
+    tau = t * (cuq_clock(r).P_hat if r < 1.0 else 1.0)
+    got = mixed_magnitude(tau, r)
+    with mp.workdps(100):
+        R_, T = mp.mpf(r), mp.mpf(tau)
+        w = 1 - R_ * R_
+        if r < 1.0:
+            omega = mp.sqrt(w) / R_
+            want = mp.sqrt(1 - w * w / (1 - R_ * R_ * mp.cos(omega * T)) ** 2)
+            phi = omega * T / 2
+            cond = 1 + abs(phi * mp.cot(phi))
+        else:
+            want = mp.sqrt(1 - 4 / (2 + T * T) ** 2)
+            cond = 2
+        err = abs(got / want - 1)
+    assert err <= CLOSED_BOUND * EPS * cond, float(err / (EPS * cond))
+
+
+@settings(max_examples=100, deadline=None)
+@given(R_OSC, st.floats(-1.0, 1.0))
+def test_oscillating_sweep_peak_within_3_eps(r, beta):
+    # |b|_max^2 = 1 - (1 - beta^2)(1 - r^2)^2/(1 + r s)^2,
+    # s = sqrt(r^2 + beta^2 (1 - r^2)), in absolute error
+    got = _peak_magnitude(QubitModel.from_angle(r, 90.0, degrees=True), beta)
+    with mp.workdps(50):
+        R_, B = mp.mpf(r), mp.mpf(beta)
+        w = 1 - R_ * R_
+        s = mp.sqrt(R_ * R_ + B * B * w)
+        err = abs(got - mp.sqrt(1 - (1 - B * B) * w * w / (1 + R_ * s) ** 2))
+    assert err <= CLOSED_BOUND * EPS, float(err / EPS)
