@@ -53,7 +53,7 @@ def cuq_clock(r: float) -> CuqClock:
 
     omega_hat = sqrt(1 - r^2)/r is Im mu, the generator's root at
     e.gamma = 0 (`integrate._generator`), bit for bit: both form 1 - r^2
-    with `core._one_minus_r2`, so the clock and `propagate` keep time."""
+    with `_base._one_minus_r2`, so the clock and `propagate` keep time."""
     _check_r_oscillatory(r)
     r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
     root = math.sqrt(_one_minus_r2(r))

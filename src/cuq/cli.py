@@ -3,6 +3,8 @@
 Every subcommand emits plot-ready CSV and/or machine-readable JSON into
 --output-dir and is deterministic given its flags.  Exit
 codes: 0 success, 2 flag error, 3 data error, 4 numerical failure.
+Each subcommand imports the modules it uses when it runs, so `convert`
+and `catalogue` load no numpy.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import meson
+from ._base import (DatasetFormatError, QuadratureNotConverged,
+                    RankDeficientDesign, _csv_blocks, _one_minus_r2)
 
-from . import analytic, fourier, integrate, meson
-from .core import BlochState, QubitModel, _one_minus_r2
-from .fit import (DatasetFormatError, RankDeficientDesign, _csv_blocks,
-                  design_matrix, estimate_r, fit_fourier_modes,
-                  fit_result_to_json, load_dataset)
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from .core import QubitModel
 
 EXIT_OK = 0
 EXIT_FLAG = 2
@@ -41,6 +45,7 @@ def _write(path: Path, chunks) -> None:
 
 
 def _parse_b0(spec: str, model: QubitModel) -> np.ndarray:
+    import numpy as np
     named = {
         "exg": model.e_cross_gamma,
         "gamma": model.gamma,
@@ -59,18 +64,9 @@ def _parse_b0(spec: str, model: QubitModel) -> np.ndarray:
     return vec
 
 
-def _parse_tmax(spec: str, r: float) -> float:
-    """Absolute tau, or period-relative like '3P' for oscillating systems."""
-    if spec.lower().endswith("p"):
-        if not (0.0 < r < 1.0):
-            raise ValueError("period-relative --t-max needs r < 1")
-        mult = float(spec[:-1] or 1.0)
-        return mult * analytic.cuq_clock(r).P_hat
-    return float(spec)
-
-
 def _parse_grid(spec: str) -> np.ndarray:
     """'lo:hi:n' linear grid or comma-separated values."""
+    import numpy as np
     if ":" in spec:
         lo, hi, n = spec.split(":")
         if not 1 <= int(n) <= MAX_ROWS:
@@ -79,14 +75,22 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.array([float(x) for x in spec.split(",")])
 
 
-def _time_grid(r: float, tau_end: float) -> np.ndarray:
-    """Uniform taus over [0, tau_end]: 64 per period when r < 1, >= 257."""
+def _time_grid(spec: str, r: float) -> np.ndarray:
+    """Uniform taus over [0, tau_end]: 64 per period when r < 1, >= 257.
+    --t-max is an absolute tau_end, or period-relative like '3P' (r < 1)."""
+    import numpy as np
+
+    from .analytic import cuq_clock
+    period = cuq_clock(r).P_hat if r < 1.0 else math.inf
+    if spec.lower().endswith("p"):
+        if period == math.inf:
+            raise ValueError("period-relative --t-max needs r < 1")
+        tau_end = float(spec[:-1] or 1.0) * period
+    else:
+        tau_end = float(spec)
     if not 0.0 < tau_end < np.inf:
         raise ValueError(f"--t-max must be positive and finite, got {tau_end}")
-    rows = float(MIN_ROWS)
-    if r < 1.0:
-        period = analytic.cuq_clock(r).P_hat
-        rows = max(rows, ROWS_PER_PERIOD * tau_end / period + 1.0)
+    rows = max(float(MIN_ROWS), ROWS_PER_PERIOD * tau_end / period + 1.0)
     if rows > MAX_ROWS:
         raise ValueError(f"tau range needs {rows:.3g} rows, more than "
                          f"{MAX_ROWS}")
@@ -108,12 +112,14 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
     a = (1 + x)/2, k = (1 - x)/(2 mu) (25 r at mu = 0), so T = a^2 +
     k^2 (1 + 1/r^2) + 2 beta a k = (a - k)^2 + (k/r)^2 + 2 (1 + beta) a k,
     the last form a sum of terms >= 0.  Where x = 0 the end state is pure.
+    The caller checks |beta| <= 1 + STATE_EPS (`cmd_sweep_bmax`, once per
+    beta).
     """
     r = model.r
-    BlochState([beta, 0.0, 0.0])  # rejects |beta| > 1 + STATE_EPS
     beta = min(max(beta, -1.0), 1.0)  # a |beta| rounded past 1 is pure
     if r >= 1.0:
-        mu = integrate._generator(model)[2].real  # real at e.gamma = 0
+        from .integrate import _generator
+        mu = _generator(model)[2].real  # real at e.gamma = 0
         x = math.exp(-50.0 * r * mu)
         a = (1.0 + x) / 2.0
         k = -math.expm1(-50.0 * r * mu) / (2.0 * mu) if mu > 0.0 else 25.0 * r
@@ -128,9 +134,13 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import integrate
+    from .core import QubitModel
     model = QubitModel.from_angle(args.r, args.theta_eg, degrees=True)
     b0 = _parse_b0(args.b0, model)
-    taus = _time_grid(args.r, _parse_tmax(args.t_max, args.r))
+    taus = _time_grid(args.t_max, args.r)
     bs = integrate.propagate(model, b0, taus)
     columns = {"tau": taus, "b1": bs[:, 0], "b2": bs[:, 1], "b3": bs[:, 2],
                "b_mag": np.linalg.norm(bs, axis=1),
@@ -141,11 +151,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep_bmax(args) -> int:
+    import numpy as np
+
+    from .core import BlochState, QubitModel
     r_grid, b0_grid = _parse_grid(args.r_grid), _parse_grid(args.b0_grid)
     if r_grid.size * b0_grid.size > MAX_ROWS:
         raise ValueError(f"the grids make {r_grid.size * b0_grid.size} rows, "
                          f"more than {MAX_ROWS}")
     models = [QubitModel.from_angle(r, 90.0, degrees=True) for r in r_grid]
+    for b0_mag in b0_grid:  # rejects |b0| > 1 + STATE_EPS
+        BlochState([b0_mag, 0.0, 0.0])
     columns = {"r": np.repeat(r_grid, b0_grid.size),
                "b0_mag": np.tile(b0_grid, r_grid.size),
                "b_max": np.array([_peak_magnitude(model, b0_mag)
@@ -155,6 +170,9 @@ def cmd_sweep_bmax(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    import numpy as np
+
+    from . import analytic, fourier
     r, N = args.r, args.n_max
     clock = analytic.cuq_clock(r)
     quad_odd = fourier.quadrature_spectrum(
@@ -222,6 +240,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .fit import (design_matrix, estimate_r, fit_fourier_modes,
+                      fit_result_to_json, load_dataset)
     # checked before the file is read; fit_fourier_modes rejects N < 0 itself
     if 0 <= args.n_harmonics < 2:
         raise ValueError("--n-harmonics must be at least 2 for an r estimate, "
@@ -332,8 +352,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (RankDeficientDesign, meson.UnphysicalObservables,
-            fourier.QuadratureNotConverged, np.linalg.LinAlgError,
-            OverflowError) as exc:
+            QuadratureNotConverged, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

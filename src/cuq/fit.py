@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._base import (_BLOCK_ROWS, DatasetFormatError, RankDeficientDesign,
+                    _csv_blocks)
 from .analytic import cuq_projections, restore_units
-from .core import _BLOCK_ROWS
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
                       anharmonicity, correct_effective_r)
 
@@ -40,14 +41,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ("t_ps", "asymmetry", "sigma")
-
-
-class DatasetFormatError(ValueError):
-    """Malformed dataset file (carries the offending line number)."""
-
-
-class RankDeficientDesign(RuntimeError):
-    """Design matrix is numerically rank-deficient (aliased sampling)."""
 
 
 @dataclass(frozen=True)
@@ -134,19 +127,6 @@ def save_dataset(data: AsymmetryDataset, path) -> None:
     columns = dict(zip(CSV_HEADER, (data.t, data.delta, data.sigma)))
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(_csv_blocks(columns))
-
-
-def _csv_blocks(columns: dict):
-    """CSV text of named, equal-length columns: the header line, then blocks
-    of at most _BLOCK_ROWS rows, so no caller holds the whole text.  Values
-    go through `.tolist()` and `str`: a float is its shortest round-trip
-    repr and an integer column stays an integer."""
-    yield ",".join(columns) + "\n"
-    cols = list(columns.values())
-    for start in range(0, len(cols[0]), _BLOCK_ROWS):
-        rows = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols),
-                   strict=True)
-        yield "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 @dataclass(frozen=True)
@@ -285,6 +265,9 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
 
     Solved by QR decomposition of the sigma-weighted design matrix; the
     covariance is the inverse normal matrix, with no error-bar inflation.
+    R's condition estimate is checked first (RankDeficientDesign past 1e10,
+    or where a diagonal entry is 0 or NaN), so the solve and the inverse
+    only ever see a triangular R with a nonzero diagonal: no LinAlgError.
     sigma is weighted as sigma 2^-k, the smallest in [1/2, 1): every step
     is exact under a power-of-two scaling, so the coefficients have the
     same bits at any scale of sigma, and chi2, the errors and the
@@ -350,9 +333,10 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
                ) -> RExtraction:
     """Anharmonicity factors D_0..D_{N-1} mapped to damping-ratio estimates.
 
-    Unreliable ratios (denominator consistent with zero) are excluded from
-    the weighted average; the optional amplitude correction maps each
-    finite effective estimate to the full-amplitude value before averaging.
+    Unreliable ratios (denominator consistent with zero) and ratios whose r
+    error is not finite are excluded from the weighted average; the
+    optional amplitude correction maps each finite effective estimate to
+    the full-amplitude value before averaging.
     The correction R is checked to lie in (0, 1] even when no estimate is.
     """
     if fit.n_harmonics < 2:
@@ -372,7 +356,8 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
             est = est.with_r(r_corr, est.r_err * R2 / denom)
         estimates.append(est)
     usable = [e for e in estimates
-              if e.reliable and np.isfinite(e.r_hat) and e.r_err > 0.0]
+              if e.reliable and np.isfinite(e.r_hat)
+              and 0.0 < e.r_err < math.inf]
     if not usable:
         exact = [e for e in estimates
                  if e.reliable and np.isfinite(e.r_hat) and e.r_err == 0.0]
@@ -384,7 +369,8 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
         return RExtraction(per_ratio=estimates, weighted_r=float("nan"),
                            weighted_r_err=float("nan"),
                            diagnostics="all ratios unreliable "
-                                       "(denominators consistent with zero)")
+                                       "(denominators consistent with zero "
+                                       "or errors not finite)")
     # the errors scaled by 2^-k, the smallest in [1/2, 1): the weights are
     # at most 4 and their sum at least 1, and the average keeps its bits
     k = math.frexp(min(e.r_err for e in usable))[1]

@@ -13,12 +13,14 @@ any periodic signal by the trapezoid rule, independently of these forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
+from ._base import QuadratureNotConverged
 from .analytic import half_angle_slope
 from .core import _one_minus_r2
 
@@ -35,10 +37,6 @@ __all__ = [
     "r_from_anharmonicity",
     "correct_effective_r",
 ]
-
-
-class QuadratureNotConverged(RuntimeError):
-    """The trapezoid coefficients did not settle within 2^16 nodes."""
 
 
 class SeriesKind(Enum):
@@ -164,7 +162,10 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
 
     Odd series: C_n = c_{n+1}/c_n for n >= 1.  Even series: D_n =
     d_{n+1}/d_n for n >= 0 (the constant d0 is a legal denominator).
-    A denominator consistent with zero flags the ratio unreliable.
+    A denominator consistent with zero flags the ratio unreliable.  The
+    ratio and its error are formed from the coefficients and errors scaled
+    by 2^-k, which puts |den| in [1/2, 1): both are homogeneous of degree
+    0, so they keep their bits, and den^2 cannot underflow.
     """
     if spectrum.kind is SeriesKind.ODD and n < 1:
         raise ValueError("odd-series anharmonicity needs n >= 1")
@@ -179,6 +180,12 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
     if den == 0.0:
         return AnharmonicityEstimate(float("inf"), float("inf"), n,
                                      spectrum.kind, reliable=False)
+    # 2^-k as two floats, finite even for a subnormal den; a product past
+    # the float range is inf, where math.ldexp would raise OverflowError
+    h = -math.frexp(den)[1]
+    f, g = 2.0 ** (h // 2), 2.0 ** (h - h // 2)
+    num, den = num * f * g, den * f * g
+    num_err, den_err = num_err * f * g, den_err * f * g
     ratio = num / den
     # first-order (delta-method) propagation; coefficients treated independent
     err = np.hypot(num_err / den, num * den_err / den ** 2)
@@ -211,7 +218,8 @@ def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
         drdrho = 2.0 * (1.0 - rho * rho) / (rho * rho + 1.0) ** 2
         d2rdrho2 = -4.0 * rho * (3.0 - rho * rho) / (rho * rho + 1.0) ** 3
     return float(r), float(max(abs(drdrho) * est.ratio_err,
-                               0.5 * abs(d2rdrho2) * est.ratio_err ** 2))
+                               0.5 * abs(d2rdrho2)
+                               * (est.ratio_err * est.ratio_err)))
 
 
 def correct_effective_r(r_tilde: float, amplitude: float) -> float:

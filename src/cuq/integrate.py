@@ -160,7 +160,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
 def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
     """s n, s mu and mu for K = n.sigma/2, n = gamma + i e/r and
     mu = sqrt(n.n), Re mu >= 0, the root every exact form reads.  With s, q
-    and s - q from `core._scaled_split` and c = cos(theta_eg), s n =
+    and s - q from `_base._scaled_split` and c = cos(theta_eg), s n =
     s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q.  mu and n
     read the same e and gamma, so r = 1 gives mu = 0 exactly where e.gamma
     = 0 exactly, as for `QubitModel.from_angle` at 90 degrees; mu is inf

@@ -11,7 +11,7 @@ the CP-violation measure |q/p|.  With z = sqrt(1 - r^2 - 2 i r cos(theta))
 
 where theta is the angle between the energy and decay directions.  z^2 is
 -(r mu)^2 for the generator's root mu (`integrate._generator`), and the
-forward map forms z/max(r, 1) from the same `core._scaled_split`, so it
+forward map forms z/max(r, 1) from the same `_base._scaled_split`, so it
 forms no r^2.  With w = Delta E/2 - i Delta Gamma/4 = |E| z and
 t = tanh(ln|q/p|), the inverse is
 
@@ -29,11 +29,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+from ._base import _csv_blocks, _scaled_split, _sincosd
 
-from .core import BlochState, _scaled_split, _sincosd
-from .fit import _csv_blocks
+if TYPE_CHECKING:  # an annotation only: meson itself needs no numpy
+    from .core import BlochState
 
 __all__ = [
     "MesonObservables",
@@ -98,7 +99,7 @@ def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     """Forward map; Re z >= 0 fixes Delta E >= 0 and the Delta Gamma sign.
 
     With s, q and s - q = (r - 1)/m, m = max(r, 1), from
-    `core._scaled_split`, z/m = sqrt((q - s)(s + q) - 2 i c s q), and the
+    `_base._scaled_split`, z/m = sqrt((q - s)(s + q) - 2 i c s q), and the
     |q/p| ratio is taken over m^2: (1 + r^2 -+ 2 r sin(theta))/m^2 =
     (s - q)^2 + 4 s q sin^2((90 -+ theta)/2), where 90 -+ theta is exact,
     so nothing cancels as r -> 1 and theta -> +-90.  |E| m multiplies
@@ -245,8 +246,7 @@ def catalogue_rows() -> list[dict]:
 
 
 def catalogue_to_csv() -> str:
-    return "".join(_csv_blocks({k: np.array(col) for k, col
-                                in zip(_COLUMNS, zip(*_TABLE))}))
+    return "".join(_csv_blocks(dict(zip(_COLUMNS, zip(*_TABLE)))))
 
 
 def catalogue_to_json() -> str:

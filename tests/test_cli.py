@@ -457,6 +457,23 @@ class TestFit:
         assert "chi2 overflows" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_huge_sigma_leaves_no_usable_ratio(self, tmp_path, capsys):
+        # D_0's ratio error, 3e154, squares past the largest float: its r
+        # error is inf (null), not an OverflowError, and no ratio is usable
+        ds = synthesize_dataset(0.3, 1.0, 200, 60.0, 1e-3, 1)
+        data = tmp_path / "huge.csv"
+        save_dataset(AsymmetryDataset(ds.t, ds.delta, np.full(200, 1e154),
+                                      ds.omega), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                        str(data), "--omega", repr(float(ds.omega)),
+                        "--n-harmonics", "3"]) == 0
+        assert "all ratios unreliable" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "fit.json").read_text())
+        assert rep["weighted_r"] is None
+        assert rep["r_estimates"][0]["r_err"] is None
+
     def test_infinite_omega_is_flag_error(self, tmp_path):
         # --omega is a flag: a non-finite value is a flag error
         data = tmp_path / "data.csv"
@@ -639,16 +656,20 @@ class TestFlagErrors:
                     "catalogue"]) == 2
 
 
-def _scipy_modules_after(code, *args):
-    """The scipy modules loaded after `code` runs in a fresh interpreter,
-    with src/ first on the path and args from sys.argv[2]."""
+def _modules_after(code, package, *args):
+    """The modules of `package` loaded after `code` runs in a fresh
+    interpreter, with src/ first on the path and args from sys.argv[2]."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
-            "print(','.join(m for m in sys.modules if m == 'scipy' "
-            "or m.startswith('scipy.')), file=sys.stderr)")
+            f"print(','.join(m for m in sys.modules if m == {package!r} "
+            f"or m.startswith({package + '.'!r})), file=sys.stderr)")
     return subprocess.run([sys.executable, "-c", code, str(src), *args],
                           capture_output=True, text=True,
                           check=True).stderr.strip()
+
+
+def _scipy_modules_after(code, *args):
+    return _modules_after(code, "scipy", *args)
 
 
 class TestImport:
@@ -663,3 +684,33 @@ class TestImport:
         assert _scipy_modules_after(
             code, str(tmp_path), str(DATA / "fit_golden" / "data.csv")) == ""
         assert (tmp_path / "fit.json").exists()
+
+    def test_import_cuq_loads_no_numpy(self):
+        assert _modules_after("import cuq", "numpy") == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["catalogue"],
+        ["--format", "json", "catalogue"],
+        ["convert", "--from-bloch", "0.85", "90", "1"],
+        ["convert", "--from-observables", "0.5069", "-0.0007", "1.001"],
+    ])
+    def test_meson_commands_load_no_numpy(self, tmp_path, argv):
+        code = ("from cuq.cli import main; "
+                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
+        assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
+
+    def test_exports_and_submodules_resolve_on_first_use(self):
+        # each name is the object its submodule defines, an unknown name is
+        # an AttributeError, as without the lazy loader, and resolving them
+        # all loads no scipy
+        code = ("import cuq, pkgutil; "
+                "subs = [m.name for m in pkgutil.iter_modules(cuq.__path__)]; "
+                "mods = [getattr(cuq, m) for m in subs]; "
+                "assert [m.__name__ for m in mods] == "
+                "['cuq.' + m for m in subs]; "
+                "assert all(any(vars(m).get(n) is getattr(cuq, n) "
+                "for m in mods) for n in cuq.__all__); "
+                "assert not hasattr(cuq, 'no_such_name'); "
+                "ns = {}; exec('from cuq import *', ns); "
+                "assert sorted(set(ns) - {'__builtins__'}) == cuq.__all__")
+        assert _modules_after(code, "scipy") == ""

@@ -266,6 +266,18 @@ class TestREstimation:
         assert not out.has_estimate
         assert all(np.isnan(e.r_hat) for e in out.per_ratio)
 
+    def test_reliable_ratio_with_infinite_r_error_is_not_averaged(self):
+        # D_0's denominator is well measured, but its numerator's error
+        # makes its ratio error, and so its r error, inf
+        fit = FitResult(coefficients=np.array([1e-10, 1e-11, 1e-12]),
+                        errors=np.array([1e-12, 1e300, 1e300]),
+                        covariance=np.eye(3), chi2=1.0, dof=5, omega=1.0)
+        out = estimate_r(fit)
+        assert out.per_ratio[0].reliable
+        assert out.per_ratio[0].r_err == math.inf
+        assert not out.has_estimate
+        assert "all ratios unreliable" in out.diagnostics
+
     def test_diagnostics_when_hopeless(self):
         rng = np.random.default_rng(2)
         t = np.linspace(0.0, 6 * np.pi, 40, endpoint=False)
@@ -317,6 +329,26 @@ class TestSigmaScale:
             assert out.weighted_r_err == np.ldexp(est.weighted_r_err, -k)
         else:
             pytest.fail("chi2 never overflowed")
+
+    @pytest.mark.parametrize("scale", [1e-170, 2.0 ** -565])
+    def test_coefficients_whose_squares_underflow_keep_their_ratios(self,
+                                                                    scale):
+        # asymmetry and sigma scaled together: each d_n is below 1.5e-162,
+        # so d_n^2 is 0, yet the ratios and r are those of the unscaled fit,
+        # with the same bits at a power of two
+        ds = synthesize_dataset(0.3, 1.0, 200, 60.0, 1e-3, 1)
+        tiny = AsymmetryDataset(t=ds.t, delta=scale * ds.delta,
+                                sigma=scale * ds.sigma, omega=ds.omega)
+        a = estimate_r(fit_fourier_modes(ds, 3))
+        b = estimate_r(fit_fourier_modes(tiny, 3))
+        exact = math.frexp(scale)[0] == 0.5
+        for x, y in zip(b.per_ratio, a.per_ratio):
+            for got, want in ((x.ratio, y.ratio), (x.ratio_err, y.ratio_err),
+                              (x.r_hat, y.r_hat), (x.r_err, y.r_err)):
+                assert got == (want if exact
+                               else pytest.approx(want, rel=1e-12))
+        assert b.weighted_r == (a.weighted_r if exact
+                                else pytest.approx(a.weighted_r, rel=1e-12))
 
     def test_errors_below_the_normal_range_are_named_overflow(self):
         # zero asymmetry is fit exactly, with chi2 = 0, so only the errors
