@@ -1,10 +1,11 @@
-"""The numpy-free base of the package: exact scalar forms, the one CSV
-writer and the exceptions that `cli.main` maps to exit codes.
+"""The numpy-free base of the package: exact scalar forms, the checks of
+r and |b|, the one CSV writer and the exceptions that `cli.main` maps to
+exit codes.
 
-`core`, `fit` and `fourier` re-export these names, so they keep their
-identity wherever they are imported from; `meson` and `cli` import them
-from here, so `cuq convert` and `cuq catalogue` run on the standard
-library alone.
+`core`, `fit`, `fourier` and `meson` re-export these names, so they keep
+their identity wherever they are imported from; `cli` imports them from
+here, so `cuq convert`, `cuq catalogue` and `cuq sweep-bmax` run on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ import math
 
 # rows per block wherever a table of times is evaluated or written
 _BLOCK_ROWS = 4096
+
+# Tolerance for state invariants (|b| <= 1 + STATE_EPS); algebraic
+# identities in the tests are held to the tighter 1e-12.
+STATE_EPS = 1e-9
 
 
 class DatasetFormatError(ValueError):
@@ -25,6 +30,22 @@ class RankDeficientDesign(RuntimeError):
 
 class QuadratureNotConverged(RuntimeError):
     """The trapezoid coefficients did not settle within 2^16 nodes."""
+
+
+class UnphysicalObservables(ValueError):
+    """No Bloch parameterisation exists for the requested observables."""
+
+
+def _check_r(r: float) -> None:
+    """The damping ratio's domain: 0 < r < inf (nan fails)."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
+
+
+def _check_size(size: float) -> None:
+    """A Bloch vector's length: |b| <= 1 + STATE_EPS (nan fails)."""
+    if not size <= 1.0 + STATE_EPS:
+        raise ValueError(f"|b| must be at most 1 + {STATE_EPS}, got {size}")
 
 
 def _sincosd(deg: float) -> tuple[float, float]:

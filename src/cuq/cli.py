@@ -4,7 +4,8 @@ Every subcommand emits plot-ready CSV and/or machine-readable JSON into
 --output-dir and is deterministic given its flags.  Exit
 codes: 0 success, 2 flag error, 3 data error, 4 numerical failure.
 Each subcommand imports the modules it uses when it runs, so `convert`
-and `catalogue` load no numpy.
+and `catalogue` load no numpy, and `sweep-bmax`, whose peak is a closed
+form in `math`, needs nothing beyond `_base`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import meson
 from ._base import (DatasetFormatError, QuadratureNotConverged,
-                    RankDeficientDesign, _csv_blocks, _one_minus_r2)
+                    RankDeficientDesign, UnphysicalObservables, _check_r,
+                    _check_size, _csv_blocks, _one_minus_r2, _scaled_split)
 
 if TYPE_CHECKING:  # annotations only
     import numpy as np
@@ -64,15 +65,23 @@ def _parse_b0(spec: str, model: QubitModel) -> np.ndarray:
     return vec
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """'lo:hi:n' linear grid or comma-separated values."""
-    import numpy as np
+def _parse_grid(spec: str) -> list[float]:
+    """'lo:hi:n' linear grid or comma-separated values.  The grid has the
+    bits of numpy.linspace(lo, hi, n): i step + lo, step = (hi - lo)/(n - 1),
+    with hi last; where step underflows to 0, i/(n - 1) (hi - lo) + lo."""
     if ":" in spec:
         lo, hi, n = spec.split(":")
         if not 1 <= int(n) <= MAX_ROWS:
             raise ValueError(f"grid '{spec}' needs 1 to {MAX_ROWS} points")
-        return np.linspace(float(lo), float(hi), int(n))
-    return np.array([float(x) for x in spec.split(",")])
+        lo, hi, n = float(lo), float(hi), int(n)
+        delta, div = hi - lo, max(n - 1, 1)
+        step = delta / div
+        grid = ([i / div * delta + lo for i in range(n)] if step == 0.0
+                else [i * step + lo for i in range(n)])
+        if n > 1:
+            grid[-1] = hi
+        return grid
+    return [float(x) for x in spec.split(",")]
 
 
 def _time_grid(spec: str, r: float) -> np.ndarray:
@@ -97,7 +106,7 @@ def _time_grid(spec: str, r: float) -> np.ndarray:
     return np.linspace(0.0, tau_end, math.ceil(rows))
 
 
-def _peak_magnitude(model: QubitModel, beta: float) -> float:
+def _peak_magnitude(r: float, beta: float) -> float:
     """max |b| from b0 = beta gamma, e perpendicular to gamma, over five
     periods (r < 1) or tau <= 50 r, exactly.
 
@@ -112,14 +121,13 @@ def _peak_magnitude(model: QubitModel, beta: float) -> float:
     a = (1 + x)/2, k = (1 - x)/(2 mu) (25 r at mu = 0), so T = a^2 +
     k^2 (1 + 1/r^2) + 2 beta a k = (a - k)^2 + (k/r)^2 + 2 (1 + beta) a k,
     the last form a sum of terms >= 0.  Where x = 0 the end state is pure.
-    The caller checks |beta| <= 1 + STATE_EPS (`cmd_sweep_bmax`, once per
-    beta).
+    The caller checks r and |beta| <= 1 + STATE_EPS (`cmd_sweep_bmax`, once
+    per grid value).
     """
-    r = model.r
     beta = min(max(beta, -1.0), 1.0)  # a |beta| rounded past 1 is pure
     if r >= 1.0:
-        from .integrate import _generator
-        mu = _generator(model)[2].real  # real at e.gamma = 0
+        s, q, s_q = _scaled_split(r)
+        mu = math.sqrt(s_q * (s + q))  # the generator's root at e.gamma = 0
         x = math.exp(-50.0 * r * mu)
         a = (1.0 + x) / 2.0
         k = -math.expm1(-50.0 * r * mu) / (2.0 * mu) if mu > 0.0 else 25.0 * r
@@ -151,20 +159,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep_bmax(args) -> int:
-    import numpy as np
-
-    from .core import BlochState, QubitModel
     r_grid, b0_grid = _parse_grid(args.r_grid), _parse_grid(args.b0_grid)
-    if r_grid.size * b0_grid.size > MAX_ROWS:
-        raise ValueError(f"the grids make {r_grid.size * b0_grid.size} rows, "
+    if len(r_grid) * len(b0_grid) > MAX_ROWS:
+        raise ValueError(f"the grids make {len(r_grid) * len(b0_grid)} rows, "
                          f"more than {MAX_ROWS}")
-    models = [QubitModel.from_angle(r, 90.0, degrees=True) for r in r_grid]
-    for b0_mag in b0_grid:  # rejects |b0| > 1 + STATE_EPS
-        BlochState([b0_mag, 0.0, 0.0])
-    columns = {"r": np.repeat(r_grid, b0_grid.size),
-               "b0_mag": np.tile(b0_grid, r_grid.size),
-               "b_max": np.array([_peak_magnitude(model, b0_mag)
-                                  for model in models for b0_mag in b0_grid])}
+    for r in r_grid:
+        _check_r(r)
+    for b0_mag in b0_grid:  # b0 = b0_mag gamma
+        _check_size(abs(b0_mag))
+    columns = {"r": [r for r in r_grid for _ in b0_grid],
+               "b0_mag": b0_grid * len(r_grid),
+               "b_max": [_peak_magnitude(r, b0_mag)
+                         for r in r_grid for b0_mag in b0_grid]}
     _write(Path(args.output_dir) / "bmax.csv", _csv_blocks(columns))
     return EXIT_OK
 
@@ -214,6 +220,7 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from . import meson
     if args.from_bloch:
         r, theta, E = args.from_bloch
         params = meson.BlochParameters(r=r, theta_eg_deg=theta, E_mag=E)
@@ -270,6 +277,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_catalogue(args) -> int:
+    from . import meson
     if args.format == "json":
         _write(Path(args.output_dir) / "catalogue.json",
                [meson.catalogue_to_json()])
@@ -351,7 +359,7 @@ def main(argv=None) -> int:
     except (DatasetFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (RankDeficientDesign, meson.UnphysicalObservables,
+    except (RankDeficientDesign, UnphysicalObservables,
             QuadratureNotConverged, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

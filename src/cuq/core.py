@@ -26,12 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-# integrate, analytic and fourier import the first three from here
-from ._base import _BLOCK_ROWS, _one_minus_r2, _scaled_split, _sincosd
+from ._base import STATE_EPS, _check_r, _check_size, _sincosd
+# integrate, analytic and fourier import these from here
+from ._base import _BLOCK_ROWS, _one_minus_r2, _scaled_split
 
-# Tolerance for state invariants (|b| <= 1 + STATE_EPS); algebraic
-# identities in the tests are held to the tighter 1e-12.
-STATE_EPS = 1e-9
 _UNIT_TOL = 1e-12
 
 SIGMA = np.array(
@@ -62,9 +60,7 @@ class BlochState:
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_vec3(self.b))
-        size = math.hypot(*self.b)  # no overflow where |b| is finite
-        if size > 1.0 + STATE_EPS:
-            raise ValueError(f"|b| = {size} exceeds 1 + {STATE_EPS}")
+        _check_size(math.hypot(*self.b))  # no overflow where |b| is finite
 
 
 @dataclass(frozen=True)
@@ -89,8 +85,7 @@ class QubitModel:
             raise ValueError("gamma must be a unit vector")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "gamma", g)
-        if not 0.0 < self.r < np.inf:
-            raise ValueError(f"r must be positive and finite, got {self.r}")
+        _check_r(self.r)
 
     @cached_property
     def e_cross_gamma(self) -> np.ndarray:

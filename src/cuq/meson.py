@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._base import _csv_blocks, _scaled_split, _sincosd
+from ._base import (UnphysicalObservables, _csv_blocks, _scaled_split,
+                    _sincosd)
 
 if TYPE_CHECKING:  # an annotation only: meson itself needs no numpy
     from .core import BlochState
@@ -51,10 +52,6 @@ __all__ = [
     "catalogue_to_csv",
     "catalogue_to_json",
 ]
-
-
-class UnphysicalObservables(ValueError):
-    """No Bloch parameterisation exists for the requested observables."""
 
 
 @dataclass(frozen=True)

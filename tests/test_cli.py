@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuq.cli import MAX_ROWS, _peak_magnitude, main
+from cuq.cli import MAX_ROWS, _parse_grid, _peak_magnitude, main
 from cuq.core import QubitModel
 from cuq.fit import (_BLOCK_ROWS, AsymmetryDataset, save_dataset,
                      synthesize_dataset)
@@ -148,6 +148,11 @@ class TestSimulate:
             (b / "trajectory.csv").read_bytes()
 
 
+# finite floats, with subnormals and the ends of the range
+FINITE = st.one_of(st.sampled_from([5e-324, -5e-324, 1e-310, 1e308, -1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestSweep:
     def test_bmax_from_mixed_state(self, tmp_path):
         # the peak is located exactly, not sampled
@@ -190,7 +195,7 @@ class TestSweep:
         taus = np.linspace(0.0, 2 * np.pi * r / np.sqrt(1 - r * r), 20001)
         dense = np.linalg.norm(propagate(m, beta * m.gamma, taus),
                                axis=1).max()
-        assert dense - 1e-15 <= _peak_magnitude(m, beta) <= dense + 1e-8
+        assert dense - 1e-15 <= _peak_magnitude(m.r, beta) <= dense + 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1.0, 30.0), st.floats(-1.0, 1.0))
@@ -198,7 +203,7 @@ class TestSweep:
         m = QubitModel.from_angle(r, 90.0, degrees=True)
         bs = propagate(m, beta * m.gamma, np.linspace(0.0, 50 * r, 20001))
         mags = np.linalg.norm(bs, axis=1)
-        peak = _peak_magnitude(m, beta)
+        peak = _peak_magnitude(m.r, beta)
         assert peak == pytest.approx(max(abs(beta), mags[-1]), abs=1e-15)
         assert peak >= mags.max() - 1e-15
 
@@ -207,7 +212,16 @@ class TestSweep:
         # a pure state stays pure; at large r the T of b0 = -gamma is tiny,
         # and a form of T that cancels rounds it to 0
         m = QubitModel.from_angle(r, 90.0, degrees=True)
-        assert _peak_magnitude(m, -1.0) == _peak_magnitude(m, 1.0) == 1.0
+        assert _peak_magnitude(m.r, -1.0) == _peak_magnitude(m.r, 1.0) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(FINITE, FINITE, st.integers(1, 2000))
+    def test_linear_grid_has_the_bits_of_linspace(self, lo, hi, n):
+        # bits, so -0.0 and the nan that an overflowing hi - lo gives count
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, n)
+        got = np.array(_parse_grid(f"{lo!r}:{hi!r}:{n}"))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-3",
                                       f"0.1:0.9:{MAX_ROWS + 1}",
@@ -592,12 +606,11 @@ def _argvs():
                         st.lists(EDGE, min_size=3, max_size=3)).map(
         lambda a: ["convert", a[0], *map(_arg, a[1])])
     # within 1e-4 below r = 1 the quadrature takes about 0.6 s to give up,
-    # an exit that TestFourier covers; a fit of many harmonics at a tiny
-    # --omega spends as long in QR on subnormal numbers before its exit 4
+    # an exit that TestFourier covers
     fourier = st.tuples(EDGE.filter(lambda r: not 0.9999 < r < 1.0),
                         st.integers(-1, 8)).map(
         lambda a: ["fourier", "--r", _arg(a[0]), "--n-max", str(a[1])])
-    fit = st.tuples(EDGE, st.integers(-1, 24), st.none() | EDGE).map(
+    fit = st.tuples(EDGE, st.integers(-1, 100), st.none() | EDGE).map(
         lambda a: ["fit", "--data", str(DATA / "fit_golden" / "data.csv"),
                    "--omega", _arg(a[0]), "--n-harmonics", str(a[1])]
         + ([] if a[2] is None else ["--amplitude", _arg(a[2])]))
@@ -698,6 +711,18 @@ class TestImport:
         code = ("from cuq.cli import main; "
                 "assert main(['--output-dir', *sys.argv[2:]]) == 0")
         assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-bmax"],
+        ["sweep-bmax", "--r-grid", "1:30:60", "--b0-grid", "0:1:11"],
+    ])
+    def test_sweep_loads_no_numpy_and_no_meson(self, tmp_path, argv):
+        # the peak is a closed form in math, so only cli and _base load
+        code = ("from cuq.cli import main; "
+                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
+        assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
+        assert set(_modules_after(code, "cuq", str(tmp_path), *argv)
+                   .split(",")) == {"cuq", "cuq.cli", "cuq._base"}
 
     def test_exports_and_submodules_resolve_on_first_use(self):
         # each name is the object its submodule defines, an unknown name is

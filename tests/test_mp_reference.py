@@ -363,7 +363,7 @@ def _mp_peak(m, beta):
        st.floats(-1.0, 1.0))
 def test_overdamped_sweep_end_within_1_eps(r, beta):
     m = QubitModel.from_angle(r, 90.0, degrees=True)
-    err = abs(_peak_magnitude(m, beta) - _mp_peak(m, beta))
+    err = abs(_peak_magnitude(m.r, beta) - _mp_peak(m, beta))
     assert err <= SWEEP_BOUND * EPS, float(err / EPS)
 
 
@@ -525,7 +525,7 @@ def test_mixed_magnitude_within_3_eps_times_the_phase_condition(r, t):
 def test_oscillating_sweep_peak_within_3_eps(r, beta):
     # |b|_max^2 = 1 - (1 - beta^2)(1 - r^2)^2/(1 + r s)^2,
     # s = sqrt(r^2 + beta^2 (1 - r^2)), in absolute error
-    got = _peak_magnitude(QubitModel.from_angle(r, 90.0, degrees=True), beta)
+    got = _peak_magnitude(r, beta)
     with mp.workdps(50):
         R_, B = mp.mpf(r), mp.mpf(beta)
         w = 1 - R_ * R_
