@@ -2,10 +2,11 @@
 r and |b|, the one CSV writer and the exceptions that `cli.main` maps to
 exit codes.
 
-`core`, `fit`, `fourier` and `meson` re-export these names, so they keep
-their identity wherever they are imported from; `cli` imports them from
-here, so `cuq convert`, `cuq catalogue` and `cuq sweep-bmax` run on the
-standard library alone.
+Every module imports these names from here alone; `fit`, `fourier` and
+`meson` list the exceptions in their `__all__`, so each keeps its identity
+wherever it is imported from.  `cli` reads only this module at import, so
+`cuq convert`, `cuq catalogue` and `cuq sweep-bmax` run on the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _one_minus_r2(r: float) -> float:
     """1 - r^2 as (1 - r)(1 + r), which does not cancel next to r = 1
     (Goldberg, ACM Comput. Surv. 23, 1991, sec. 1.4).  For r <= 1 it is bit
     for bit -(s - q)(s + q) of `_scaled_split`, the (s mu)^2 that
-    `integrate._generator` takes the root of at e.gamma = 0: every r <= 1
+    `core._generator` takes the root of at e.gamma = 0: every r <= 1
     closed form reads the generator's own Im mu = sqrt(1 - r^2)/r."""
     return (1.0 - r) * (1.0 + r)
 

@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QubitModel, _one_minus_r2, _scaled_split
-from .integrate import _generator
+from ._base import _one_minus_r2, _scaled_split
+from .core import QubitModel, _generator, _is_cuq
 
 __all__ = [
     "CuqClock",
@@ -52,7 +52,7 @@ def cuq_clock(r: float) -> CuqClock:
     """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat.
 
     omega_hat = sqrt(1 - r^2)/r is Im mu, the generator's root at
-    e.gamma = 0 (`integrate._generator`), bit for bit: both form 1 - r^2
+    e.gamma = 0 (`core._generator`), bit for bit: both form 1 - r^2
     with `_base._one_minus_r2`, so the clock and `propagate` keep time."""
     _check_r_oscillatory(r)
     r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
@@ -140,7 +140,7 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     sign(c) sqrt((1 - r^2 + root)/2) and k = 2 r/(1 + r^2 + root), which
     is (1 - alpha^2)/(r sin^2) and holds at sin(theta_eg) = 0 too.  All
     three read the generator's root mu = sqrt(1 - 1/r^2 + 2 i c/r),
-    Re mu >= 0 (`integrate._generator`): alpha = r Im mu, c/alpha = Re mu
+    Re mu >= 0 (`core._generator`): alpha = r Im mu, c/alpha = Re mu
     and k r = 1/(1 + (Im mu)^2).  In the scaled terms s mu, s = min(r, 1)
     and q = s/r these are Im(s mu)/q, Re(s mu)/s and s^2/(s^2 + Im(s mu)^2),
     so nothing cancels and no r^2 is formed.  e.gamma = 0 with r < 1, the
@@ -149,7 +149,7 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     PERPENDICULAR_OVERDAMPED (r >= 1), which mean e x gamma = 0 and c = 0.
     At a subnormal r the scaled 2 c s q underflows to a zero that keeps
     the sign of c, so alpha still does."""
-    if model.r < 1.0 and model.e @ model.gamma == 0.0:
+    if _is_cuq(model):
         return AsymptoticState(b_star=None, alpha=float("nan"),
                                branch=AsymptoticBranch.CRITICAL_NO_STATIONARY)
     _, smu, _ = _generator(model)

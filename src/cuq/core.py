@@ -10,11 +10,11 @@ the vector obeys the nonlinear master evolution equation
     db/dtau = -(1/r) e x b + gamma - (b . gamma) b
 
 with unit vectors e = E/|E|, gamma = Gamma/|Gamma| and damping ratio
-r = |Gamma| / (2 |E|).  This module holds the immutable value types and
-the right-hand sides; everything here is a pure function.  `DensityMatrix`
-is the validated type of the matrix-equation cross-check; the exact path
-in `integrate` checks its input with `BlochState` alone.  Angles in
-degrees go through `_sincosd`, which is exact at multiples of 90 degrees,
+r = |Gamma| / (2 |E|).  This module holds the immutable value types, the
+right-hand sides, the Pauli map and the generator's root; all are pure.
+`DensityMatrix` is the validated type of the matrix-equation cross-check;
+the exact path in `integrate` checks its input with `BlochState` alone.
+Angles in degrees go through `_base._sincosd`, exact at multiples of 90,
 so "aligned" and "perpendicular" are exact tests of e x gamma and e.gamma.
 """
 
@@ -26,9 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _base
 from ._base import STATE_EPS, _check_r, _check_size, _sincosd
-# integrate, analytic and fourier import these from here
-from ._base import _BLOCK_ROWS, _one_minus_r2, _scaled_split
 
 _UNIT_TOL = 1e-12
 
@@ -41,6 +40,11 @@ SIGMA = np.array(
     dtype=complex,
 )
 IDENTITY2 = np.eye(2, dtype=complex)
+
+
+def _pauli(v) -> np.ndarray:
+    """v.sigma, the 2x2 matrix of a real or complex 3-vector."""
+    return np.einsum("i,ijk->jk", v, SIGMA)
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -108,6 +112,26 @@ class QubitModel:
         return cls(e=np.array([1.0, 0.0, 0.0]), gamma=np.array([*g, 0.0]), r=r)
 
 
+def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
+    """s n, s mu and mu for K = n.sigma/2, n = gamma + i e/r and
+    mu = sqrt(n.n), Re mu >= 0, the root every exact form reads.  With s, q
+    and s - q from `_base._scaled_split` and c = cos(theta_eg), s n =
+    s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q.  mu and n
+    read the same e and gamma, so r = 1 gives mu = 0 exactly where e.gamma
+    = 0 exactly, as for `QubitModel.from_angle` at 90 degrees; mu is inf
+    where s is too small to divide by."""
+    s, q, s_q = _base._scaled_split(model.r)
+    c = float(np.dot(model.e, model.gamma))
+    smu = np.sqrt(complex(s_q * (s + q), 2.0 * c * s * q))
+    return s * model.gamma + 1j * q * model.e, smu, complex(smu) / s
+
+
+def _is_cuq(model: QubitModel) -> bool:
+    """The CUQ, e.gamma = 0 with r < 1 (Re mu = 0 != mu): no stationary
+    state.  Decided on the model's floats exactly, as `_generator` reads."""
+    return model.r < 1.0 and model.e @ model.gamma == 0.0
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-normalised 2x2 density matrix, checked to be Hermitian with
@@ -166,15 +190,14 @@ def purity_rate(state: BlochState, model: QubitModel) -> float:
 
 def density_from_bloch(state: BlochState) -> DensityMatrix:
     """rho = (1 + b.sigma)/2; `BlochState` has already bounded |b|."""
-    m = 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", state.b, SIGMA))
-    return DensityMatrix(m)
+    return DensityMatrix(0.5 * (IDENTITY2 + _pauli(state.b)))
 
 
 def _effective_matrices(model: QubitModel) -> tuple[np.ndarray, np.ndarray]:
     """The traceless parts of E and Gamma over the Pauli basis, in units
     of |Gamma|."""
-    E = -np.einsum("i,ijk->jk", model.e, SIGMA) / (2.0 * model.r)
-    G = -np.einsum("i,ijk->jk", model.gamma, SIGMA)
+    E = -_pauli(model.e) / (2.0 * model.r)
+    G = -_pauli(model.gamma)
     return E, G
 
 

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._base import (_BLOCK_ROWS, DatasetFormatError, RankDeficientDesign,
-                    _csv_blocks)
+from ._base import DatasetFormatError, RankDeficientDesign, _csv_blocks
 from .analytic import cuq_projections, restore_units
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
                       anharmonicity, correct_effective_r)

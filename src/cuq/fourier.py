@@ -20,9 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._base import QuadratureNotConverged
+from ._base import QuadratureNotConverged, _one_minus_r2
 from .analytic import half_angle_slope
-from .core import _one_minus_r2
 
 __all__ = [
     "SeriesKind",

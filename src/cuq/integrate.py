@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BLOCK_ROWS, IDENTITY2, SIGMA, BlochState, QubitModel,
-                   _as_vec3, _scaled_split, _vector_field)
+from ._base import _BLOCK_ROWS
+from .core import (IDENTITY2, BlochState, QubitModel, _as_vec3, _generator,
+                   _is_cuq, _pauli, _vector_field)
 
 __all__ = [
     "Trajectory",
@@ -120,32 +121,34 @@ def evolve(model: QubitModel, b0, tau_end: float,
     nfev = 1
     max_err = 0.0
 
-    while tau < tau_end:
-        h = min(h, tau_end - tau)
-        if h < 1e-14 * max(1.0, tau):
-            raise StepSizeUnderflow(f"step underflow at tau={tau}")
-        for i in range(1, 7):
-            k[i] = f(b + h * (_A[i] @ k[:i]))
-        nfev += 6
-        y5 = b + h * (_B5 @ k)
-        err_vec = h * (_E @ k)
-        sc = abs_tol + rel_tol * np.maximum(np.abs(b), np.abs(y5))
-        err = math.sqrt(float(((err_vec / sc) ** 2).sum()) / 3.0)
-        if err <= 1.0:
-            dy = y5 - b
-            c1 = h * k[0] - dy
-            dense.append((c1, dy - h * k[6] - c1, h * (_D @ k)))
-            tau += h
-            b = y5
-            k[0] = k[6]  # FSAL
-            taus.append(tau)
-            bs.append(b.copy())
-            n_acc += 1
-            max_err = max(max_err, err)
-        else:
-            n_rej += 1
-        # elementary controller for the order-4 estimate; err = 0 grows h 5x
-        h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** (-1 / 5)))
+    # a trial step that overflows has a non-finite error and is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        while tau < tau_end:
+            h = min(h, tau_end - tau)
+            if h < 1e-14 * max(1.0, tau):
+                raise StepSizeUnderflow(f"step underflow at tau={tau}")
+            for i in range(1, 7):
+                k[i] = f(b + h * (_A[i] @ k[:i]))
+            nfev += 6
+            y5 = b + h * (_B5 @ k)
+            err_vec = h * (_E @ k)
+            sc = abs_tol + rel_tol * np.maximum(np.abs(b), np.abs(y5))
+            err = math.sqrt(float(((err_vec / sc) ** 2).sum()) / 3.0)
+            if err <= 1.0:
+                dy = y5 - b
+                c1 = h * k[0] - dy
+                dense.append((c1, dy - h * k[6] - c1, h * (_D @ k)))
+                tau += h
+                b = y5
+                k[0] = k[6]  # FSAL
+                taus.append(tau)
+                bs.append(b.copy())
+                n_acc += 1
+                max_err = max(max_err, err)
+            else:
+                n_rej += 1
+            # elementary controller, order-4 estimate; err = 0 grows h 5x
+            h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** (-1 / 5)))
 
     stats = {
         "n_accepted": n_acc,
@@ -155,20 +158,6 @@ def evolve(model: QubitModel, b0, tau_end: float,
     }
     return Trajectory(taus=np.array(taus), bs=np.array(bs),
                       dense=np.array(dense), controller_stats=stats)
-
-
-def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
-    """s n, s mu and mu for K = n.sigma/2, n = gamma + i e/r and
-    mu = sqrt(n.n), Re mu >= 0, the root every exact form reads.  With s, q
-    and s - q from `_base._scaled_split` and c = cos(theta_eg), s n =
-    s gamma + i q e and (s mu)^2 = (s - q)(s + q) + 2 i c s q.  mu and n
-    read the same e and gamma, so r = 1 gives mu = 0 exactly where e.gamma
-    = 0 exactly, as for `QubitModel.from_angle` at 90 degrees; mu is inf
-    where s is too small to divide by."""
-    s, q, s_q = _scaled_split(model.r)
-    c = float(np.dot(model.e, model.gamma))
-    smu = np.sqrt(complex(s_q * (s + q), 2.0 * c * s * q))
-    return s * model.gamma + 1j * q * model.e, smu, complex(smu) / s
 
 
 def _gram_bloch(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +178,7 @@ def _state_root(b0: np.ndarray) -> np.ndarray:
     """L with L L^dagger proportional to rho0 = (1 + b0.sigma)/2: as
     rho0^2 = rho0 - d I with d = det rho0, L = rho0 + sqrt(d) I gives
     L L^dagger = (1 + 2 sqrt(d)) rho0.  A |b0| that rounds past 1 is pure."""
-    return (0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", b0, SIGMA))
+    return (0.5 * (IDENTITY2 + _pauli(b0))
             + 0.5 * np.sqrt(max(1.0 - b0 @ b0, 0.0)) * IDENTITY2)
 
 
@@ -212,7 +201,7 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
         raise ValueError("taus must be a 1-D array of finite times >= 0")
     n, mu, rate = _generator(model)  # U takes s n/(s mu) = n/mu
     L = _state_root(b0)
-    nL = np.einsum("i,ijk->jk", n, SIGMA) @ L
+    nL = _pauli(n) @ L
     out = np.empty((t.size, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, t.size, _BLOCK_ROWS):
@@ -238,18 +227,17 @@ def evolve_to_asymptote(model: QubitModel, b0):
 
     With mu and n from the generator K = n.sigma/2 (see `propagate`),
     e^{K tau} grows like M = mu I + n.sigma, also at the exceptional point
-    mu = 0 (r = 1, e perpendicular to gamma) where K is nilpotent.
-    e.gamma = 0 with r < 1 (the CUQ, Re mu = 0 != mu), decided on the
-    geometry exactly as `_generator` reads it, keeps both modes alive
-    forever.  M has rank one: the state M L L^dagger M^dagger, with
-    `propagate`'s L, is a multiple of M M^dagger unless W = M L is exactly
-    0, which is `propagate`'s own test for the repelling fixed point.
+    mu = 0 (r = 1, e perpendicular to gamma) where K is nilpotent.  The
+    CUQ (`core._is_cuq`) keeps both modes alive forever.  M has rank one:
+    the state M L L^dagger M^dagger, with `propagate`'s L, is a multiple
+    of M M^dagger unless W = M L is exactly 0, which is `propagate`'s own
+    test for the repelling fixed point.
     """
     b0 = BlochState(b0).b
-    if model.r < 1.0 and model.e @ model.gamma == 0.0:
+    if _is_cuq(model):
         return NON_CONVERGENT
     n, mu, _ = _generator(model)  # s M has M's direction
-    M = mu * IDENTITY2 + np.einsum("i,ijk->jk", n, SIGMA)
+    M = mu * IDENTITY2 + _pauli(n)
     if not (M @ _state_root(b0)).any():
         return b0
     b, _ = _gram_bloch(M[None])

@@ -10,7 +10,7 @@ the CP-violation measure |q/p|.  With z = sqrt(1 - r^2 - 2 i r cos(theta))
     |q/p|^4     = (1 + r^2 - 2 r sin(theta)) / (1 + r^2 + 2 r sin(theta))
 
 where theta is the angle between the energy and decay directions.  z^2 is
--(r mu)^2 for the generator's root mu (`integrate._generator`), and the
+-(r mu)^2 for the generator's root mu (`core._generator`), and the
 forward map forms z/max(r, 1) from the same `_base._scaled_split`, so it
 forms no r^2.  With w = Delta E/2 - i Delta Gamma/4 = |E| z and
 t = tanh(ln|q/p|), the inverse is
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._base import (UnphysicalObservables, _csv_blocks, _scaled_split,
-                    _sincosd)
+from ._base import (UnphysicalObservables, _check_r, _csv_blocks,
+                    _scaled_split, _sincosd)
 
 if TYPE_CHECKING:  # an annotation only: meson itself needs no numpy
     from .core import BlochState
@@ -86,8 +86,7 @@ class BlochParameters:
         if not (math.isfinite(self.r) and math.isfinite(self.theta_eg_deg)
                 and math.isfinite(self.E_mag)):
             raise ValueError(f"Bloch parameters must be finite, got {self}")
-        if not self.r > 0.0:
-            raise ValueError("r must be positive")
+        _check_r(self.r)
         if not self.E_mag > 0.0:
             raise ValueError("E_mag must be positive")
 
@@ -187,8 +186,7 @@ def classify_damping(r: float) -> Damping:
     """r < 1 oscillates, r = 1 is the non-diagonalisable boundary, r > 1
     approaches its long-lived state without oscillation; decided on the
     float r exactly, as the exact forms decide it."""
-    if not r > 0.0:
-        raise ValueError("r must be positive")
+    _check_r(r)
     if r == 1.0:
         return Damping.CRITICAL
     return Damping.OSCILLATORY if r < 1.0 else Damping.OVERDAMPED

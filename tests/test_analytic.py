@@ -11,8 +11,8 @@ from cuq.analytic import (AsymptoticBranch, asymptotic_state, cuq_clock,
                           mixed_ellipse, mixed_magnitude,
                           mixed_magnitude_vs_angle, polar_rates,
                           restore_units)
-from cuq.core import QubitModel
-from cuq.integrate import _generator, evolve, propagate
+from cuq.core import QubitModel, _generator
+from cuq.integrate import evolve, propagate
 
 # r log-uniform down to 1e-8, and 1 - r log-uniform down to 1e-15
 R_OSC = st.one_of(st.floats(-8.0, -0.01).map(lambda x: 10.0 ** x),

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuq._base import _BLOCK_ROWS
 from cuq.cli import MAX_ROWS, _parse_grid, _peak_magnitude, main
 from cuq.core import QubitModel
-from cuq.fit import (_BLOCK_ROWS, AsymmetryDataset, save_dataset,
-                     synthesize_dataset)
+from cuq.fit import AsymmetryDataset, save_dataset, synthesize_dataset
 from cuq.integrate import propagate
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -723,6 +723,19 @@ class TestImport:
         assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
         assert set(_modules_after(code, "cuq", str(tmp_path), *argv)
                    .split(",")) == {"cuq", "cuq.cli", "cuq._base"}
+
+    @pytest.mark.parametrize("argv", [
+        ["fourier", "--r", "0.85"],
+        ["fit", "--data", str(DATA / "fit_golden" / "data.csv"),
+         "--omega", "0.8", "--n-harmonics", "3"],
+    ])
+    def test_fourier_and_fit_load_no_integrate(self, tmp_path, argv):
+        # the closed forms read the generator from core, not from the DP5
+        # oracle's module
+        code = ("from cuq.cli import main; "
+                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
+        mods = _modules_after(code, "cuq", str(tmp_path), *argv).split(",")
+        assert "cuq.core" in mods and "cuq.integrate" not in mods
 
     def test_exports_and_submodules_resolve_on_first_use(self):
         # each name is the object its submodule defines, an unknown name is

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
+from cuq._base import _BLOCK_ROWS
 from cuq.analytic import restore_units
-from cuq.fit import (_BLOCK_ROWS, AsymmetryDataset, DatasetFormatError,
-                     FitResult, RankDeficientDesign, _csv_blocks, estimate_r,
+from cuq.fit import (AsymmetryDataset, DatasetFormatError, FitResult,
+                     RankDeficientDesign, _csv_blocks, estimate_r,
                      fit_fourier_modes, fit_result_to_json, load_dataset,
                      save_dataset, synthesize_dataset)
 from cuq.fourier import closed_form_cn, closed_form_d0
@@ -277,6 +278,21 @@ class TestREstimation:
         assert out.per_ratio[0].r_err == math.inf
         assert not out.has_estimate
         assert "all ratios unreliable" in out.diagnostics
+
+    def test_exact_ratios_give_their_plain_mean(self):
+        # error-free closed-form coefficients: every r error is 0, so no
+        # ratio can be weighted and the estimate is their plain mean
+        r = 0.85
+        coeffs = [closed_form_d0(r)] + [closed_form_cn(n, r)
+                                        for n in (1, 2, 3)]
+        fit = FitResult(coefficients=np.array(coeffs), errors=np.zeros(4),
+                        covariance=np.zeros((4, 4)), chi2=0.0, dof=5,
+                        omega=1.0)
+        out = estimate_r(fit)
+        assert all(e.reliable and e.r_err == 0.0 for e in out.per_ratio)
+        assert out.weighted_r == np.mean([e.r_hat for e in out.per_ratio])
+        assert out.weighted_r == pytest.approx(r, abs=1e-12)
+        assert out.weighted_r_err == 0.0
 
     def test_diagnostics_when_hopeless(self):
         rng = np.random.default_rng(2)

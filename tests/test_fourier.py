@@ -145,6 +145,18 @@ class TestAnharmonicity:
         _, r_err = r_from_anharmonicity(est)
         assert r_err == pytest.approx(0.005, rel=1e-12)
 
+    @pytest.mark.parametrize("ratio, ratio_err, n, kind, r_err", [
+        (np.inf, 0.0, 0, SeriesKind.EVEN, 0.0),
+        (-np.inf, 0.0, 0, SeriesKind.EVEN, 0.0),
+        (np.inf, 0.1, 0, SeriesKind.EVEN, np.nan),
+        (np.inf, 0.0, 1, SeriesKind.ODD, np.nan),
+    ])
+    def test_infinite_ratio_is_r_zero(self, ratio, ratio_err, n, kind, r_err):
+        # |ratio| = inf is the r -> 0 limit of both inversions; only an
+        # exact D_0 has an exact error there
+        est = AnharmonicityEstimate(ratio, ratio_err, n, kind)
+        np.testing.assert_equal(r_from_anharmonicity(est), (0.0, r_err))
+
     def test_unreliable_when_denominator_drowns(self):
         spec = closed_form_spectrum(0.85, 3)
         noisy = type(spec)(d0=spec.d0, coeffs=spec.coeffs, kind=spec.kind,

@@ -136,6 +136,14 @@ class TestEvolve:
         assert traj.taus[1] >= 1e-3
         assert traj.controller_stats["n_fev"] < 3487
 
+    def test_tiny_r_is_a_step_underflow_not_an_overflow_warning(self):
+        # every trial step of h >= 1e-14 overflows the field at r = 1e-20:
+        # the non-finite error estimate rejects it, and under the suite's
+        # error::RuntimeWarning the overflow is not raised in its place
+        m = perp_model(1e-20)
+        with pytest.raises(StepSizeUnderflow, match="tau=0.0"):
+            evolve(m, m.gamma, 1.0)
+
     @pytest.mark.parametrize("r", [0.9, 0.95, 0.99])
     def test_repelling_pure_state_at_180_degrees_stays_in_the_ball(self, r):
         # e is an exact fixed point once sin(180 degrees) is exactly 0; a

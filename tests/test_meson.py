@@ -239,6 +239,11 @@ class TestInversion:
             BlochParameters(*fields)
         assert not isinstance(info.value, UnphysicalObservables)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, -5e-324])
+    def test_rejects_non_positive_r(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            BlochParameters(r, 90.0, 1.0)
+
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalObservables):
             MesonObservables(delta_E=-1.0, delta_Gamma=0.0, q_over_p=1.0)
@@ -261,6 +266,10 @@ class TestDamping:
         # overdamped model with a stationary state
         assert classify_damping(1.0 + 1e-13) is Damping.OVERDAMPED
         assert classify_damping(1.0 - 5e-13) is Damping.OSCILLATORY
+        # the domain is 0 < r < inf, as for every r
+        for r in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                classify_damping(r)
 
 
 class TestCatalogue:

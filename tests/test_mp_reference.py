@@ -24,7 +24,7 @@ term; 6,000 further draws gave at most 1.06.
 `asymptotic_state` and `evolve_to_asymptote` from the mixed state are held
 to the Bloch vector of M M^dagger, M = mu I + n.sigma, at 40 digits, as
 the largest absolute error of a component.  The bound is 2 eps times
-1 + |n|/|mu|.  Both read mu off `core._scaled_split`, whose s - q =
+1 + |n|/|mu|.  Both read mu off `_base._scaled_split`, whose s - q =
 (r - 1)/r is rounded once, so 1 - 1/r^2 no longer cancels.  The factor
 is there because the reference takes the model's floats literally, and a
 float gamma is of unit length only to about an ulp: that moves n.n by
