@@ -40,7 +40,7 @@ def _check_r_oscillatory(r: float):
         raise ValueError(f"r must be in (0, 1) for an oscillating qubit, got {r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CuqClock:
     """Dimensionless oscillation period and angular frequency."""
 
@@ -110,11 +110,11 @@ def cuq_projections(tau, r: float):
     b.gamma       = sqrt(1-r^2) sin(w tau) / (1 - r cos(w tau))
     b.(e x gamma) = (cos(w tau) - r) / (1 - r cos(w tau))
     """
-    w = cuq_clock(r).omega_hat
-    tau = np.asarray(tau, dtype=float)
-    denom = 1.0 - r * np.cos(w * tau)
-    b_gamma = np.sqrt(_one_minus_r2(r)) * np.sin(w * tau) / denom
-    b_exg = (np.cos(w * tau) - r) / denom
+    phase = cuq_clock(r).omega_hat * np.asarray(tau, dtype=float)
+    cos = np.cos(phase)
+    denom = 1.0 - r * cos
+    b_gamma = np.sqrt(_one_minus_r2(r)) * np.sin(phase) / denom
+    b_exg = (cos - r) / denom
     return b_gamma, b_exg
 
 
@@ -125,7 +125,7 @@ class AsymptoticBranch(Enum):
     CRITICAL_NO_STATIONARY = "critical-no-stationary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsymptoticState:
     b_star: np.ndarray | None
     alpha: float
@@ -199,7 +199,7 @@ def mixed_magnitude_vs_angle(phi, r: float):
     return -2.0 * r * s / (1.0 + r * r * s * s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedEllipse:
     """Ellipse traced by the fully mixed trajectory, centred on the
     e x gamma axis at -r/(1+r^2)."""

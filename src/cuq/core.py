@@ -56,7 +56,7 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochState:
     """Co-decaying Bloch vector b, checked finite with |b| <= 1 + STATE_EPS."""
 
@@ -101,9 +101,12 @@ class QubitModel:
                    degrees: bool = False) -> "QubitModel":
         """Build a model in the CPT basis: e along x, gamma in the x-y plane.
 
-        For theta_eg = 90 deg this puts e x gamma on the +z axis, so the
-        third Bloch component is the flavour asymmetry.  In degrees gamma
-        is exact at multiples of 90: on an axis, with no rounding tilt.
+        For theta_eg = 90 deg this puts e x gamma on the +z axis.  At any
+        angle the third Bloch component is the flavour asymmetry
+        P(M0bar) - P(M0): M0bar is the north pole, M0 the south pole, and
+        `meson`'s |q/p| weights the flip M0 -> M0bar (the textbook |q/p|).
+        In degrees gamma is exact at multiples of 90: on an axis, with no
+        rounding tilt.
         """
         if not math.isfinite(theta_eg):
             raise ValueError(f"theta_eg must be finite, got {theta_eg}")
@@ -132,7 +135,7 @@ def _is_cuq(model: QubitModel) -> bool:
     return model.r < 1.0 and model.e @ model.gamma == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Trace-normalised 2x2 density matrix, checked to be Hermitian with
     eigenvalues in [0, 1]; the type of the matrix-equation cross-check."""

@@ -42,7 +42,7 @@ __all__ = [
 CSV_HEADER = ("t_ps", "asymmetry", "sigma")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsymmetryDataset:
     """Time series of flavour asymmetry with 1-sigma errors.
 
@@ -106,7 +106,7 @@ def load_dataset(path, omega: float) -> AsymmetryDataset:
             t, d, s = (float(p) for p in parts)
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not np.all(np.isfinite((t, d, s))):
+        if not (math.isfinite(t) and math.isfinite(d) and math.isfinite(s)):
             raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
         if s <= 0.0:
             raise DatasetFormatError(f"{path}:{lineno}: sigma must be > 0")
@@ -314,7 +314,7 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
                      omega=data.omega, label=data.label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RExtraction:
     """Per-ratio damping estimates and their inverse-variance average."""
 
@@ -325,7 +325,7 @@ class RExtraction:
 
     @property
     def has_estimate(self) -> bool:
-        return np.isfinite(self.weighted_r)
+        return math.isfinite(self.weighted_r)
 
 
 def estimate_r(fit: FitResult, amplitude_correction: float | None = None

@@ -43,7 +43,7 @@ class SeriesKind(Enum):
     EVEN = "even"  # d0 + cos(n w tau) series of b.(e x gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FourierSpectrum:
     """d0 plus coefficients for n = 1..N, optionally with 1-sigma errors."""
 
@@ -139,7 +139,7 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
         M, prev = 2 * M, coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnharmonicityEstimate:
     """Ratio of consecutive coefficients with its propagated uncertainty."""
 

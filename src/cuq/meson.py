@@ -18,6 +18,13 @@ t = tanh(ln|q/p|), the inverse is
     r e^{-i theta} = (i t Re w - Im w) / (Re w + i t Im w)
     |E|            = cosh(ln|q/p|) |Re w + i t Im w|
 
+The flavour states are the poles of the third Bloch axis in the basis of
+`QubitModel.from_angle`: M0bar is the north pole b_3 = +1 and M0 the south
+pole, so b_3 = P(M0bar) - P(M0), and |q/p| is the textbook one.  In the
+Lee-Oehme-Yang rates |g+-(t)|^2 ~ cosh(Delta Gamma t/2) +- cos(Delta E t),
+at t = tau/(2 r |E|), a tagged M0 stays with weight |g+|^2 and turns into
+M0bar with |q/p|^2 |g-|^2; a tagged M0bar turns into M0 with |p/q|^2 |g-|^2.
+
 The module also carries the catalogue of the four well-measured systems
 (PDG 2024 central values with 1-sigma errors) in both parameterisations.
 """
@@ -54,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MesonObservables:
     """(Delta E, Delta Gamma, |q/p|) in 1/ps.  Delta E >= 0 by convention;
     Delta Gamma is signed (the principal square-root branch makes it
@@ -74,7 +81,7 @@ class MesonObservables:
             raise UnphysicalObservables("|q/p| must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochParameters:
     """(r, theta_eg in degrees, |E| in 1/ps)."""
 
@@ -118,7 +125,7 @@ def observables_from_bloch(p: BlochParameters) -> MesonObservables:
                             q_over_p=(num / den) ** 0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochInversion:
     """Preferred solution plus the mirror branch (theta -> 180 - theta,
     equivalently a flipped Delta Gamma sign)."""
@@ -172,7 +179,8 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
 
 
 def flavour_asymmetry(state: BlochState) -> float:
-    """delta(t) = b_3, the e x gamma projection in the CPT basis."""
+    """delta(t) = b_3 = P(M0bar) - P(M0), the e x gamma projection in the
+    CPT basis at theta_eg = 90 degrees."""
     return float(state.b[2])
 
 
@@ -192,7 +200,7 @@ def classify_damping(r: float) -> Damping:
     return Damping.OSCILLATORY if r < 1.0 else Damping.OVERDAMPED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MesonCatalogueEntry:
     """One meson system with printed central values and symmetric errors."""
 

@@ -301,6 +301,27 @@ class TestFourier:
         assert run(["--output-dir", str(tmp_path), "fourier",
                     "--r", "0.999999999", "--n-max", "2"]) == 4
 
+    # q^(2^16) crosses 1e-12 between the two middle values of r, so the
+    # second samples and gives up and the third exits with no sample; the
+    # exit codes are those the trapezoid rule gives at every r, and an
+    # out-of-range --n-max stays a flag error
+    @pytest.mark.parametrize("r, n_max, code, sampled", [
+        ("0.9999", "0", 0, True),
+        ("0.9999999111200134", "0", 4, True),
+        ("0.9999999111200135", "0", 4, False),
+        ("0.9999999999999999", "0", 4, False),
+        ("0.9999999999999999", "65", 2, True)])
+    def test_exits_before_sampling_where_the_rule_cannot_converge(
+            self, tmp_path, monkeypatch, r, n_max, code, sampled):
+        import cuq.fourier
+        calls = []
+        quadrature = cuq.fourier.quadrature_spectrum
+        monkeypatch.setattr(cuq.fourier, "quadrature_spectrum",
+                            lambda *a: calls.append(a) or quadrature(*a))
+        assert run(["--output-dir", str(tmp_path), "fourier",
+                    "--r", r, "--n-max", n_max]) == code
+        assert bool(calls) == sampled
+
 
 class TestConvert:
     def test_forward(self, capsys):

@@ -237,7 +237,7 @@ class TestREstimation:
     def test_noiseless_recovery(self):
         fit = fit_fourier_modes(reference_dataset(), 3)
         out = estimate_r(fit)
-        assert out.has_estimate
+        assert out.has_estimate is True  # a bool, which json.dumps takes
         assert out.weighted_r == pytest.approx(R_REF, abs=1e-5)
 
     def test_noisy_recovery_within_errors(self):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cuq.core import BlochState
+from cuq.core import BlochState, QubitModel
+from cuq.integrate import propagate
 from cuq.meson import (BlochParameters, Damping, MesonObservables,
                        UnphysicalObservables, bloch_from_observables,
                        catalogue, catalogue_rows, catalogue_to_csv,
@@ -251,10 +252,70 @@ class TestInversion:
             MesonObservables(delta_E=1.0, delta_Gamma=0.0, q_over_p=-0.5)
 
 
+EPS = np.finfo(float).eps
+# The textbook rates against `propagate`, as the absolute error of b_3 in
+# eps times (1 + |Delta Gamma t/2| + |Delta E t|) max(|q/p|^2, |p/q|^2):
+# the first factor is the rounded phases of cosh and cos, the second the
+# flip weight, which grows next to the exceptional point r = 1, theta =
+# +-90, where cosh - cos cancels and `propagate`'s U turns a rounding into
+# a phase error.  Over 80,000 draws from the ranges below (four seeds,
+# with r and theta within 1e-16 to 1e-2 and 1e-14 to 1 of the special
+# points), the worst case was 2.49, so the bound has a headroom of 2.0;
+# the catalogue cases reach 1.7.
+LOY_BOUND = 5.0
+
+
+def _loy_error(o, r, theta, E, pole, taus):
+    """The largest error of `propagate`'s b_3 from the pole against the
+    Lee-Oehme-Yang asymmetry of the observables o, in units of its bound.
+
+    The state tagged at `pole` (+1 is M0bar, -1 is M0) stays with weight
+    cosh(Delta Gamma t/2) + cos(Delta E t) and flips with k (cosh - cos),
+    k = |p/q|^2 from M0bar and |q/p|^2 from M0, at t = tau/(2 r |E|)."""
+    taus = np.asarray(taus, dtype=float)
+    got = propagate(QubitModel.from_angle(r, theta, degrees=True),
+                    [0.0, 0.0, pole], taus)[:, 2]
+    t = taus / (2.0 * r * E)
+    x, y = o.delta_Gamma * t / 2.0, o.delta_E * t
+    k = o.q_over_p ** (-2.0 * pole)
+    stay, flip = np.cosh(x) + np.cos(y), k * (np.cosh(x) - np.cos(y))
+    want = pole * (stay - flip) / (stay + flip)
+    cond = (1.0 + np.abs(x) + np.abs(y)) * max(k, 1.0 / k)
+    return np.max(np.abs(got - want) / (LOY_BOUND * EPS * cond))
+
+
+def _near(points, width):
+    return st.tuples(st.sampled_from(points),
+                     st.floats(-width, width)).map(sum)
+
+
 class TestAsymmetry:
     def test_reads_third_component(self):
         s = BlochState(b=[0.1, -0.2, 0.45])
         assert flavour_asymmetry(s) == pytest.approx(0.45)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x),
+                     _near([1.0], 1e-2)),
+           st.one_of(st.floats(-180.0, 180.0, exclude_min=True),
+                     _near([0.0, 90.0, -90.0, 180.0], 1e-3)),
+           st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x),
+           st.sampled_from([1.0, -1.0]), st.floats(0.0, 100.0))
+    def test_dynamics_give_the_textbook_rates(self, r, theta, E, pole, t):
+        # t is tau in units of min(r, 1), the time the state turns in
+        assume(not (r == 1.0 and abs(theta) == 90.0))  # |q/p| is 0 or inf
+        o = observables_from_bloch(BlochParameters(r, theta, E))
+        assert _loy_error(o, r, theta, E, pole, [t * min(r, 1.0)]) <= 1.0
+
+    @pytest.mark.parametrize("entry", catalogue(), ids=lambda e: e.name)
+    def test_catalogue_dynamics_give_the_printed_rates(self, entry):
+        # both branches: the textbook rates read Delta Gamma through cosh
+        inv = bloch_from_observables(entry.observables)
+        for p in (inv.params, inv.mirror):
+            taus = np.linspace(0.0, 100.0 * min(p.r, 1.0), 201)
+            for pole in (1.0, -1.0):
+                assert _loy_error(entry.observables, p.r, p.theta_eg_deg,
+                                  p.E_mag, pole, taus) <= 1.0
 
 
 class TestDamping:
