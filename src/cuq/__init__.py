@@ -28,8 +28,7 @@ _EXPORTS = {
                 "closed_form_cn", "closed_form_d0", "closed_form_spectrum",
                 "correct_effective_r", "quadrature_spectrum",
                 "r_from_anharmonicity"),
-    "integrate": ("NON_CONVERGENT", "Trajectory", "evolve",
-                  "evolve_to_asymptote", "propagate"),
+    "integrate": ("NON_CONVERGENT", "evolve_to_asymptote", "propagate"),
     "meson": ("BlochParameters", "Damping", "MesonObservables",
               "bloch_from_observables", "catalogue", "classify_damping",
               "flavour_asymmetry", "observables_from_bloch"),

@@ -30,7 +30,7 @@ class RankDeficientDesign(RuntimeError):
 
 
 class QuadratureNotConverged(RuntimeError):
-    """The trapezoid coefficients did not settle within 2^16 nodes."""
+    """The trapezoid coefficients did not settle within the node cap."""
 
 
 class UnphysicalObservables(ValueError):

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._base import _one_minus_r2, _scaled_split
+from ._base import _check_r, _one_minus_r2, _scaled_split
 from .core import QubitModel, _generator, _is_cuq
 
 __all__ = [
@@ -38,6 +38,14 @@ __all__ = [
 def _check_r_oscillatory(r: float):
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must be in (0, 1) for an oscillating qubit, got {r}")
+
+
+def _finite(name: str, x) -> np.ndarray:
+    """x as a float array, which must hold no inf or nan."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,13 +73,19 @@ def cuq_clock(r: float) -> CuqClock:
 def restore_units(r: float, E_mag: float) -> tuple[float, float]:
     """Physical period [ps] and angular frequency [1/ps].
 
-    P = pi / (|E| sqrt(1 - r^2)), omega = 2 |E| sqrt(1 - r^2).
+    P = pi / (|E| sqrt(1 - r^2)), omega = 2 |E| sqrt(1 - r^2), in plain
+    floats; either one past the float range is an OverflowError.
     """
     _check_r_oscillatory(r)
-    if not E_mag > 0.0:
-        raise ValueError("E_mag must be positive")
-    root = np.sqrt(_one_minus_r2(r))
-    return np.pi / (E_mag * root), 2.0 * E_mag * root
+    if not 0.0 < E_mag < math.inf:
+        raise ValueError(f"E_mag must be positive and finite, got {E_mag}")
+    r, E_mag = float(r), float(E_mag)
+    scale = E_mag * math.sqrt(_one_minus_r2(r))
+    P = math.pi / scale if scale > 0.0 else math.inf
+    if max(P, 2.0 * scale) == math.inf:
+        raise OverflowError(f"the period or frequency overflows at r = {r!r}, "
+                            f"|E| = {E_mag!r}")
+    return P, 2.0 * scale
 
 
 def half_angle_slope(r: float) -> float:
@@ -91,7 +105,7 @@ def cuq_theta(tau, r: float):
     inversion; theta decreases by 2 pi every period.
     """
     clock = cuq_clock(r)
-    tau = np.asarray(tau, dtype=float)
+    tau = _finite("tau", tau)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)
     m = np.floor(t / clock.P_hat + 0.5)
@@ -176,7 +190,7 @@ def mixed_magnitude(tau, r: float):
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must be in (0, 1], got {r}")
-    u = np.asarray(tau, dtype=float)
+    u = _finite("tau", tau)
     if r < 1.0:
         w = cuq_clock(r).omega_hat
         u = 2.0 * np.sin(w * u / 2.0) / w
@@ -191,8 +205,7 @@ def mixed_magnitude_vs_angle(phi, r: float):
     only the lower half-plane); raises for queries off that branch.
     """
     _check_r_oscillatory(r)
-    phi = np.asarray(phi, dtype=float)
-    s = np.sin(phi)
+    s = np.sin(_finite("phi", phi))
     if np.any(s > 1e-12):
         raise ValueError("phi is outside the lower half-plane branch "
                          "(the formula would be negative)")
@@ -234,6 +247,8 @@ def polar_rates(b_mag: float, phi: float, r: float) -> tuple[float, float]:
     """
     if not (0.0 < b_mag <= 1.0):
         raise ValueError(f"|b| must be in (0, 1], got {b_mag}")
+    _check_r(r)
+    phi = _finite("phi", phi)
     db = (1.0 - b_mag * b_mag) * np.cos(phi)
     dphi = -1.0 / r - np.sin(phi) / b_mag
     return float(db), float(dphi)

@@ -181,24 +181,10 @@ def cmd_fourier(args) -> int:
     from . import analytic, fourier
     r, N = args.r, args.n_max
     clock = analytic.cuq_clock(r)
-    # The trapezoid rule's last test compares 2^15 and 2^16 nodes, where the
-    # even series still aliases about c_1 q^(2^15 - N).  Where q^(2^16) >
-    # 1e-12 (1 - r < 8.9e-8) that is at least 8.4e-10, 840 times the 1e-12
-    # it asks for (measured from the threshold up to the last float below
-    # 1), so no node is sampled; between there and 1 - r = 2e-7 the rule
-    # still samples before it gives up.  An --n-max outside [0, 64] stays
-    # the flag error that `quadrature_spectrum` raises.
-    rate = float(analytic.half_angle_slope(r)) ** 2 ** 16
-    if 0 <= N <= 64 and rate > 1e-12:
-        raise QuadratureNotConverged(
-            f"trapezoid spectrum cannot converge with {2 ** 16} nodes at "
-            f"r = {r!r}: q^{2 ** 16} = {rate!r} > 1e-12")
-    quad_odd = fourier.quadrature_spectrum(
-        lambda t: analytic.cuq_projections(t, r)[0], clock.P_hat, N,
-        fourier.SeriesKind.ODD)
-    quad_even = fourier.quadrature_spectrum(
-        lambda t: analytic.cuq_projections(t, r)[1], clock.P_hat, N,
-        fourier.SeriesKind.EVEN)
+    fourier._check_resolvable(r, N)
+    quad_odd, quad_even = (fourier.quadrature_spectrum(
+        lambda t, i=i: analytic.cuq_projections(t, r)[i], clock.P_hat, N,
+        kind) for i, kind in enumerate(fourier.SeriesKind))
     closed = fourier.closed_form_spectrum(r, N)
     d0_dev = abs(closed.d0 - quad_even.d0)
     devs = np.abs(closed.coeffs - [quad_odd.coeffs, quad_even.coeffs])

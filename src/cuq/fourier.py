@@ -37,6 +37,8 @@ __all__ = [
     "correct_effective_r",
 ]
 
+_MAX_NODES, _TOL, _MAX_ORDER = 2 ** 16, 1e-12, 64  # the trapezoid budget
+
 
 class SeriesKind(Enum):
     ODD = "odd"    # sin(n w tau) series of b.gamma
@@ -96,6 +98,8 @@ def closed_form_d0(r: float) -> float:
 
 def closed_form_spectrum(r: float, N: int) -> FourierSpectrum:
     """Exact even spectrum of the pure oscillation through order N."""
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     coeffs = np.array([closed_form_cn(n, r) for n in range(1, N + 1)])
     return FourierSpectrum(d0=closed_form_d0(r), coeffs=coeffs,
                            kind=SeriesKind.EVEN)
@@ -110,11 +114,11 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
     N + 1 coefficients come from one set of samples on the nodes
     t_j = -P_hat/2 + j P_hat/M.  M starts at max(64, 4N) and doubles,
     sampling only the new midpoints, until two successive coefficient
-    vectors agree to 1e-12.  d0 carries prefactor 1/P_hat, every n >= 1
+    vectors agree to _TOL.  d0 carries prefactor 1/P_hat, every n >= 1
     carries 2/P_hat.  The signal is called with one scalar at a time.
     """
-    if not 0 <= N <= 64:
-        raise ValueError(f"N must be in [0, 64], got {N}")
+    if not 0 <= N <= _MAX_ORDER:
+        raise ValueError(f"N must be in [0, {_MAX_ORDER}], got {N}")
     half = P_hat / 2.0
     M = max(64, 4 * N)
     f = np.array([signal(t) for t in -half + P_hat / M * np.arange(M)])
@@ -129,14 +133,24 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
         F = (-1.0) ** np.arange(N + 1) * np.fft.rfft(f)[:N + 1] / M
         coeffs = 2.0 * (F.real if kind is SeriesKind.EVEN else -F.imag)
         coeffs[0] = F[0].real
-        if prev is not None and np.max(np.abs(coeffs - prev)) <= 1e-12:
+        if prev is not None and np.max(np.abs(coeffs - prev)) <= _TOL:
             return FourierSpectrum(d0=coeffs[0], coeffs=coeffs[1:], kind=kind)
-        if 2 * M > 2 ** 16:
+        if 2 * M > _MAX_NODES:
             raise QuadratureNotConverged(
                 f"trapezoid spectrum not converged with {M} nodes")
         mids = [signal(t) for t in -half + P_hat / M * (np.arange(M) + 0.5)]
         f = np.column_stack([f, mids]).ravel()
         M, prev = 2 * M, coeffs
+
+
+def _check_resolvable(r: float, N: int) -> None:
+    """Raise `QuadratureNotConverged` where `quadrature_spectrum`'s last test,
+    in exact arithmetic at least the c_{_MAX_NODES/2 - N} of r it aliases into
+    order N, is past _TOL.  An N outside [0, _MAX_ORDER] is left to it."""
+    n = _MAX_NODES // 2 - N
+    if 0 <= N <= _MAX_ORDER and (c := float(closed_form_cn(n, r))) > _TOL:
+        raise QuadratureNotConverged(f"{_MAX_NODES} nodes cannot resolve r = "
+                                     f"{r!r}: c_{n} = {c!r} > {_TOL}")
 
 
 @dataclass(frozen=True, slots=True)

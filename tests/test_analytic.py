@@ -1,5 +1,8 @@
 """Closed-form kinematics against independent numerical oracles."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,7 @@ from cuq.analytic import (AsymptoticBranch, asymptotic_state, cuq_clock,
                           mixed_ellipse, mixed_magnitude,
                           mixed_magnitude_vs_angle, polar_rates,
                           restore_units)
+from cuq._base import _one_minus_r2
 from cuq.core import QubitModel, _generator
 from cuq.integrate import evolve, propagate
 
@@ -65,6 +69,33 @@ class TestClock:
         assert P == pytest.approx(np.pi / (2.0 * root), rel=1e-14)
         assert omega == pytest.approx(4.0 * root, rel=1e-14)
         assert P * omega == pytest.approx(2 * np.pi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(R_OSC, st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x))
+    def test_restore_units_keeps_the_numpy_bits(self, r, E):
+        # math.sqrt and np.sqrt are both correctly rounded, and 2 (|E| root)
+        # is (2 |E|) root wherever neither is past the float range
+        root = np.sqrt(_one_minus_r2(r))
+        assert restore_units(r, E) == (np.pi / (E * root), 2.0 * E * root)
+
+    @pytest.mark.parametrize("E", [np.inf, np.nan, 0.0, -1.0])
+    def test_restore_units_rejects_a_scale_that_is_not_positive_and_finite(
+            self, E):
+        with pytest.raises(ValueError, match="E_mag must be positive and "
+                                             "finite"):
+            restore_units(0.85, E)
+
+    @pytest.mark.parametrize("r, E", [(0.1, 1e308), (0.85, 1e-320)])
+    def test_restore_units_overflow_names_r_and_the_scale(self, r, E):
+        # omega = 2 |E| sqrt(1 - r^2) and P = pi / (|E| sqrt(1 - r^2))
+        with pytest.raises(OverflowError,
+                           match=re.escape(f"r = {r!r}, |E| = {E!r}")):
+            restore_units(r, E)
+
+    def test_restore_units_frequency_within_range_past_twice_the_scale(self):
+        # 2 |E| = 2e308 is past the float range, omega = 1.7e308 is not
+        assert restore_units(0.5, 1e308)[1] / 1e308 == pytest.approx(
+            math.sqrt(3.0))
 
     def test_rejects_overdamped(self):
         with pytest.raises(ValueError):
@@ -276,3 +307,22 @@ class TestPolarRates:
     def test_rejects_degenerate_radius(self):
         with pytest.raises(ValueError):
             polar_rates(0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_r_outside_its_domain(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            polar_rates(0.5, -1.0, r)
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, [0.0, np.nan]])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: cuq_theta(x, 0.5), "tau"),
+    (lambda x: mixed_magnitude(x, 0.5), "tau"),
+    (lambda x: mixed_magnitude(x, 1.0), "tau"),
+    (lambda x: mixed_magnitude_vs_angle(x, 0.5), "phi"),
+    (lambda x: polar_rates(0.5, x, 0.5), "phi")],
+    ids=["cuq_theta", "mixed_magnitude", "mixed_magnitude_at_1",
+         "mixed_magnitude_vs_angle", "polar_rates"])
+def test_non_finite_time_or_angle_is_a_value_error_naming_it(call, name, x):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call(x)

@@ -301,13 +301,19 @@ class TestFourier:
         assert run(["--output-dir", str(tmp_path), "fourier",
                     "--r", "0.999999999", "--n-max", "2"]) == 4
 
-    # q^(2^16) crosses 1e-12 between the two middle values of r, so the
-    # second samples and gives up and the third exits with no sample; the
-    # exit codes are those the trapezoid rule gives at every r, and an
-    # out-of-range --n-max stays a flag error
+    # no node is sampled where c_{2^15 - N} > 1e-12, the coefficient that
+    # the rule's last test (2^15 against 2^16 nodes) still aliases: near
+    # 1 - r = 2.05e-7 for N = 0, so 2.3e-7 converges and 1e-7 exits at once.
+    # For N >= 1 order N aliases from both sides, so at 1 - r = 2.14e-7,
+    # where c is 6.4e-13, the rule still samples and gives up.  The exit
+    # codes are those the rule gives at every r, and an out-of-range
+    # --n-max stays a flag error
     @pytest.mark.parametrize("r, n_max, code, sampled", [
         ("0.9999", "0", 0, True),
-        ("0.9999999111200134", "0", 4, True),
+        ("0.99999977", "0", 0, True),
+        ("0.999999786", "2", 4, True),
+        ("0.9999999", "0", 4, False),
+        ("0.9999999111200134", "0", 4, False),
         ("0.9999999111200135", "0", 4, False),
         ("0.9999999999999999", "0", 4, False),
         ("0.9999999999999999", "65", 2, True)])
@@ -702,21 +708,17 @@ def _modules_after(code, package, *args):
                           check=True).stderr.strip()
 
 
-def _scipy_modules_after(code, *args):
-    return _modules_after(code, "scipy", *args)
-
-
 class TestImport:
     def test_runtime_path_loads_no_scipy(self):
-        assert _scipy_modules_after("import cuq, cuq.cli") == ""
+        assert _modules_after("import cuq, cuq.cli", "scipy") == ""
 
     def test_cold_fit_loads_no_scipy(self, tmp_path):
         # p-values included
         code = ("from cuq.cli import main; "
                 "assert main(['--output-dir', sys.argv[2], 'fit', '--data', "
                 "sys.argv[3], '--omega', '0.8', '--n-harmonics', '3']) == 0")
-        assert _scipy_modules_after(
-            code, str(tmp_path), str(DATA / "fit_golden" / "data.csv")) == ""
+        assert _modules_after(code, "scipy", str(tmp_path),
+                              str(DATA / "fit_golden" / "data.csv")) == ""
         assert (tmp_path / "fit.json").exists()
 
     def test_import_cuq_loads_no_numpy(self):

@@ -44,6 +44,11 @@ class TestClosedForms:
         assert spec.d0 == pytest.approx(-0.5567262498321918)
         assert spec.coefficient(3) == pytest.approx(closed_form_cn(3, 0.85))
 
+    def test_spectrum_rejects_negative_order(self):
+        # as quadrature_spectrum does, rather than returning no coefficients
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            closed_form_spectrum(0.85, -1)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("r", R_GRID)
