@@ -1,17 +1,22 @@
 """The numpy-free base of the package: exact scalar forms, the checks of
 r and |b|, the one CSV writer and the exceptions that `cli.main` maps to
-exit codes.
+exit codes, plus the float level of `meson`: the checks of its two value
+types, the forward and inverse maps, `Damping` and the PDG table.
 
 Every module imports these names from here alone; `fit`, `fourier` and
-`meson` list the exceptions in their `__all__`, so each keeps its identity
-wherever it is imported from.  `cli` reads only this module at import, so
-`cuq convert`, `cuq catalogue` and `cuq sweep-bmax` run on the standard
-library alone.
+`meson` list the exceptions in their `__all__`, and `meson` re-exports
+`Damping`, `classify_damping` and the catalogue writers, so each keeps its
+identity wherever it is imported from.  `cli` reads only this module at
+import, so `cuq convert`, `cuq catalogue` and `cuq sweep-bmax` run on the
+standard library alone, with neither numpy nor `dataclasses`.
 """
 
 from __future__ import annotations
 
+import cmath
+import json
 import math
+from enum import Enum
 
 # rows per block wherever a table of times is evaluated or written
 _BLOCK_ROWS = 4096
@@ -92,3 +97,128 @@ def _csv_blocks(columns: dict):
         rows = zip(*(b.tolist() if hasattr(b, "tolist") else b
                      for b in blocks), strict=True)
         yield "".join([",".join(map(str, row)) + "\n" for row in rows])
+
+
+def _check_observables(delta_E: float, delta_Gamma: float,
+                       q_over_p: float) -> None:
+    """The checks of `meson.MesonObservables`, in its order."""
+    if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)
+            and math.isfinite(q_over_p)):
+        raise ValueError(f"observables must be finite, got delta_E="
+                         f"{delta_E!r}, delta_Gamma={delta_Gamma!r}, "
+                         f"q_over_p={q_over_p!r}")
+    if delta_E < 0.0:
+        raise UnphysicalObservables("delta_E must be >= 0 by convention")
+    if not q_over_p > 0.0:
+        raise UnphysicalObservables("|q/p| must be positive")
+
+
+def _check_bloch_parameters(r: float, theta_eg_deg: float,
+                            E_mag: float) -> None:
+    """The checks of `meson.BlochParameters`, in its order."""
+    if not (math.isfinite(r) and math.isfinite(theta_eg_deg)
+            and math.isfinite(E_mag)):
+        raise ValueError(f"Bloch parameters must be finite, got r={r!r}, "
+                         f"theta_eg_deg={theta_eg_deg!r}, E_mag={E_mag!r}")
+    _check_r(r)
+    if not E_mag > 0.0:
+        raise ValueError("E_mag must be positive")
+
+
+def _forward(r: float, theta_deg: float,
+             E_mag: float) -> tuple[float, float, float]:
+    """(Delta E, Delta Gamma, |q/p|) of `meson.observables_from_bloch`,
+    whose docstring gives the forms, from checked parameters."""
+    s, q, s_q = _scaled_split(r)
+    cos = _sincosd(theta_deg)[0]
+    z = cmath.sqrt(complex(-s_q * (s + q), -2.0 * cos * s * q))  # z/m
+    # Python floats: an overflowing product is inf, with no RuntimeWarning
+    scale = E_mag * max(r, 1.0)
+    delta_E, delta_Gamma = scale * (2.0 * z.real), scale * (-4.0 * z.imag)
+    if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
+        raise OverflowError(f"Delta E or Delta Gamma overflows at "
+                            f"r = {r!r}, |E| = {E_mag!r}")
+    num = s_q ** 2 + 4.0 * s * q * _sincosd((90.0 - theta_deg) / 2)[1] ** 2
+    den = s_q ** 2 + 4.0 * s * q * _sincosd((90.0 + theta_deg) / 2)[1] ** 2
+    if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
+        raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
+    return delta_E, delta_Gamma, (num / den) ** 0.25
+
+
+def _inverse(delta_E: float, delta_Gamma: float, q_over_p: float
+             ) -> tuple[float, float, float, float, bool]:
+    """(r, theta, theta_mirror, |E|, forced CUQ branch) of
+    `meson.bloch_from_observables`, whose docstring gives the forms, from
+    checked observables."""
+    k = math.frexp(max(delta_E, abs(delta_Gamma)))[1] - 1
+    scale = 2.0 ** k
+    w_re, w_im = delta_E / scale / 2.0, -delta_Gamma / scale / 4.0
+    t = math.tanh(math.log(q_over_p))
+    num, den = complex(-w_im, t * w_re), complex(w_re, t * w_im)
+    if num == 0.0 or den == 0.0:  # r = 0 or r = inf
+        raise UnphysicalObservables("observables admit no r in (0, inf)")
+    zeta = num / den  # r e^{-i theta}
+    m, e = math.frexp(q_over_p)  # cosh(ln Q) = 2^|e| (Q 2^-|e| + 2^-|e|/Q)/2
+    cosh = (math.ldexp(m, e - abs(e)) + math.ldexp(1.0 / m, -e - abs(e))) / 2.0
+    pm, pe = math.frexp(cosh * abs(den))
+    pe += abs(e) + k  # |E| = pm 2^pe with pm < 1, finite for pe <= 1024
+    E_mag = math.ldexp(pm, pe) if pe <= 1024 else math.inf
+    if E_mag in (0.0, math.inf):
+        raise OverflowError(f"|E| {'over' if E_mag else 'under'}flows at "
+                            f"Delta E = {delta_E!r}, |q/p| = {q_over_p!r}")
+    r, s = abs(zeta), 0.0 - zeta.imag  # never -0.0: |q/p| = 1 gives theta 0
+    theta = math.degrees(math.atan2(s, zeta.real))
+    theta_mirror = math.degrees(math.atan2(s, -zeta.real))
+    if abs(theta) == 90.0 and delta_Gamma < 0.0:
+        theta = math.copysign(math.nextafter(90.0, 180.0), theta)
+        theta_mirror = math.copysign(180.0, theta) - theta
+    return r, theta, theta_mirror, E_mag, delta_Gamma == 0.0
+
+
+class Damping(Enum):
+    OSCILLATORY = "oscillatory"
+    CRITICAL = "critical"
+    OVERDAMPED = "overdamped"
+
+
+def classify_damping(r: float) -> Damping:
+    """r < 1 oscillates, r = 1 is the non-diagonalisable boundary, r > 1
+    approaches its long-lived state without oscillation; decided on the
+    float r exactly, as the exact forms decide it."""
+    _check_r(r)
+    if r == 1.0:
+        return Damping.CRITICAL
+    return Damping.OSCILLATORY if r < 1.0 else Damping.OVERDAMPED
+
+
+# PDG 2024 mixing data and the equivalent Bloch-sphere parameterisation,
+# one printed row per system.  Delta Gamma is quoted as a magnitude;
+# theta_eg = -90 +- 90 for Bd0 is stored as printed even though the error
+# is degenerate.
+_COLUMNS = ("system", "delta_E", "delta_E_err", "delta_Gamma",
+            "delta_Gamma_err", "q_over_p_minus_1", "q_over_p_minus_1_err",
+            "r", "r_err", "theta_eg_deg", "theta_eg_deg_err", "E_mag",
+            "E_mag_err")
+_TABLE = (
+    ("K0", 0.005293, 9e-6, 0.01, 5e-6, -0.003239, 1e-6,
+     0.945, 2e-3, 179.6322, 1e-4, 2.64652e-3, 7e-8),
+    ("D0", 0.01, 0.001, 0.03, 0.003, -5.00e-3, 0.04e-3,
+     1.5, 0.2, 179.0, 2.0, 5.00e-3, 0.04e-3),
+    ("Bd0", 0.5069, 0.0019, 0.7e-3, 7e-3, 1.0e-3, 0.8e-3,
+     1e-3, 4e-3, -90.0, 90.0, 0.253, 0.001),
+    ("Bs0", 17.765, 0.006, 0.084, 0.005, 0.1e-3, 1.4e-3,
+     2.4e-3, 0.2e-3, 182.7, 33.8, 8.9, 0.1),
+)
+
+
+def catalogue_rows() -> list[dict]:
+    """The printed table, one dict per system keyed by column name."""
+    return [dict(zip(_COLUMNS, row)) for row in _TABLE]
+
+
+def catalogue_to_csv() -> str:
+    return "".join(_csv_blocks(dict(zip(_COLUMNS, zip(*_TABLE)))))
+
+
+def catalogue_to_json() -> str:
+    return json.dumps(catalogue_rows(), indent=2)

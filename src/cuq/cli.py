@@ -3,9 +3,10 @@
 Every subcommand emits plot-ready CSV and/or machine-readable JSON into
 --output-dir and is deterministic given its flags.  Exit
 codes: 0 success, 2 flag error, 3 data error, 4 numerical failure.
-Each subcommand imports the modules it uses when it runs, so `convert`
-and `catalogue` load no numpy, and `sweep-bmax`, whose peak is a closed
-form in `math`, needs nothing beyond `_base`.
+Each subcommand imports the modules it uses when it runs.  `convert`,
+`catalogue` and `sweep-bmax` need nothing beyond `_base`, which holds the
+meson maps, their checks and the PDG table, so they load neither numpy
+nor `dataclasses`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._base import (DatasetFormatError, QuadratureNotConverged,
-                    RankDeficientDesign, UnphysicalObservables, _check_r,
-                    _check_size, _csv_blocks, _one_minus_r2, _scaled_split)
+                    RankDeficientDesign, UnphysicalObservables,
+                    _check_bloch_parameters, _check_observables, _check_r,
+                    _check_size, _csv_blocks, _forward, _inverse,
+                    _one_minus_r2, _scaled_split, catalogue_to_csv,
+                    catalogue_to_json, classify_damping)
 
 if TYPE_CHECKING:  # annotations only
     import numpy as np
@@ -218,25 +222,25 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    from . import meson
+    # the checks and forms of meson's typed maps, on floats from _base
     if args.from_bloch:
         r, theta, E = args.from_bloch
-        params = meson.BlochParameters(r=r, theta_eg_deg=theta, E_mag=E)
-        obs = meson.observables_from_bloch(params)
+        _check_bloch_parameters(r, theta, E)
+        de, dg, qop = _forward(r, theta, E)
+        _check_observables(de, dg, qop)
         branch_note = ""
     else:
         de, dg, qop = args.from_observables
-        obs = meson.MesonObservables(delta_E=de, delta_Gamma=dg, q_over_p=qop)
-        inv = meson.bloch_from_observables(obs)
-        params = inv.params
-        branch_note = (f"mirror branch: theta = {inv.mirror.theta_eg_deg:.6g} deg"
-                       + (" (CUQ branch forced)" if inv.forced_cuq_branch else ""))
+        _check_observables(de, dg, qop)
+        r, theta, theta_mirror, E, forced = _inverse(de, dg, qop)
+        _check_bloch_parameters(r, theta, E)
+        _check_bloch_parameters(r, theta_mirror, E)
+        branch_note = (f"mirror branch: theta = {theta_mirror:.6g} deg"
+                       + (" (CUQ branch forced)" if forced else ""))
     out = {
-        "observables": {"delta_E": obs.delta_E, "delta_Gamma": obs.delta_Gamma,
-                        "q_over_p": obs.q_over_p},
-        "bloch": {"r": params.r, "theta_eg_deg": params.theta_eg_deg,
-                  "E_mag": params.E_mag},
-        "damping": meson.classify_damping(params.r).value,
+        "observables": {"delta_E": de, "delta_Gamma": dg, "q_over_p": qop},
+        "bloch": {"r": r, "theta_eg_deg": theta, "E_mag": E},
+        "damping": classify_damping(r).value,
     }
     if branch_note:
         out["branch"] = branch_note
@@ -275,13 +279,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_catalogue(args) -> int:
-    from . import meson
     if args.format == "json":
-        _write(Path(args.output_dir) / "catalogue.json",
-               [meson.catalogue_to_json()])
+        _write(Path(args.output_dir) / "catalogue.json", [catalogue_to_json()])
     else:
-        _write(Path(args.output_dir) / "catalogue.csv",
-               [meson.catalogue_to_csv()])
+        _write(Path(args.output_dir) / "catalogue.csv", [catalogue_to_csv()])
     return EXIT_OK
 
 

@@ -48,7 +48,8 @@ def _pauli(v) -> np.ndarray:
 
 
 def _as_vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    """A checked copy of x, so no later write by the caller reaches it."""
+    v = np.array(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a real 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -56,24 +57,34 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, a copy that a frozen value type checked and now owns, marked
+    read-only so the invariant it checked holds for the value's life."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, slots=True)
 class BlochState:
-    """Co-decaying Bloch vector b, checked finite with |b| <= 1 + STATE_EPS."""
+    """Co-decaying Bloch vector b, checked finite with |b| <= 1 + STATE_EPS;
+    b is a read-only copy of the caller's vector."""
 
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _as_vec3(self.b))
-        _check_size(math.hypot(*self.b))  # no overflow where |b| is finite
+        b = _as_vec3(self.b)
+        _check_size(math.hypot(*b))  # no overflow where |b| is finite
+        object.__setattr__(self, "b", _read_only(b))
 
 
 @dataclass(frozen=True)
 class QubitModel:
     """Effective-Hamiltonian decomposition over the Pauli basis.
 
-    e and gamma are the unit energy and decay directions, r = |Gamma|/(2|E|).
-    In dimensionless time nothing else enters: |E| comes in with units
-    (`meson.BlochParameters`), and the trace parts of H_eff drop out.
+    e and gamma are the unit energy and decay directions, r = |Gamma|/(2|E|),
+    held as read-only copies.  In dimensionless time nothing else enters:
+    |E| comes in with units (`meson.BlochParameters`), and the trace parts
+    of H_eff drop out.
     """
 
     e: np.ndarray
@@ -87,14 +98,15 @@ class QubitModel:
             raise ValueError("e must be a unit vector")
         if abs(np.linalg.norm(g) - 1.0) > _UNIT_TOL:
             raise ValueError("gamma must be a unit vector")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "gamma", g)
         _check_r(self.r)
+        object.__setattr__(self, "e", _read_only(e))
+        object.__setattr__(self, "gamma", _read_only(g))
 
     @cached_property
     def e_cross_gamma(self) -> np.ndarray:
-        """e x gamma, computed on first access."""
-        return np.cross(self.e, self.gamma)
+        """e x gamma, computed on first access and read-only, as e and
+        gamma are."""
+        return _read_only(np.cross(self.e, self.gamma))
 
     @classmethod
     def from_angle(cls, r: float, theta_eg: float, *,
@@ -138,12 +150,13 @@ def _is_cuq(model: QubitModel) -> bool:
 @dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Trace-normalised 2x2 density matrix, checked to be Hermitian with
-    eigenvalues in [0, 1]; the type of the matrix-equation cross-check."""
+    eigenvalues in [0, 1] and held as a read-only copy; the type of the
+    matrix-equation cross-check."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("density matrix must be 2x2")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
@@ -153,7 +166,7 @@ class DensityMatrix:
         ev = np.linalg.eigvalsh(m)
         if ev.min() < -STATE_EPS or ev.max() > 1.0 + STATE_EPS:
             raise ValueError(f"eigenvalues {ev} outside [0, 1]")
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _read_only(m))
 
     @property
     def bloch_vector(self) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._base import DatasetFormatError, RankDeficientDesign, _csv_blocks
 from .analytic import cuq_projections, restore_units
+from .core import _read_only
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
                       anharmonicity, correct_effective_r)
 
@@ -47,7 +48,8 @@ class AsymmetryDataset:
     """Time series of flavour asymmetry with 1-sigma errors.
 
     omega is the externally supplied angular frequency in 1/ps (equated
-    with the measured mass splitting).
+    with the measured mass splitting).  t, delta and sigma are read-only
+    copies of the caller's arrays.
     """
 
     t: np.ndarray
@@ -57,9 +59,9 @@ class AsymmetryDataset:
     label: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        d = np.asarray(self.delta, dtype=float)
-        s = np.asarray(self.sigma, dtype=float)
+        t = np.array(self.t, dtype=float)
+        d = np.array(self.delta, dtype=float)
+        s = np.array(self.sigma, dtype=float)
         if not (t.shape == d.shape == s.shape) or t.ndim != 1:
             raise ValueError("t, delta, sigma must be equal-length 1-D arrays")
         if len(t) and np.any(np.diff(t) <= 0.0):
@@ -71,9 +73,9 @@ class AsymmetryDataset:
         if not 0.0 < self.omega < np.inf:
             raise ValueError(f"omega must be positive and finite, "
                              f"got {self.omega}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "t", _read_only(t))
+        object.__setattr__(self, "delta", _read_only(d))
+        object.__setattr__(self, "sigma", _read_only(s))
 
     def __len__(self) -> int:
         return len(self.t)

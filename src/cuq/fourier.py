@@ -22,6 +22,7 @@ import numpy as np
 
 from ._base import QuadratureNotConverged, _one_minus_r2
 from .analytic import half_angle_slope
+from .core import _read_only
 
 __all__ = [
     "SeriesKind",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _MAX_NODES, _TOL, _MAX_ORDER = 2 ** 16, 1e-12, 64  # the trapezoid budget
+_ROUNDING_MARGIN = 1.02  # see _check_resolvable
 
 
 class SeriesKind(Enum):
@@ -47,7 +49,8 @@ class SeriesKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class FourierSpectrum:
-    """d0 plus coefficients for n = 1..N, optionally with 1-sigma errors."""
+    """d0 plus coefficients for n = 1..N, optionally with 1-sigma errors;
+    the arrays are read-only copies of the caller's."""
 
     d0: float
     coeffs: np.ndarray
@@ -56,12 +59,13 @@ class FourierSpectrum:
     coeff_errs: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        coeffs = np.array(self.coeffs, dtype=float)
         if self.coeff_errs is not None:
-            errs = np.asarray(self.coeff_errs, dtype=float)
-            if errs.shape != self.coeffs.shape:
+            errs = np.array(self.coeff_errs, dtype=float)
+            if errs.shape != coeffs.shape:
                 raise ValueError("coefficient errors must match coefficients")
-            object.__setattr__(self, "coeff_errs", errs)
+            object.__setattr__(self, "coeff_errs", _read_only(errs))
+        object.__setattr__(self, "coeffs", _read_only(coeffs))
 
     def coefficient(self, n: int) -> float:
         """Coefficient of order n (n = 0 returns d0)."""
@@ -134,7 +138,8 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
         coeffs = 2.0 * (F.real if kind is SeriesKind.EVEN else -F.imag)
         coeffs[0] = F[0].real
         if prev is not None and np.max(np.abs(coeffs - prev)) <= _TOL:
-            return FourierSpectrum(d0=coeffs[0], coeffs=coeffs[1:], kind=kind)
+            return FourierSpectrum(d0=float(coeffs[0]), coeffs=coeffs[1:],
+                                   kind=kind)
         if 2 * M > _MAX_NODES:
             raise QuadratureNotConverged(
                 f"trapezoid spectrum not converged with {M} nodes")
@@ -144,13 +149,23 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
 
 
 def _check_resolvable(r: float, N: int) -> None:
-    """Raise `QuadratureNotConverged` where `quadrature_spectrum`'s last test,
-    in exact arithmetic at least the c_{_MAX_NODES/2 - N} of r it aliases into
-    order N, is past _TOL.  An N outside [0, _MAX_ORDER] is left to it."""
-    n = _MAX_NODES // 2 - N
-    if 0 <= N <= _MAX_ORDER and (c := float(closed_form_cn(n, r))) > _TOL:
-        raise QuadratureNotConverged(f"{_MAX_NODES} nodes cannot resolve r = "
-                                     f"{r!r}: c_{n} = {c!r} > {_TOL}")
+    """Raise `QuadratureNotConverged` where `quadrature_spectrum`'s last test
+    cannot pass.  That test compares _MAX_NODES/2 = h nodes with _MAX_NODES,
+    and in exact arithmetic its difference at order N is at least what h
+    nodes alias into it: c_{h - N} + c_{h + N} for N >= 1, from both sides,
+    and c_h at N = 0, whose prefactor is half.  Rounding moves the test by
+    up to 2% either way, so the check fires past _TOL by _ROUNDING_MARGIN.
+    An N outside [0, _MAX_ORDER] is left to `quadrature_spectrum`."""
+    if not 0 <= N <= _MAX_ORDER:
+        return
+    h = _MAX_NODES // 2
+    orders = (h - N, h + N) if N else (h,)
+    alias = sum(float(closed_form_cn(n, r)) for n in orders)
+    if alias > _ROUNDING_MARGIN * _TOL:
+        raise QuadratureNotConverged(
+            f"{_MAX_NODES} nodes cannot resolve r = {r!r}: "
+            f"{' + '.join(f'c_{n}' for n in orders)} = {alias!r} > "
+            f"{_ROUNDING_MARGIN * _TOL:.3g}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,10 +255,14 @@ def correct_effective_r(r_tilde: float, amplitude: float) -> float:
 
     r = r_tilde / sqrt(R^2 + r_tilde^2 (1 - R^2)), where R = `amplitude` is
     the amplitude of the signal's projection along the decay direction.
+    r_tilde and R are scaled by the power of two 2^-k that puts the larger
+    in [1/2, 1), so no square underflows (R = 1e-200 is no 0/0), and the
+    quotient keeps its bits wherever none did.
     """
     if not (0.0 <= r_tilde <= 1.0):
         raise ValueError(f"r_tilde must be in [0, 1], got {r_tilde}")
     if not (0.0 < amplitude <= 1.0):
         raise ValueError(f"amplitude R must be in (0, 1], got {amplitude}")
-    return r_tilde / np.sqrt(amplitude ** 2
-                             + r_tilde ** 2 * (1.0 - amplitude ** 2))
+    k = math.frexp(max(r_tilde, amplitude))[1]
+    t, a = math.ldexp(r_tilde, -k), math.ldexp(amplitude, -k)
+    return t / np.sqrt(a ** 2 + t ** 2 * (1.0 - amplitude ** 2))

@@ -107,7 +107,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
     for tol in (rel_tol, abs_tol):
         if not (0.0 < tol <= 1e-2):
             raise ValueError(f"tolerance {tol} outside (0, 1e-2]")
-    b = _as_vec3(b0).copy()
+    b = _as_vec3(b0)
 
     f = _vector_field(model)
     k = np.empty((7, 3))
@@ -239,6 +239,6 @@ def evolve_to_asymptote(model: QubitModel, b0):
     n, mu, _ = _generator(model)  # s M has M's direction
     M = mu * IDENTITY2 + _pauli(n)
     if not (M @ _state_root(b0)).any():
-        return b0
+        return b0.copy()  # the caller's to write, as b[0] is
     b, _ = _gram_bloch(M[None])
     return b[0]

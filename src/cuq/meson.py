@@ -27,19 +27,24 @@ M0bar with |q/p|^2 |g-|^2; a tagged M0bar turns into M0 with |p/q|^2 |g-|^2.
 
 The module also carries the catalogue of the four well-measured systems
 (PDG 2024 central values with 1-sigma errors) in both parameterisations.
+
+The float level lives in the numpy-free `_base`: the two maps
+(`_base._forward`, `_base._inverse`), the checks of both value types, the
+PDG table, `Damping`, `classify_damping` and the catalogue writers, which
+this module re-exports.  Here the maps are typed wrappers, so `cuq
+convert` and `cuq catalogue` run the same checks and forms without
+loading this module or `dataclasses`.
 """
 
 from __future__ import annotations
 
-import cmath
-import json
-import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._base import (UnphysicalObservables, _check_r, _csv_blocks,
-                    _scaled_split, _sincosd)
+from ._base import (_TABLE, Damping, UnphysicalObservables,
+                    _check_bloch_parameters, _check_observables, _forward,
+                    _inverse, catalogue_rows, catalogue_to_csv,
+                    catalogue_to_json, classify_damping)
 
 if TYPE_CHECKING:  # an annotation only: meson itself needs no numpy
     from .core import BlochState
@@ -72,13 +77,7 @@ class MesonObservables:
     q_over_p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_E) and math.isfinite(self.delta_Gamma)
-                and math.isfinite(self.q_over_p)):
-            raise ValueError(f"observables must be finite, got {self}")
-        if self.delta_E < 0.0:
-            raise UnphysicalObservables("delta_E must be >= 0 by convention")
-        if not self.q_over_p > 0.0:
-            raise UnphysicalObservables("|q/p| must be positive")
+        _check_observables(self.delta_E, self.delta_Gamma, self.q_over_p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,12 +89,7 @@ class BlochParameters:
     E_mag: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta_eg_deg)
-                and math.isfinite(self.E_mag)):
-            raise ValueError(f"Bloch parameters must be finite, got {self}")
-        _check_r(self.r)
-        if not self.E_mag > 0.0:
-            raise ValueError("E_mag must be positive")
+        _check_bloch_parameters(self.r, self.theta_eg_deg, self.E_mag)
 
 
 def observables_from_bloch(p: BlochParameters) -> MesonObservables:
@@ -107,22 +101,7 @@ def observables_from_bloch(p: BlochParameters) -> MesonObservables:
     (s - q)^2 + 4 s q sin^2((90 -+ theta)/2), where 90 -+ theta is exact,
     so nothing cancels as r -> 1 and theta -> +-90.  |E| m multiplies
     z/m, so any finite r with finite Delta E and Delta Gamma works."""
-    th = p.theta_eg_deg
-    s, q, s_q = _scaled_split(p.r)
-    cos = _sincosd(th)[0]
-    z = cmath.sqrt(complex(-s_q * (s + q), -2.0 * cos * s * q))  # z/m
-    # Python floats: an overflowing product is inf, with no RuntimeWarning
-    scale = p.E_mag * max(p.r, 1.0)
-    delta_E, delta_Gamma = scale * (2.0 * z.real), scale * (-4.0 * z.imag)
-    if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)):
-        raise OverflowError(f"Delta E or Delta Gamma overflows at "
-                            f"r = {p.r!r}, |E| = {p.E_mag!r}")
-    num = s_q ** 2 + 4.0 * s * q * _sincosd((90.0 - th) / 2)[1] ** 2
-    den = s_q ** 2 + 4.0 * s * q * _sincosd((90.0 + th) / 2)[1] ** 2
-    if den == 0.0:  # r = 1, theta = -90 degrees: the mirror of |q/p| = 0
-        raise UnphysicalObservables("|q/p| is infinite at r = 1, theta = -90")
-    return MesonObservables(delta_E=delta_E, delta_Gamma=delta_Gamma,
-                            q_over_p=(num / den) ** 0.25)
+    return MesonObservables(*_forward(p.r, p.theta_eg_deg, p.E_mag))
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,53 +130,17 @@ def bloch_from_observables(o: MesonObservables) -> BlochInversion:
     underflow.  Delta E = 0 is on z's branch cut, where theta = +-90 maps
     to Delta Gamma > 0: Delta Gamma < 0 gives the float just past +-90.
     """
-    k = math.frexp(max(o.delta_E, abs(o.delta_Gamma)))[1] - 1
-    scale = 2.0 ** k
-    w_re, w_im = o.delta_E / scale / 2.0, -o.delta_Gamma / scale / 4.0
-    t = math.tanh(math.log(o.q_over_p))
-    num, den = complex(-w_im, t * w_re), complex(w_re, t * w_im)
-    if num == 0.0 or den == 0.0:  # r = 0 or r = inf
-        raise UnphysicalObservables("observables admit no r in (0, inf)")
-    zeta = num / den  # r e^{-i theta}
-    m, e = math.frexp(o.q_over_p)  # cosh(ln Q) = 2^|e| (Q 2^-|e| + 2^-|e|/Q)/2
-    cosh = (math.ldexp(m, e - abs(e)) + math.ldexp(1.0 / m, -e - abs(e))) / 2.0
-    pm, pe = math.frexp(cosh * abs(den))
-    pe += abs(e) + k  # |E| = pm 2^pe with pm < 1, finite for pe <= 1024
-    E_mag = math.ldexp(pm, pe) if pe <= 1024 else math.inf
-    if E_mag in (0.0, math.inf):
-        raise OverflowError(f"|E| {'over' if E_mag else 'under'}flows at "
-                            f"Delta E = {o.delta_E!r}, |q/p| = {o.q_over_p!r}")
-    r, s = abs(zeta), 0.0 - zeta.imag  # never -0.0: |q/p| = 1 gives theta 0
-    theta = math.degrees(math.atan2(s, zeta.real))
-    theta_mirror = math.degrees(math.atan2(s, -zeta.real))
-    if abs(theta) == 90.0 and o.delta_Gamma < 0.0:
-        theta = math.copysign(math.nextafter(90.0, 180.0), theta)
-        theta_mirror = math.copysign(180.0, theta) - theta
+    r, theta, theta_mirror, E_mag, forced = _inverse(
+        o.delta_E, o.delta_Gamma, o.q_over_p)
     return BlochInversion(params=BlochParameters(r, theta, E_mag),
                           mirror=BlochParameters(r, theta_mirror, E_mag),
-                          forced_cuq_branch=o.delta_Gamma == 0.0)
+                          forced_cuq_branch=forced)
 
 
 def flavour_asymmetry(state: BlochState) -> float:
     """delta(t) = b_3 = P(M0bar) - P(M0), the e x gamma projection in the
     CPT basis at theta_eg = 90 degrees."""
     return float(state.b[2])
-
-
-class Damping(Enum):
-    OSCILLATORY = "oscillatory"
-    CRITICAL = "critical"
-    OVERDAMPED = "overdamped"
-
-
-def classify_damping(r: float) -> Damping:
-    """r < 1 oscillates, r = 1 is the non-diagonalisable boundary, r > 1
-    approaches its long-lived state without oscillation; decided on the
-    float r exactly, as the exact forms decide it."""
-    _check_r(r)
-    if r == 1.0:
-        return Damping.CRITICAL
-    return Damping.OSCILLATORY if r < 1.0 else Damping.OVERDAMPED
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,26 +154,6 @@ class MesonCatalogueEntry:
     bloch_err: tuple[float, float, float]  # (r, theta_deg, E_mag)
 
 
-# PDG 2024 mixing data and the equivalent Bloch-sphere parameterisation,
-# one printed row per system.  Delta Gamma is quoted as a magnitude;
-# theta_eg = -90 +- 90 for Bd0 is stored as printed even though the error
-# is degenerate.
-_COLUMNS = ("system", "delta_E", "delta_E_err", "delta_Gamma",
-            "delta_Gamma_err", "q_over_p_minus_1", "q_over_p_minus_1_err",
-            "r", "r_err", "theta_eg_deg", "theta_eg_deg_err", "E_mag",
-            "E_mag_err")
-_TABLE = (
-    ("K0", 0.005293, 9e-6, 0.01, 5e-6, -0.003239, 1e-6,
-     0.945, 2e-3, 179.6322, 1e-4, 2.64652e-3, 7e-8),
-    ("D0", 0.01, 0.001, 0.03, 0.003, -5.00e-3, 0.04e-3,
-     1.5, 0.2, 179.0, 2.0, 5.00e-3, 0.04e-3),
-    ("Bd0", 0.5069, 0.0019, 0.7e-3, 7e-3, 1.0e-3, 0.8e-3,
-     1e-3, 4e-3, -90.0, 90.0, 0.253, 0.001),
-    ("Bs0", 17.765, 0.006, 0.084, 0.005, 0.1e-3, 1.4e-3,
-     2.4e-3, 0.2e-3, 182.7, 33.8, 8.9, 0.1),
-)
-
-
 def catalogue() -> list[MesonCatalogueEntry]:
     """The four well-measured meson-antimeson systems."""
     return [MesonCatalogueEntry(
@@ -241,16 +164,3 @@ def catalogue() -> list[MesonCatalogueEntry]:
                 bloch_err=(r_err, th_err, E_err))
             for (name, dE, dE_err, dG, dG_err, qop_m1, qop_m1_err,
                  r, r_err, th, th_err, E, E_err) in _TABLE]
-
-
-def catalogue_rows() -> list[dict]:
-    """The printed table, one dict per system keyed by column name."""
-    return [dict(zip(_COLUMNS, row)) for row in _TABLE]
-
-
-def catalogue_to_csv() -> str:
-    return "".join(_csv_blocks(dict(zip(_COLUMNS, zip(*_TABLE)))))
-
-
-def catalogue_to_json() -> str:
-    return json.dumps(catalogue_rows(), indent=2)

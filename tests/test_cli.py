@@ -301,17 +301,19 @@ class TestFourier:
         assert run(["--output-dir", str(tmp_path), "fourier",
                     "--r", "0.999999999", "--n-max", "2"]) == 4
 
-    # no node is sampled where c_{2^15 - N} > 1e-12, the coefficient that
-    # the rule's last test (2^15 against 2^16 nodes) still aliases: near
+    # no node is sampled where what the rule's last test (2^15 against 2^16
+    # nodes) still aliases into order N passes 1.02e-12: c_{2^15} near
     # 1 - r = 2.05e-7 for N = 0, so 2.3e-7 converges and 1e-7 exits at once.
-    # For N >= 1 order N aliases from both sides, so at 1 - r = 2.14e-7,
-    # where c is 6.4e-13, the rule still samples and gives up.  The exit
-    # codes are those the rule gives at every r, and an out-of-range
-    # --n-max stays a flag error
+    # For N >= 1 order N aliases from both sides, c_{2^15 - N} + c_{2^15 + N}:
+    # at 1 - r = 2.14e-7 that is 1.28e-12 and the rule exits at once, and at
+    # 2.19e-7, 9.98e-13, it samples and converges.  The exit codes are those
+    # the rule gives at every r, and an out-of-range --n-max stays a flag
+    # error
     @pytest.mark.parametrize("r, n_max, code, sampled", [
         ("0.9999", "0", 0, True),
         ("0.99999977", "0", 0, True),
-        ("0.999999786", "2", 4, True),
+        ("0.9999997807470927", "2", 0, True),
+        ("0.999999786", "2", 4, False),
         ("0.9999999", "0", 4, False),
         ("0.9999999111200134", "0", 4, False),
         ("0.9999999111200135", "0", 4, False),
@@ -746,6 +748,21 @@ class TestImport:
         assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
         assert set(_modules_after(code, "cuq", str(tmp_path), *argv)
                    .split(",")) == {"cuq", "cuq.cli", "cuq._base"}
+
+    @pytest.mark.parametrize("argv", [
+        ["catalogue"],
+        ["--format", "json", "catalogue"],
+        ["convert", "--from-bloch", "0.85", "90", "1"],
+        ["convert", "--from-observables", "0.5069", "-0.0007", "1.001"],
+        ["sweep-bmax"],
+    ])
+    def test_numpy_free_commands_load_no_dataclasses(self, tmp_path, argv):
+        # the meson maps, their checks and the PDG table are plain floats in
+        # _base, so no cold start pays for dataclasses and inspect
+        code = ("from cuq.cli import main; "
+                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
+        assert _modules_after(code, "dataclasses", str(tmp_path),
+                              *argv) == ""
 
     @pytest.mark.parametrize("argv", [
         ["fourier", "--r", "0.85"],

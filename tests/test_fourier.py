@@ -186,6 +186,19 @@ class TestEffectiveR:
         expect = r_t / np.sqrt(R * R + r_t * r_t * (1 - R * R))
         assert correct_effective_r(r_t, R) == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("r_t, R, want", [
+        (1e-200, 1e-200, 2 ** -0.5), (0.0, 1e-200, 0.0),
+        (1e-300, 1e-197, 1e-103)])
+    def test_tiny_amplitude_squares_nothing_to_zero(self, r_t, R, want):
+        # R^2 and r~^2 underflow past 1.5e-154; the scaled form keeps r
+        assert correct_effective_r(r_t, R) == pytest.approx(want, rel=1e-15)
+
+    def test_keeps_the_bits_of_the_plain_form(self):
+        rng = np.random.default_rng(5)
+        for r_t, R in rng.uniform(1e-3, 1.0, (2000, 2)).tolist():
+            plain = r_t / np.sqrt(R ** 2 + r_t ** 2 * (1.0 - R ** 2))
+            assert correct_effective_r(r_t, R) == plain
+
     def test_rejects_bad_amplitude(self):
         with pytest.raises(ValueError):
             correct_effective_r(0.5, 0.0)
