@@ -1,7 +1,8 @@
-"""The numpy-free base of the package: exact scalar forms, the checks of
-r and |b|, the one CSV writer and the exceptions that `cli.main` maps to
-exit codes, plus the float level of `meson`: the checks of its two value
-types, the forward and inverse maps, `Damping` and the PDG table.
+"""The numpy-free base of the package: the base class of the value types,
+exact scalar forms, the checks of r and |b|, the one CSV writer and the
+exceptions that `cli.main` maps to exit codes, plus the float level of
+`meson`: the checks of its two value types, the forward and inverse maps,
+`Damping` and the PDG table.
 
 Every module imports these names from here alone; `fit`, `fourier` and
 `meson` list the exceptions in their `__all__`, and `meson` re-exports
@@ -40,6 +41,20 @@ class QuadratureNotConverged(RuntimeError):
 
 class UnphysicalObservables(ValueError):
     """No Bloch parameterisation exists for the requested observables."""
+
+
+class _Value:
+    """Base of the frozen value types: a copy or a pickle is rebuilt through
+    the constructor, so `__post_init__` checks, copies and marks its arrays
+    read-only again.  `__match_args__` names a dataclass's positional
+    fields; the empty `__slots__` keeps a slotted subclass free of
+    `__dict__`."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__match_args__)
 
 
 def _check_r(r: float) -> None:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._base import _check_r, _one_minus_r2, _scaled_split
+from ._base import _check_r, _one_minus_r2, _scaled_split, _Value
 from .core import QubitModel, _generator, _is_cuq
 
 __all__ = [
@@ -49,7 +49,7 @@ def _finite(name: str, x) -> np.ndarray:
 
 
 @dataclass(frozen=True, slots=True)
-class CuqClock:
+class CuqClock(_Value):
     """Dimensionless oscillation period and angular frequency."""
 
     P_hat: float
@@ -140,7 +140,7 @@ class AsymptoticBranch(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class AsymptoticState:
+class AsymptoticState(_Value):
     b_star: np.ndarray | None
     alpha: float
     branch: AsymptoticBranch
@@ -213,7 +213,7 @@ def mixed_magnitude_vs_angle(phi, r: float):
 
 
 @dataclass(frozen=True, slots=True)
-class MixedEllipse:
+class MixedEllipse(_Value):
     """Ellipse traced by the fully mixed trajectory, centred on the
     e x gamma axis at -r/(1+r^2)."""
 

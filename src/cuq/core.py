@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import _base
-from ._base import STATE_EPS, _check_r, _check_size, _sincosd
+from ._base import STATE_EPS, _check_r, _check_size, _sincosd, _Value
 
 _UNIT_TOL = 1e-12
 
@@ -65,7 +64,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, slots=True)
-class BlochState:
+class BlochState(_Value):
     """Co-decaying Bloch vector b, checked finite with |b| <= 1 + STATE_EPS;
     b is a read-only copy of the caller's vector."""
 
@@ -77,8 +76,8 @@ class BlochState:
         object.__setattr__(self, "b", _read_only(b))
 
 
-@dataclass(frozen=True)
-class QubitModel:
+@dataclass(frozen=True, slots=True)
+class QubitModel(_Value):
     """Effective-Hamiltonian decomposition over the Pauli basis.
 
     e and gamma are the unit energy and decay directions, r = |Gamma|/(2|E|),
@@ -102,10 +101,9 @@ class QubitModel:
         object.__setattr__(self, "e", _read_only(e))
         object.__setattr__(self, "gamma", _read_only(g))
 
-    @cached_property
+    @property
     def e_cross_gamma(self) -> np.ndarray:
-        """e x gamma, computed on first access and read-only, as e and
-        gamma are."""
+        """e x gamma, formed on each access, read-only as e and gamma are."""
         return _read_only(np.cross(self.e, self.gamma))
 
     @classmethod
@@ -148,7 +146,7 @@ def _is_cuq(model: QubitModel) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class DensityMatrix:
+class DensityMatrix(_Value):
     """Trace-normalised 2x2 density matrix, checked to be Hermitian with
     eigenvalues in [0, 1] and held as a read-only copy; the type of the
     matrix-equation cross-check."""

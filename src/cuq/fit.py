@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._base import DatasetFormatError, RankDeficientDesign, _csv_blocks
+from ._base import (DatasetFormatError, RankDeficientDesign, _csv_blocks,
+                    _Value)
 from .analytic import cuq_projections, restore_units
 from .core import _read_only
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
@@ -44,7 +44,7 @@ CSV_HEADER = ("t_ps", "asymmetry", "sigma")
 
 
 @dataclass(frozen=True, slots=True)
-class AsymmetryDataset:
+class AsymmetryDataset(_Value):
     """Time series of flavour asymmetry with 1-sigma errors.
 
     omega is the externally supplied angular frequency in 1/ps (equated
@@ -130,8 +130,8 @@ def save_dataset(data: AsymmetryDataset, path) -> None:
         fh.writelines(_csv_blocks(columns))
 
 
-@dataclass(frozen=True)
-class FitResult:
+@dataclass(frozen=True, slots=True)
+class FitResult(_Value):
     """Coefficients d_0..d_N of the cosine-mode regression."""
 
     coefficients: np.ndarray
@@ -142,7 +142,7 @@ class FitResult:
     omega: float
     label: str = ""
 
-    @cached_property
+    @property
     def p_values(self) -> np.ndarray:
         """Two-sided p-value of each d_n against the null d_n = 0.
 
@@ -317,10 +317,10 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
 
 
 @dataclass(frozen=True, slots=True)
-class RExtraction:
+class RExtraction(_Value):
     """Per-ratio damping estimates and their inverse-variance average."""
 
-    per_ratio: list[AnharmonicityEstimate]
+    per_ratio: tuple[AnharmonicityEstimate, ...]
     weighted_r: float
     weighted_r_err: float
     diagnostics: str = ""
@@ -354,7 +354,7 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
             # dr/dr_tilde of the correction, chained onto the ratio error
             R2 = R ** 2
             denom = (R2 + est.r_hat ** 2 * (1.0 - R2)) ** 1.5
-            est = est.with_r(r_corr, est.r_err * R2 / denom)
+            est = replace(est, r_hat=r_corr, r_err=est.r_err * R2 / denom)
         estimates.append(est)
     usable = [e for e in estimates
               if e.reliable and np.isfinite(e.r_hat)
@@ -364,10 +364,11 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
                  if e.reliable and np.isfinite(e.r_hat) and e.r_err == 0.0]
         if exact:  # error-free input (e.g. closed-form spectra): plain mean
             vals = np.array([e.r_hat for e in exact])
-            return RExtraction(per_ratio=estimates,
+            return RExtraction(per_ratio=tuple(estimates),
                                weighted_r=float(vals.mean()),
                                weighted_r_err=0.0)
-        return RExtraction(per_ratio=estimates, weighted_r=float("nan"),
+        return RExtraction(per_ratio=tuple(estimates),
+                           weighted_r=float("nan"),
                            weighted_r_err=float("nan"),
                            diagnostics="all ratios unreliable "
                                        "(denominators consistent with zero "
@@ -379,7 +380,7 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     vals = np.array([e.r_hat for e in usable])
     weighted = float(np.sum(w * vals) / np.sum(w))
     err = math.ldexp(float(1.0 / np.sqrt(np.sum(w))), k)
-    return RExtraction(per_ratio=estimates, weighted_r=weighted,
+    return RExtraction(per_ratio=tuple(estimates), weighted_r=weighted,
                        weighted_r_err=err)
 
 
@@ -390,8 +391,12 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
     delta(t_i) is the e x gamma projection of the pure reference solution
     at tau = |Gamma| t_i plus Gaussian noise.  noise_sigma may be a scalar
     or a length-n_points schedule (e.g. widening late-time errors); the
-    sigma column reflects it.  r must be in (0, 1), as `cuq_clock` checks.
+    sigma column reflects it.  r must be in (0, 1) and |E| positive and
+    finite, as `restore_units` checks, and t_max positive and finite.
     """
+    _, omega = restore_units(r, E_mag)
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     t = np.linspace(0.0, t_max, n_points, endpoint=False)
     gamma_mag = 2.0 * r * E_mag
     _, delta = cuq_projections(gamma_mag * t, r)
@@ -401,7 +406,6 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
         raise ValueError("noise_sigma must be non-negative")
     rng = np.random.default_rng(seed)
     noisy = delta + rng.standard_normal(n_points) * sig
-    _, omega = restore_units(r, E_mag)
     return AsymmetryDataset(t=t, delta=noisy,
                             sigma=np.where(sig > 0.0, sig, 1e-12),
                             omega=omega, label="synthetic")

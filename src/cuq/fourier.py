@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._base import QuadratureNotConverged, _one_minus_r2
+from ._base import QuadratureNotConverged, _one_minus_r2, _Value
 from .analytic import half_angle_slope
 from .core import _read_only
 
@@ -48,9 +48,9 @@ class SeriesKind(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class FourierSpectrum:
-    """d0 plus coefficients for n = 1..N, optionally with 1-sigma errors;
-    the arrays are read-only copies of the caller's."""
+class FourierSpectrum(_Value):
+    """d0 plus coefficients for n = 1..N, optionally with 1-sigma errors,
+    all checked finite; the arrays are read-only copies of the caller's."""
 
     d0: float
     coeffs: np.ndarray
@@ -60,10 +60,18 @@ class FourierSpectrum:
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float)
+        if not (math.isfinite(self.d0) and math.isfinite(self.d0_err)
+                and np.isfinite(coeffs).all()):
+            raise ValueError(f"d0, d0_err and the coefficients must be "
+                             f"finite, got d0={self.d0!r}, "
+                             f"d0_err={self.d0_err!r}, coeffs={coeffs}")
         if self.coeff_errs is not None:
             errs = np.array(self.coeff_errs, dtype=float)
             if errs.shape != coeffs.shape:
                 raise ValueError("coefficient errors must match coefficients")
+            if not np.isfinite(errs).all():
+                raise ValueError(f"coefficient errors must be finite, "
+                                 f"got {errs}")
             object.__setattr__(self, "coeff_errs", _read_only(errs))
         object.__setattr__(self, "coeffs", _read_only(coeffs))
 
@@ -119,15 +127,18 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
     t_j = -P_hat/2 + j P_hat/M.  M starts at max(64, 4N) and doubles,
     sampling only the new midpoints, until two successive coefficient
     vectors agree to _TOL.  d0 carries prefactor 1/P_hat, every n >= 1
-    carries 2/P_hat.  The signal is called with one scalar at a time.
+    carries 2/P_hat.  The signal is called with one scalar at a time, and
+    a set of samples that holds a value that is not finite is a ValueError.
     """
     if not 0 <= N <= _MAX_ORDER:
         raise ValueError(f"N must be in [0, {_MAX_ORDER}], got {N}")
+    if not 0.0 < P_hat < math.inf:
+        raise ValueError(f"P_hat must be positive and finite, got {P_hat}")
     half = P_hat / 2.0
     M = max(64, 4 * N)
-    f = np.array([signal(t) for t in -half + P_hat / M * np.arange(M)])
+    f = _samples(signal, -half + P_hat / M * np.arange(M))
     mismatch = abs(f[0] - signal(half))
-    if mismatch > 1e-6:
+    if not mismatch <= 1e-6:  # nan too
         raise ValueError(f"signal is not P_hat-periodic "
                          f"(endpoint mismatch {mismatch:.3e})")
     prev = None
@@ -143,9 +154,20 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
         if 2 * M > _MAX_NODES:
             raise QuadratureNotConverged(
                 f"trapezoid spectrum not converged with {M} nodes")
-        mids = [signal(t) for t in -half + P_hat / M * (np.arange(M) + 0.5)]
+        mids = _samples(signal, -half + P_hat / M * (np.arange(M) + 0.5))
         f = np.column_stack([f, mids]).ravel()
         M, prev = 2 * M, coeffs
+
+
+def _samples(signal: Callable[[float], float], nodes) -> np.ndarray:
+    """The signal on the nodes, checked finite: a sum past a nan or an inf
+    never settles, so it would sample up to _MAX_NODES for nothing."""
+    f = np.array([signal(t) for t in nodes])
+    if not np.isfinite(f).all():
+        raise ValueError(f"signal is not finite at one of {len(nodes)} "
+                         f"trapezoid nodes in [{nodes[0]:.6g}, "
+                         f"{nodes[-1]:.6g}]")
+    return f
 
 
 def _check_resolvable(r: float, N: int) -> None:
@@ -169,7 +191,7 @@ def _check_resolvable(r: float, N: int) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class AnharmonicityEstimate:
+class AnharmonicityEstimate(_Value):
     """Ratio of consecutive coefficients with its propagated uncertainty."""
 
     ratio: float
@@ -179,10 +201,6 @@ class AnharmonicityEstimate:
     reliable: bool = True
     r_hat: float = float("nan")
     r_err: float = float("nan")
-
-    def with_r(self, r: float, r_err: float) -> "AnharmonicityEstimate":
-        return AnharmonicityEstimate(self.ratio, self.ratio_err, self.order_n,
-                                     self.kind, self.reliable, r, r_err)
 
 
 def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
@@ -214,13 +232,11 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
     f, g = 2.0 ** (h // 2), 2.0 ** (h - h // 2)
     num, den = num * f * g, den * f * g
     num_err, den_err = num_err * f * g, den_err * f * g
-    ratio = num / den
+    ratio = float(num / den)
     # first-order (delta-method) propagation; coefficients treated independent
-    err = np.hypot(num_err / den, num * den_err / den ** 2)
-    est = AnharmonicityEstimate(float(ratio), float(err), n, spectrum.kind,
-                                reliable=reliable)
-    r, r_err = r_from_anharmonicity(est)
-    return est.with_r(r, r_err)
+    err = float(np.hypot(num_err / den, num * den_err / den ** 2))
+    return AnharmonicityEstimate(ratio, err, n, spectrum.kind, reliable,
+                                 *_invert_ratio(ratio, err, spectrum.kind, n))
 
 
 def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
@@ -232,10 +248,16 @@ def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
     The error is max(|r'| sigma, |r''| sigma^2 / 2): r(rho) turns at
     rho = 1 (C_n) and rho = 0 (D_0), where the first-order term vanishes.
     """
-    rho = abs(est.ratio)
-    if est.kind is SeriesKind.EVEN and est.order_n == 0:
+    return _invert_ratio(est.ratio, est.ratio_err, est.kind, est.order_n)
+
+
+def _invert_ratio(ratio: float, ratio_err: float, kind: SeriesKind,
+                  n: int) -> tuple[float, float]:
+    """`r_from_anharmonicity` of the ratio of order n, on floats."""
+    rho = abs(ratio)
+    if kind is SeriesKind.EVEN and n == 0:
         if np.isinf(rho):
-            return 0.0, 0.0 if est.ratio_err == 0 else float("nan")
+            return 0.0, 0.0 if ratio_err == 0 else float("nan")
         r = 1.0 / np.sqrt(1.0 + rho * rho / 4.0)
         drdrho = -(rho / 4.0) * r ** 3
         d2rdrho2 = (rho * rho - 2.0) / 8.0 * r ** 5
@@ -245,9 +267,8 @@ def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
         r = 2.0 * rho / (rho * rho + 1.0)
         drdrho = 2.0 * (1.0 - rho * rho) / (rho * rho + 1.0) ** 2
         d2rdrho2 = -4.0 * rho * (3.0 - rho * rho) / (rho * rho + 1.0) ** 3
-    return float(r), float(max(abs(drdrho) * est.ratio_err,
-                               0.5 * abs(d2rdrho2)
-                               * (est.ratio_err * est.ratio_err)))
+    return float(r), float(max(abs(drdrho) * ratio_err,
+                               0.5 * abs(d2rdrho2) * (ratio_err * ratio_err)))
 
 
 def correct_effective_r(r_tilde: float, amplitude: float) -> float:

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from ._base import (_TABLE, Damping, UnphysicalObservables,
                     _check_bloch_parameters, _check_observables, _forward,
                     _inverse, catalogue_rows, catalogue_to_csv,
-                    catalogue_to_json, classify_damping)
+                    _Value, catalogue_to_json, classify_damping)
 
 if TYPE_CHECKING:  # an annotation only: meson itself needs no numpy
     from .core import BlochState
@@ -67,7 +67,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class MesonObservables:
+class MesonObservables(_Value):
     """(Delta E, Delta Gamma, |q/p|) in 1/ps.  Delta E >= 0 by convention;
     Delta Gamma is signed (the principal square-root branch makes it
     negative for theta near 180 degrees; PDG tables quote magnitudes)."""
@@ -81,7 +81,7 @@ class MesonObservables:
 
 
 @dataclass(frozen=True, slots=True)
-class BlochParameters:
+class BlochParameters(_Value):
     """(r, theta_eg in degrees, |E| in 1/ps)."""
 
     r: float
@@ -105,7 +105,7 @@ def observables_from_bloch(p: BlochParameters) -> MesonObservables:
 
 
 @dataclass(frozen=True, slots=True)
-class BlochInversion:
+class BlochInversion(_Value):
     """Preferred solution plus the mirror branch (theta -> 180 - theta,
     equivalently a flipped Delta Gamma sign)."""
 
@@ -144,7 +144,7 @@ def flavour_asymmetry(state: BlochState) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class MesonCatalogueEntry:
+class MesonCatalogueEntry(_Value):
     """One meson system with printed central values and symmetric errors."""
 
     name: str

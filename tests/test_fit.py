@@ -392,6 +392,20 @@ class TestSynthesis:
             synthesize_dataset(r=1.2, E_mag=1.0, n_points=10, t_max=1.0,
                                noise_sigma=0.0, seed=0)
 
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_t_max_that_is_not_finite_and_positive(self, t_max):
+        with pytest.raises(ValueError,
+                           match="t_max must be positive and finite"):
+            synthesize_dataset(r=0.5, E_mag=1.0, n_points=10, t_max=t_max,
+                               noise_sigma=0.0, seed=0)
+
+    @pytest.mark.parametrize("E_mag", [np.inf, -np.inf])
+    def test_rejects_an_infinite_E_mag_before_it_computes(self, E_mag):
+        with pytest.raises(ValueError,
+                           match="E_mag must be positive and finite"):
+            synthesize_dataset(r=0.5, E_mag=E_mag, n_points=10, t_max=1.0,
+                               noise_sigma=0.0, seed=0)
+
 
 class TestSerialization:
     def test_json_schema(self):

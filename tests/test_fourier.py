@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cuq.analytic import cuq_clock, cuq_projections
-from cuq.fourier import (AnharmonicityEstimate, QuadratureNotConverged,
-                         SeriesKind, anharmonicity, closed_form_cn,
-                         closed_form_d0, closed_form_spectrum,
+from cuq.fourier import (AnharmonicityEstimate, FourierSpectrum,
+                         QuadratureNotConverged, SeriesKind, anharmonicity,
+                         closed_form_cn, closed_form_d0, closed_form_spectrum,
                          correct_effective_r, quadrature_spectrum,
                          r_from_anharmonicity)
 
@@ -48,6 +48,15 @@ class TestClosedForms:
         # as quadrature_spectrum does, rather than returning no coefficients
         with pytest.raises(ValueError, match="N must be >= 0"):
             closed_form_spectrum(0.85, -1)
+
+    @pytest.mark.parametrize("field", [
+        {"d0": np.inf}, {"d0": np.nan}, {"coeffs": [0.5, np.nan]},
+        {"d0_err": np.nan}, {"coeff_errs": [0.1, np.inf]}],
+        ids=["d0-inf", "d0-nan", "coeff-nan", "d0_err-nan", "coeff_err-inf"])
+    def test_spectrum_rejects_values_that_are_not_finite(self, field):
+        values = {"d0": 0.1, "coeffs": [0.5, 0.25], "kind": SeriesKind.EVEN}
+        with pytest.raises(ValueError, match="must be finite"):
+            FourierSpectrum(**(values | field))
 
 
 class TestQuadrature:
@@ -94,6 +103,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature_spectrum(lambda t: t, 2.0, 3, SeriesKind.EVEN)
 
+    def test_rejects_a_signal_that_is_not_finite_at_the_end(self):
+        # t = P_hat/2 is sampled only for the periodicity test
+        def signal(t):
+            return np.nan if t >= np.pi else np.cos(t)
+
+        with pytest.raises(ValueError, match="endpoint mismatch nan"):
+            quadrature_spectrum(signal, 2 * np.pi, 3, SeriesKind.EVEN)
+
     def test_rejects_excessive_order(self):
         with pytest.raises(ValueError):
             quadrature_spectrum(np.cos, 2 * np.pi, 65, SeriesKind.EVEN)
@@ -101,6 +118,27 @@ class TestQuadrature:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             quadrature_spectrum(np.cos, 2 * np.pi, -1, SeriesKind.EVEN)
+
+    @pytest.mark.parametrize("P_hat", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_period_that_is_not_finite_and_positive(self, P_hat):
+        with pytest.raises(ValueError,
+                           match="P_hat must be positive and finite"):
+            quadrature_spectrum(np.cos, P_hat, 3, SeriesKind.EVEN)
+
+    @pytest.mark.parametrize("bad, calls", [
+        (lambda t: True, 64),            # the first 64 nodes
+        (lambda t: 0.01 < t < 0.05, 129),  # only the first midpoints
+    ], ids=["first-nodes", "first-midpoints"])
+    def test_stops_at_the_first_samples_that_are_not_finite(self, bad, calls):
+        times = []
+
+        def signal(t):
+            times.append(t)
+            return np.nan if bad(t) else np.cos(t)
+
+        with pytest.raises(ValueError, match="signal is not finite"):
+            quadrature_spectrum(signal, 2 * np.pi, 3, SeriesKind.EVEN)
+        assert len(times) == calls  # not the 2^16 nodes of the whole budget
 
 
 class TestAnharmonicity:

@@ -1,9 +1,9 @@
 """The frozen value types: slotted, so a kept result carries no __dict__.
 
-Every frozen dataclass in `cuq` is slotted except those with a
-`cached_property`, which stores its value in the instance's __dict__
-(`QubitModel`, `FitResult`).  A slotted instance pickles, deep-copies and
-goes through `dataclasses.replace` as before, and stays frozen.
+Every frozen dataclass in `cuq` is slotted, and every field is set by its
+constructor.  A copy, a pickle and `dataclasses.replace` all go through the
+constructor, so the value comes back equal, frozen and checked again, and
+an array the original held read-only is read-only in the copy too.
 """
 
 import copy
@@ -12,7 +12,6 @@ import importlib
 import inspect
 import pickle
 import pkgutil
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,8 +19,7 @@ import pytest
 import cuq
 from cuq.analytic import asymptotic_state, cuq_clock, mixed_ellipse
 from cuq.core import BlochState, QubitModel, density_from_bloch
-from cuq.fit import (FitResult, estimate_r, fit_fourier_modes,
-                     synthesize_dataset)
+from cuq.fit import estimate_r, fit_fourier_modes, synthesize_dataset
 from cuq.fourier import anharmonicity, closed_form_spectrum
 from cuq.meson import (BlochParameters, bloch_from_observables, catalogue,
                        observables_from_bloch)
@@ -36,8 +34,10 @@ def _instances():
         asymptotic_state(QubitModel.from_angle(2.0, 37.0, degrees=True)),
         mixed_ellipse(0.5),
         BlochState([0.1, -0.2, 0.3]),
+        QubitModel.from_angle(0.85, 60.0, degrees=True),
         density_from_bloch(BlochState([0.1, -0.2, 0.3])),
         data,
+        fit,
         estimate_r(fit),
         fit.spectrum(),
         anharmonicity(closed_form_spectrum(0.5, 4), 1),
@@ -63,18 +63,21 @@ def _frozen_dataclasses():
     return found
 
 
-def test_every_frozen_type_without_a_cached_property_is_covered():
-    slotted = {cls for cls in _frozen_dataclasses()
-               if not any(isinstance(v, cached_property)
-                          for v in vars(cls).values())}
-    assert slotted == {type(x) for x in INSTANCES}
-    assert _frozen_dataclasses() - slotted == {QubitModel, FitResult}
+def test_every_frozen_dataclass_is_slotted_and_covered():
+    frozen = _frozen_dataclasses()
+    assert len(frozen) == 15
+    assert all("__slots__" in vars(cls) for cls in frozen)
+    assert frozen == {type(x) for x in INSTANCES}
 
 
 def _assert_same(got, want):
     assert type(got) is type(want)
     np.testing.assert_equal(dataclasses.astuple(got),
                             dataclasses.astuple(want))
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.flags.writeable == b.flags.writeable, f.name
 
 
 @pytest.mark.parametrize("value", INSTANCES,
@@ -96,3 +99,13 @@ class TestSlotted:
         name = dataclasses.fields(value)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, getattr(value, name))
+
+
+@pytest.mark.parametrize("rebuild", [lambda x: pickle.loads(pickle.dumps(x)),
+                                     copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_a_tampered_state_fails_its_check_when_rebuilt(rebuild):
+    state = BlochState([0.6, 0.0, 0.8])
+    object.__setattr__(state, "b", np.array([2.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\|b\| must be at most"):
+        rebuild(state)
