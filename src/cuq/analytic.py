@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from ._base import _check_r, _one_minus_r2, _scaled_split, _Value
-from .core import QubitModel, _generator, _is_cuq
+from .core import QubitModel, _generator, _is_cuq, _read_only
 
 __all__ = [
     "CuqClock",
@@ -56,17 +56,27 @@ class CuqClock(_Value):
     omega_hat: float
 
 
-def cuq_clock(r: float) -> CuqClock:
-    """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat.
-
-    omega_hat = sqrt(1 - r^2)/r is Im mu, the generator's root at
-    e.gamma = 0 (`core._generator`), bit for bit: both form 1 - r^2
-    with `_base._one_minus_r2`, so the clock and `propagate` keep time."""
+def _clock_root(r: float) -> float:
+    """sqrt(1 - r^2) for 0 < r < 1, the one checked root that the clock,
+    the projections and the mixed magnitude read; a subnormal r, whose
+    omega_hat = root/r overflows, is an OverflowError."""
     _check_r_oscillatory(r)
     r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
     root = math.sqrt(_one_minus_r2(r))
     if root / r == math.inf:  # a subnormal r
         raise OverflowError(f"omega_hat overflows at r = {r!r}")
+    return root
+
+
+def cuq_clock(r: float) -> CuqClock:
+    """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat.
+
+    omega_hat = sqrt(1 - r^2)/r is Im mu, the generator's root at
+    e.gamma = 0 (`core._generator`), bit for bit: both form 1 - r^2
+    with `_base._one_minus_r2`, so the clock and `propagate` keep time.
+    The root is `_clock_root`'s, which the projections read too."""
+    root = _clock_root(r)
+    r = float(r)
     return CuqClock(P_hat=2.0 * math.pi * r / root, omega_hat=root / r)
 
 
@@ -123,11 +133,15 @@ def cuq_projections(tau, r: float):
 
     b.gamma       = sqrt(1-r^2) sin(w tau) / (1 - r cos(w tau))
     b.(e x gamma) = (cos(w tau) - r) / (1 - r cos(w tau))
+
+    sqrt(1 - r^2) is formed once, by `_clock_root`, and gives both the
+    prefactor and w = sqrt(1 - r^2)/r, `cuq_clock(r).omega_hat` bit for bit.
     """
-    phase = cuq_clock(r).omega_hat * np.asarray(tau, dtype=float)
+    root = _clock_root(r)
+    phase = (root / float(r)) * np.asarray(tau, dtype=float)
     cos = np.cos(phase)
     denom = 1.0 - r * cos
-    b_gamma = np.sqrt(_one_minus_r2(r)) * np.sin(phase) / denom
+    b_gamma = root * np.sin(phase) / denom
     b_exg = (cos - r) / denom
     return b_gamma, b_exg
 
@@ -141,9 +155,16 @@ class AsymptoticBranch(Enum):
 
 @dataclass(frozen=True, slots=True)
 class AsymptoticState(_Value):
+    """b_star is a read-only copy of the vector passed in, or None."""
+
     b_star: np.ndarray | None
     alpha: float
     branch: AsymptoticBranch
+
+    def __post_init__(self):
+        if self.b_star is not None:
+            b = np.array(self.b_star, dtype=float)
+            object.__setattr__(self, "b_star", _read_only(b))
 
 
 def asymptotic_state(model: QubitModel) -> AsymptoticState:
@@ -192,7 +213,7 @@ def mixed_magnitude(tau, r: float):
         raise ValueError(f"r must be in (0, 1], got {r}")
     u = _finite("tau", tau)
     if r < 1.0:
-        w = cuq_clock(r).omega_hat
+        w = _clock_root(r) / float(r)
         u = 2.0 * np.sin(w * u / 2.0) / w
     s = np.abs(u) / np.hypot(2.0, u)
     return 2.0 * s / (1.0 + s * s)

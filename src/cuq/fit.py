@@ -132,7 +132,8 @@ def save_dataset(data: AsymmetryDataset, path) -> None:
 
 @dataclass(frozen=True, slots=True)
 class FitResult(_Value):
-    """Coefficients d_0..d_N of the cosine-mode regression."""
+    """Coefficients d_0..d_N of the cosine-mode regression; coefficients,
+    errors and covariance are read-only copies of the arrays passed in."""
 
     coefficients: np.ndarray
     errors: np.ndarray
@@ -141,6 +142,11 @@ class FitResult(_Value):
     dof: int
     omega: float
     label: str = ""
+
+    def __post_init__(self):
+        for name in ("coefficients", "errors", "covariance"):
+            a = np.array(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, _read_only(a))
 
     @property
     def p_values(self) -> np.ndarray:
@@ -257,7 +263,10 @@ def _beta_fraction(a: float, b: float, v: float, w: float) -> float:
 
 
 def design_matrix(t, omega: float, N: int) -> np.ndarray:
-    """Columns cos(n omega t) for n = 0..N, one row per time."""
+    """Columns cos(n omega t) for n = 0..N, one row per time; omega must
+    be finite."""
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     return np.cos(np.outer(t, np.arange(N + 1)) * omega)
 
 

@@ -272,6 +272,9 @@ FROZEN = [
      ["--format", "json", "fourier", "--r", "0.3"]),
     ("catalogue.csv", "catalogue.csv", ["catalogue"]),
     ("catalogue.json", "catalogue.json", ["--format", "json", "catalogue"]),
+    # many nodes per spectrum: the path the sampled projections take
+    ("spectrum_r099_n20.json", "spectrum.json",
+     ["--format", "json", "fourier", "--r", "0.99", "--n-max", "20"]),
 ]
 
 

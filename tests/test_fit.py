@@ -13,9 +13,9 @@ from scipy.special import stdtr
 from cuq._base import _BLOCK_ROWS
 from cuq.analytic import restore_units
 from cuq.fit import (AsymmetryDataset, DatasetFormatError, FitResult,
-                     RankDeficientDesign, _csv_blocks, estimate_r,
-                     fit_fourier_modes, fit_result_to_json, load_dataset,
-                     save_dataset, synthesize_dataset)
+                     RankDeficientDesign, _csv_blocks, design_matrix,
+                     estimate_r, fit_fourier_modes, fit_result_to_json,
+                     load_dataset, save_dataset, synthesize_dataset)
 from cuq.fourier import closed_form_cn, closed_form_d0
 
 EPS = np.finfo(float).eps
@@ -132,6 +132,12 @@ class TestRegression:
         resid = (ds.delta - np.cos(np.outer(ds.t, ns) * ds.omega)
                  @ fit.coefficients) / ds.sigma
         assert np.max(np.abs(X.T @ resid)) < 1e-8
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_design_matrix_rejects_an_omega_that_is_not_finite(self, omega):
+        with pytest.raises(ValueError, match=f"omega must be finite, "
+                                             f"got {omega}"):
+            design_matrix(np.arange(4.0), omega, 2)
 
     def test_rank_deficiency_detected(self):
         t = np.linspace(0.0, 0.001, 10)  # no oscillation resolved

@@ -6,9 +6,12 @@ callers stay writable."""
 import numpy as np
 import pytest
 
+from cuq.analytic import (AsymptoticBranch, AsymptoticState,
+                          asymptotic_state)
 from cuq.core import (BlochState, DensityMatrix, QubitModel,
                       bloch_derivative, density_from_bloch)
-from cuq.fit import AsymmetryDataset, fit_fourier_modes, synthesize_dataset
+from cuq.fit import (AsymmetryDataset, FitResult, design_matrix,
+                     fit_fourier_modes, synthesize_dataset)
 from cuq.fourier import FourierSpectrum, SeriesKind, quadrature_spectrum
 from cuq.integrate import evolve_to_asymptote, propagate
 
@@ -72,6 +75,38 @@ def test_quadrature_spectrum_owns_its_coefficients():
     _assert_read_only(spec.coeffs)
 
 
+def test_fit_result_keeps_its_coefficients_errors_and_covariance():
+    c, err, cov = np.array([0.2, 0.5]), np.array([0.1, 0.2]), np.eye(2)
+    fit = FitResult(c, err, cov, chi2=1.0, dof=3, omega=1.0)
+    c[0], err[1], cov[0, 0] = 7.0, 1e6, -1.0
+    np.testing.assert_array_equal(fit.coefficients, [0.2, 0.5])
+    np.testing.assert_array_equal(fit.errors, [0.1, 0.2])
+    np.testing.assert_array_equal(fit.covariance, np.eye(2))
+    for a in (fit.coefficients, fit.errors, fit.covariance):
+        _assert_read_only(a)
+
+
+def test_fitted_arrays_are_read_only():
+    # a write to a fit's errors would move p_values and the spectrum but
+    # not chi2 and dof
+    fit = fit_fourier_modes(synthesize_dataset(0.3, 1.0, 40, 12.0, 1e-3, 1),
+                            2)
+    for a in (fit.coefficients, fit.errors, fit.covariance):
+        _assert_read_only(a)
+
+
+def test_asymptotic_state_keeps_its_vector():
+    b = np.array([0.6, 0.0, 0.8])
+    st = AsymptoticState(b, 0.6, AsymptoticBranch.GENERAL)
+    b[0] = 5.0
+    np.testing.assert_array_equal(st.b_star, [0.6, 0.0, 0.8])
+    _assert_read_only(st.b_star)
+    _assert_read_only(asymptotic_state(
+        QubitModel.from_angle(2.0, 37.0, degrees=True)).b_star)
+    cuq = QubitModel.from_angle(0.5, 90.0, degrees=True)
+    assert asymptotic_state(cuq).b_star is None
+
+
 def test_returned_arrays_stay_writable():
     m = QubitModel.from_angle(2.0, 37.0, degrees=True)
     state = BlochState([0.1, 0.2, 0.3])
@@ -82,5 +117,5 @@ def test_returned_arrays_stay_writable():
               evolve_to_asymptote(m, state.b),
               # the repelling fixed point: the start itself comes back
               evolve_to_asymptote(aligned, aligned.e),
-              fit_fourier_modes(data, 2).coefficients):
+              design_matrix(data.t, data.omega, 2)):
         assert a.flags.writeable
