@@ -15,7 +15,8 @@ from enum import Enum
 import numpy as np
 
 from ._base import _check_r, _one_minus_r2, _scaled_split, _Value
-from .core import QubitModel, _generator, _is_cuq, _read_only
+from .core import (QubitModel, _e_dot_gamma, _generator, _is_cuq,
+                   _read_only)
 
 __all__ = [
     "CuqClock",
@@ -195,7 +196,8 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     b = alpha * e - (s * q / D) * exg - (s * smu.real / D) * np.cross(e, exg)
     branch = (AsymptoticBranch.ALIGNED if not exg.any()
               else AsymptoticBranch.PERPENDICULAR_OVERDAMPED
-              if e @ model.gamma == 0.0 else AsymptoticBranch.GENERAL)
+              if _e_dot_gamma(model) == 0.0
+              else AsymptoticBranch.GENERAL)
     return AsymptoticState(b_star=b, alpha=alpha, branch=branch)
 
 

@@ -15,7 +15,8 @@ right-hand sides, the Pauli map and the generator's root; all are pure.
 `DensityMatrix` is the validated type of the matrix-equation cross-check;
 the exact path in `integrate` checks its input with `BlochState` alone.
 Angles in degrees go through `_base._sincosd`, exact at multiples of 90,
-so "aligned" and "perpendicular" are exact tests of e x gamma and e.gamma.
+so "aligned" and "perpendicular" are exact tests of e x gamma and e.gamma;
+`_e_dot_gamma` rounds e.gamma once from its exact sum, on any CPU.
 """
 
 from __future__ import annotations
@@ -134,15 +135,27 @@ def _generator(model: QubitModel) -> tuple[np.ndarray, complex, complex]:
     = 0 exactly, as for `QubitModel.from_angle` at 90 degrees; mu is inf
     where s is too small to divide by."""
     s, q, s_q = _base._scaled_split(model.r)
-    c = float(np.dot(model.e, model.gamma))
+    c = _e_dot_gamma(model)
     smu = np.sqrt(complex(s_q * (s + q), 2.0 * c * s * q))
     return s * model.gamma + 1j * q * model.e, smu, complex(smu) / s
+
+
+def _e_dot_gamma(model: QubitModel) -> float:
+    """e.gamma rounded once from the exact sum of its three products, in
+    integer arithmetic, so the value, and whether it is 0 (then +0.0), is
+    the same whatever BLAS kernel the CPU runs."""
+    num, den = 0, 1
+    for x, y in zip(model.e.tolist(), model.gamma.tolist()):
+        p, q = x.as_integer_ratio()
+        s, t = y.as_integer_ratio()
+        num, den = num * q * t + p * s * den, den * q * t
+    return num / den  # int / int rounds correctly
 
 
 def _is_cuq(model: QubitModel) -> bool:
     """The CUQ, e.gamma = 0 with r < 1 (Re mu = 0 != mu): no stationary
     state.  Decided on the model's floats exactly, as `_generator` reads."""
-    return model.r < 1.0 and model.e @ model.gamma == 0.0
+    return model.r < 1.0 and _e_dot_gamma(model) == 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,17 +189,22 @@ class DensityMatrix(_Value):
 
 
 def _vector_field(model: QubitModel):
-    """f(b) = C b + gamma - (b.gamma) b, the Bloch equation's right-hand side.
+    """f(b) = -(1/r) e x b + gamma - (b.gamma) b, the Bloch equation's
+    right-hand side, in float arithmetic.
 
-    The rotation -(1/r) e x b is the fixed linear map C = -[e]_x / r, built
-    once per model, so one evaluation is a 3x3 product and a dot product.
+    e/r and gamma are read as floats once per model; one evaluation forms
+    d = b.gamma and each component left to right, as e3 y - e2 z + g1 - d x,
+    so no BLAS call sets its bits.
     """
-    e1, e2, e3 = model.e / model.r
-    C = np.array([[0.0, e3, -e2], [-e3, 0.0, e1], [e2, -e1, 0.0]])
-    g = model.gamma
+    e1, e2, e3 = (model.e / model.r).tolist()
+    g1, g2, g3 = model.gamma.tolist()
 
     def f(b: np.ndarray) -> np.ndarray:
-        return C @ b + g - (b @ g) * b
+        x, y, z = b.tolist()
+        d = x * g1 + y * g2 + z * g3
+        return np.array([e3 * y - e2 * z + g1 - d * x,
+                         e1 * z - e3 * x + g2 - d * y,
+                         e2 * x - e1 * y + g3 - d * z])
 
     return f
 
@@ -197,9 +215,10 @@ def bloch_derivative(state: BlochState, model: QubitModel) -> np.ndarray:
 
 
 def purity_rate(state: BlochState, model: QubitModel) -> float:
-    """d|b|^2/dtau = 2 (gamma.b) (1 - |b|^2)."""
-    b = state.b
-    return 2.0 * float(np.dot(model.gamma, b)) * (1.0 - float(np.dot(b, b)))
+    """d|b|^2/dtau = 2 (gamma.b) (1 - |b|^2), in float arithmetic."""
+    x, y, z = state.b.tolist()
+    g1, g2, g3 = model.gamma.tolist()
+    return 2.0 * (x * g1 + y * g2 + z * g3) * (1.0 - (x * x + y * y + z * z))
 
 
 def density_from_bloch(state: BlochState) -> DensityMatrix:

@@ -6,11 +6,12 @@ n = gamma + i e/r.  `propagate` evaluates that closed form at any set of
 times, block by block, and `evolve_to_asymptote` reads the limit off the
 same generator, scaled by min(r, 1) so that any finite r > 0 works; both
 read b off a Gram matrix W W^dagger in real arithmetic.  `evolve`
-integrates the Bloch equation with `core._vector_field` (the one definition
-of the field): it is the independent oracle that the exact forms are
-tested against, the textbook Dormand-Prince 5(4) pair (Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.6) with a first step of 0.1, one elementary
-step-size rule and order-4 dense output.
+integrates the Bloch equation with `core._vector_field`, the one definition
+of the field, formed in float arithmetic with no BLAS call.  It is the
+independent oracle that the exact forms are tested against, the textbook
+Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.6) with a first step of 0.1, one elementary step-size rule and
+order-4 dense output.
 """
 
 from __future__ import annotations

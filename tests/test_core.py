@@ -1,12 +1,18 @@
 """State types and the evolution vector field."""
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cuq.core import (BlochState, DensityMatrix, QubitModel, _vector_field,
-                      bloch_derivative, density_evolution_rhs,
+from cuq.analytic import AsymptoticBranch, asymptotic_state
+from cuq.core import (BlochState, DensityMatrix, QubitModel, _is_cuq,
+                      _vector_field, bloch_derivative, density_evolution_rhs,
                       density_from_bloch, purity_rate)
 
 SIGMA = np.array([
@@ -120,8 +126,9 @@ class TestBlochDerivative:
             assert purity_rate(s, m) == pytest.approx(2.0 * rhs, abs=1e-13)
 
     def test_matches_expanded_cross_product(self):
-        # the matrix form C b, C = -[e]_x / r, against e x b written out
-        # component by component, to rounding, for r over six decades
+        # the field's float form, with e/r rounded once per model, against
+        # -(e x b)/r written out component by component, to rounding, for r
+        # over six decades
         rng = np.random.default_rng(5)
         eps = np.finfo(float).eps
         for r in 10.0 ** rng.uniform(-3.0, 3.0, 40):
@@ -144,6 +151,60 @@ class TestBlochDerivative:
             b /= np.linalg.norm(b)
             d = bloch_derivative(BlochState(b=b), m)
             assert abs(b @ d) < 1e-13
+
+
+# e.gamma is 4.7e-18 exactly; a BLAS dot rounds it to 0 on some kernels
+_E_NEAR = [0.5480490242187147, 0.08491493293201506, 0.8321248230993149]
+_G_NEAR = [-0.18631166352311612, -0.9574481187642297, 0.22041112474212027]
+
+# hashes the field, the purity rate and the CUQ decision on inputs built
+# without BLAS (math.hypot normalises), so only cuq's own arithmetic differs
+_KERNEL_SCRIPT = """
+import hashlib, math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from cuq.analytic import asymptotic_state
+from cuq.core import (BlochState, QubitModel, _is_cuq, bloch_derivative,
+                      purity_rate)
+
+rng = np.random.default_rng(27)
+h = hashlib.sha256()
+for _ in range(3000):
+    m = QubitModel.from_angle(rng.uniform(0.02, 3.0), rng.uniform(0.0, 6.3))
+    s = BlochState(rng.uniform(-0.57, 0.57, 3))
+    h.update(bloch_derivative(s, m).tobytes())
+    h.update(purity_rate(s, m).hex().encode())
+models = [QubitModel(e=E_NEAR, gamma=G_NEAR, r=0.5)]
+for _ in range(1000):
+    e = rng.standard_normal(3)
+    g = np.cross(e, rng.standard_normal(3))
+    models.append(QubitModel(e=e / math.hypot(*e), gamma=g / math.hypot(*g),
+                             r=rng.uniform(0.1, 3.0)))
+for m in models:
+    h.update(f"{_is_cuq(m)} {asymptotic_state(m).branch.value};".encode())
+print(h.hexdigest())
+"""
+
+
+class TestBlasKernelIndependence:
+    def test_near_perpendicular_model_is_general(self):
+        m = QubitModel(e=_E_NEAR, gamma=_G_NEAR, r=0.5)
+        assert not _is_cuq(m)
+        assert asymptotic_state(m).branch is AsymptoticBranch.GENERAL
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_field_and_cuq_decision_match_under_nehalem_kernel(self):
+        # the older kernel is set in the child's environment only
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        script = f"E_NEAR, G_NEAR = {_E_NEAR!r}, {_G_NEAR!r}\n{_KERNEL_SCRIPT}"
+        out = [subprocess.run([sys.executable, "-c", script, src],
+                              env=child, capture_output=True, text=True,
+                              check=True).stdout
+               for child in (env, {**env, "OPENBLAS_CORETYPE": "Nehalem"})]
+        assert out[0] == out[1]
 
 
 class TestDensityMatrix:
