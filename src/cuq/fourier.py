@@ -100,7 +100,12 @@ def closed_form_cn(n: int, r: float) -> float:
     q = half_angle_slope(r)
     if r == 0.0:
         return 1.0 if n == 1 else 0.0
-    return 2.0 * np.sqrt(_one_minus_r2(r)) / r * q ** n
+    r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
+    root = math.sqrt(_one_minus_r2(r))
+    scale = 2.0 * root / r
+    if scale == math.inf:  # r below 2/DBL_MAX: scale q = 2 root/(1 + root)
+        return 2.0 * root / (1.0 + root) * q ** (n - 1)
+    return scale * q ** n
 
 
 def closed_form_d0(r: float) -> float:

@@ -10,8 +10,10 @@ integrates the Bloch equation with `core._vector_field`, the one definition
 of the field, formed in float arithmetic with no BLAS call.  It is the
 independent oracle that the exact forms are tested against, the textbook
 Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6) with a first step of 0.1, one elementary step-size rule and
-order-4 dense output.
+II.4-II.6) with a first step of 0.1 and one elementary step-size rule.  Its
+error test runs on Python floats, with numpy's bits for the 3-vector norm;
+the order-4 dense output is formed once, after the last step, from the
+stages each accepted step kept.
 """
 
 from __future__ import annotations
@@ -79,17 +81,22 @@ class Trajectory:
 
     taus: np.ndarray
     bs: np.ndarray       # shape (n, 3)
-    dense: np.ndarray    # (c1, c2, c3) of each step, shape (n - 1, 3, 3)
+    dense: np.ndarray    # (c1, c2, c3) of each step, shape (n - 1, 3, 3),
+    #                      formed for all steps at once from their stages
     controller_stats: dict = field(default_factory=dict)
 
     def interpolate(self, tau) -> np.ndarray:
         """DP5's order-4 dense output between accepted steps."""
         tau = np.asarray(tau, dtype=float)
+        if tau.ndim > 1:
+            raise ValueError("interpolation query must be a scalar or a 1-D "
+                             "array of times")
         scalar = tau.ndim == 0
         t = np.atleast_1d(tau)
         if not np.all(np.isfinite(t)):
             raise ValueError("interpolation query is not finite")
-        if t.min() < self.taus[0] - 1e-12 or t.max() > self.taus[-1] + 1e-12:
+        if t.size and (t.min() < self.taus[0] - 1e-12
+                       or t.max() > self.taus[-1] + 1e-12):
             raise ValueError("interpolation query outside the integrated range")
         idx = np.searchsorted(self.taus[1:-1], t, side="right")
         t0 = self.taus[idx]
@@ -108,6 +115,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
     for tol in (rel_tol, abs_tol):
         if not (0.0 < tol <= 1e-2):
             raise ValueError(f"tolerance {tol} outside (0, 1e-2]")
+    rel_tol, abs_tol = float(rel_tol), float(abs_tol)  # a float32 stays double
     b = _as_vec3(b0)
 
     f = _vector_field(model)
@@ -115,8 +123,8 @@ def evolve(model: QubitModel, b0, tau_end: float,
     k[0] = f(b)
 
     taus = [0.0]
-    bs = [b.copy()]
-    dense = []
+    bs = [b]
+    ks, hs = [], []
     tau, h = 0.0, 0.1
     n_acc = n_rej = 0
     nfev = 1
@@ -133,17 +141,22 @@ def evolve(model: QubitModel, b0, tau_end: float,
             nfev += 6
             y5 = b + h * (_B5 @ k)
             err_vec = h * (_E @ k)
-            sc = abs_tol + rel_tol * np.maximum(np.abs(b), np.abs(y5))
-            err = math.sqrt(float(((err_vec / sc) ** 2).sum()) / 3.0)
+            # RMS of err / (abs_tol + rel_tol max|y|) with numpy's bits:
+            # q * q as numpy squares (float ** may round otherwise, and
+            # raises on overflow), summed x, y, z in turn as numpy sums 3
+            s = 0.0
+            for e, x, y in zip(err_vec.tolist(), b.tolist(), y5.tolist()):
+                q = e / (abs_tol + rel_tol * max(abs(x), abs(y)))
+                s += q * q
+            err = math.sqrt(s / 3.0)
             if err <= 1.0:
-                dy = y5 - b
-                c1 = h * k[0] - dy
-                dense.append((c1, dy - h * k[6] - c1, h * (_D @ k)))
+                ks.append(k.copy())
+                hs.append(h)
                 tau += h
                 b = y5
                 k[0] = k[6]  # FSAL
                 taus.append(tau)
-                bs.append(b.copy())
+                bs.append(b)
                 n_acc += 1
                 max_err = max(max_err, err)
             else:
@@ -151,14 +164,22 @@ def evolve(model: QubitModel, b0, tau_end: float,
             # elementary controller, order-4 estimate; err = 0 grows h 5x
             h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** (-1 / 5)))
 
+        # dense output of every accepted step at once
+        B, K, H = np.array(bs), np.array(ks), np.array(hs)[:, None]
+        dy = B[1:] - B[:-1]
+        c1 = H * K[:, 0] - dy
+        c2 = dy - H * K[:, 6] - c1
+        c3 = H * sum(d * K[:, j] for j, d in enumerate(_D))
+
     stats = {
         "n_accepted": n_acc,
         "n_rejected": n_rej,
         "n_fev": nfev,
         "max_local_error": max_err,
     }
-    return Trajectory(taus=np.array(taus), bs=np.array(bs),
-                      dense=np.array(dense), controller_stats=stats)
+    return Trajectory(taus=np.array(taus), bs=B,
+                      dense=np.stack([c1, c2, c3], axis=1),
+                      controller_stats=stats)
 
 
 def _gram_bloch(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

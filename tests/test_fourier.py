@@ -30,6 +30,14 @@ class TestClosedForms:
             assert np.isfinite(v)
         assert closed_form_cn(1, 1e-8) == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("r", [1.1125369292536007e-308, 8e-309, 5.6e-309])
+    def test_prefactor_past_the_float_range(self, r):
+        # 2 sqrt(1-r^2)/r overflows below r = 2/DBL_MAX while omega_hat is
+        # still finite; c_n = 2 (q/r) q^(n-1) sqrt(1-r^2), c_1 = 1
+        assert closed_form_cn(1, r) == 1.0
+        assert closed_form_cn(2, r) == pytest.approx(r / 2, rel=1e-15)
+        assert closed_form_cn(2 ** 15, r) == 0.0
+
     def test_geometric_decay(self):
         r = 0.7
         q = (1 - np.sqrt(1 - r * r)) / r

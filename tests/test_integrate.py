@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from cuq.analytic import asymptotic_state, cuq_clock, cuq_projections
 from cuq.core import (SIGMA, BlochState, QubitModel, _effective_matrices,
-                      density_from_bloch, purity_rate)
+                      _vector_field, density_from_bloch, purity_rate)
 from cuq.integrate import (NON_CONVERGENT, StepSizeUnderflow, evolve,
                            evolve_to_asymptote, propagate)
 
@@ -98,6 +98,16 @@ class TestEvolve:
     def test_rejects_non_finite_b0(self):
         with pytest.raises(ValueError):
             evolve(perp_model(0.5), [0.0, np.nan, 0.0], 1.0)
+
+    def test_float32_tolerances_act_as_their_double_values(self):
+        # the error test runs on Python floats, where a float32 scale
+        # would round every quotient to single precision
+        m = perp_model(0.85)
+        tol = np.float32(1e-6)
+        a = evolve(m, np.zeros(3), 5.0, rel_tol=tol, abs_tol=tol)
+        b = evolve(m, np.zeros(3), 5.0, rel_tol=float(tol), abs_tol=float(tol))
+        assert np.array_equal(a.taus, b.taus)
+        assert a.controller_stats == b.controller_stats
 
     def test_controller_stats_recorded(self):
         traj = evolve(perp_model(0.5), np.zeros(3), 5.0)
@@ -193,6 +203,45 @@ class TestInterpolation:
         traj = evolve(perp_model(0.5), np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="not finite"):
             traj.interpolate(tau)
+
+    def test_empty_query_returns_no_rows(self):
+        # as propagate(model, b0, []) does
+        m = perp_model(0.5)
+        traj = evolve(m, np.zeros(3), 1.0)
+        assert traj.interpolate([]).shape == (0, 3)
+        assert propagate(m, np.zeros(3), []).shape == (0, 3)
+
+    def test_two_dimensional_query_raises(self):
+        traj = evolve(perp_model(0.5), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="scalar or a 1-D"):
+            traj.interpolate([[0.2, 0.5]])
+
+    @pytest.mark.parametrize("r, theta, tau_end", [
+        (0.85, 90.0, None), (1.0, 90.0, None), (2.0, 60.0, None),
+        (0.02, 70.0, None), (0.5, 40.0, 1e-3)])
+    def test_dense_output_has_the_field_as_its_end_slopes(self, r, theta,
+                                                          tau_end):
+        # (c1, c2) make the interpolant's slopes at s = 0 and s = 1 the field
+        # at the step's ends: dy + c1 = h f(b_i), dy - c1 - c2 = h f(b_i+1).
+        # Bound: 4 ulps of |h f| for the sums and for FSAL's k0, which can
+        # be an ulp off f(b_i+1), plus eps tau/h because h is read back as
+        # tau_i+1 - tau_i from the rounded taus.  tau_end = 1e-3 is one step
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        if tau_end is None:
+            tau_end = 3.0 * (cuq_clock(r).P_hat if r < 1.0 else r)
+        traj = evolve(m, [0.3, -0.2, 0.5], tau_end)
+        if tau_end == 1e-3:
+            assert traj.dense.shape == (1, 3, 3)
+        f = _vector_field(m)
+        h = np.diff(traj.taus)[:, None]
+        fb = np.array([f(b) for b in traj.bs])
+        hf0, hf1 = h * fb[:-1], h * fb[1:]
+        c1, c2, _ = traj.dense.transpose(1, 0, 2)
+        dy = np.diff(traj.bs, axis=0)
+        ulps = 4.0 + traj.taus[1:] / h[:, 0]
+        for got, want in ((dy + c1, hf0), (dy - c1 - c2, hf1)):
+            bound = ulps * np.finfo(float).eps * np.abs(want).max(axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= bound)
 
 
 class TestAsymptote:
