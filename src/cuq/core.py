@@ -188,25 +188,31 @@ class DensityMatrix(_Value):
         return float(np.trace(self.entries @ self.entries).real)
 
 
-def _vector_field(model: QubitModel):
-    """f(b) = -(1/r) e x b + gamma - (b.gamma) b, the Bloch equation's
-    right-hand side, in float arithmetic.
+def _float_field(model: QubitModel):
+    """f(x, y, z) = -(1/r) e x b + gamma - (b.gamma) b, the Bloch equation's
+    right-hand side on Python floats, the one definition of the field.
 
     e/r and gamma are read as floats once per model; one evaluation forms
     d = b.gamma and each component left to right, as e3 y - e2 z + g1 - d x,
-    so no BLAS call sets its bits.
+    and returns the tuple (fx, fy, fz), so no BLAS call or SIMD loop sets
+    its bits.  `evolve` steps on this form.
     """
     e1, e2, e3 = (model.e / model.r).tolist()
     g1, g2, g3 = model.gamma.tolist()
 
-    def f(b: np.ndarray) -> np.ndarray:
-        x, y, z = b.tolist()
+    def f(x: float, y: float, z: float) -> tuple[float, float, float]:
         d = x * g1 + y * g2 + z * g3
-        return np.array([e3 * y - e2 * z + g1 - d * x,
-                         e1 * z - e3 * x + g2 - d * y,
-                         e2 * x - e1 * y + g3 - d * z])
+        return (e3 * y - e2 * z + g1 - d * x,
+                e1 * z - e3 * x + g2 - d * y,
+                e2 * x - e1 * y + g3 - d * z)
 
     return f
+
+
+def _vector_field(model: QubitModel):
+    """`_float_field` on a 3-vector b, returned as a float64 array."""
+    f = _float_field(model)
+    return lambda b: np.array(f(*b.tolist()))
 
 
 def bloch_derivative(state: BlochState, model: QubitModel) -> np.ndarray:

@@ -185,6 +185,25 @@ for m in models:
 print(h.hexdigest())
 """
 
+# hashes the DP5 oracle's steps, dense output and interpolant for three
+# models, one CUQ, one general and one overdamped
+_ORACLE_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from cuq.core import QubitModel
+from cuq.integrate import evolve
+
+h = hashlib.sha256()
+for r, theta in ((0.85, 90.0), (0.3, 40.0), (2.0, 120.0)):
+    m = QubitModel.from_angle(r, theta, degrees=True)
+    traj = evolve(m, [0.3, -0.2, 0.5], 20.0)
+    for a in (traj.taus, traj.bs, traj.dense,
+              traj.interpolate(np.linspace(0.0, 20.0, 257))):
+        h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
 
 class TestBlasKernelIndependence:
     def test_near_perpendicular_model_is_general(self):
@@ -205,6 +224,23 @@ class TestBlasKernelIndependence:
                               check=True).stdout
                for child in (env, {**env, "OPENBLAS_CORETYPE": "Nehalem"})]
         assert out[0] == out[1]
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_oracle_matches_under_nehalem_kernel_and_without_avx2(self):
+        # no BLAS call or SIMD loop sets a DP5 step's bits.  Each setting
+        # acts in the child only; with every dispatched SIMD feature
+        # disabled numpy runs its baseline loops, which lack AVX2
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        out = [subprocess.run([sys.executable, "-c", _ORACLE_SCRIPT, src],
+                              env={**env, **child}, capture_output=True,
+                              text=True, check=True).stdout
+               for child in ({}, {"OPENBLAS_CORETYPE": "Nehalem"},
+                             {"NPY_DISABLE_CPU_FEATURES": " ".join(simd)})]
+        assert out[0] == out[1] == out[2]
 
 
 class TestDensityMatrix:
