@@ -137,9 +137,23 @@ def cuq_projections(tau, r: float):
 
     sqrt(1 - r^2) is formed once, by `_clock_root`, and gives both the
     prefactor and w = sqrt(1 - r^2)/r, `cuq_clock(r).omega_hat` bit for bit.
+    A tau that is not finite is a ValueError, and a finite tau whose phase
+    w tau is past the float range an OverflowError, as in `propagate`.
     """
     root = _clock_root(r)
-    phase = (root / float(r)) * np.asarray(tau, dtype=float)
+    w = root / float(r)
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim == 0:  # Python floats: an overflowing product is inf, unwarned
+        phase = w * float(tau)
+        finite = math.isfinite(phase)
+    else:
+        with np.errstate(over="ignore"):
+            phase = w * tau
+        finite = np.isfinite(phase).all()
+    if not finite:
+        _finite("tau", tau)
+        raise OverflowError(f"the phase w tau overflows at r = {r!r}, "
+                            f"tau = {float(np.abs(tau).max())!r}")
     cos = np.cos(phase)
     denom = 1.0 - r * cos
     b_gamma = root * np.sin(phase) / denom

@@ -10,13 +10,14 @@ integrates the Bloch equation on `core._float_field`, the one definition of
 the field.  It is the independent oracle that the exact forms are tested
 against, the textbook Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4-II.6) with a first step of 0.1 and one elementary
-step-size rule.  Each step runs on Python floats: every stage input, y5 and
-the error estimate is a left-to-right sum over a tableau row, so no BLAS
-call or SIMD loop sets the oracle's bits.  Its defaults, rel_tol = 3e-11
-and abs_tol = 3e-14, keep three periods of the CUQ orbit within a tenth of
-the benchmark's 1e-6 trajectory bound for every r <= 0.999.  The order-4
-dense output is formed once, after the last step, from the stages each
-accepted step kept.
+step-size rule.  Each step runs on Python floats: every stage input, y5,
+the error estimate and its norm is one straight-line, left-to-right sum over
+the tableau's coefficients by name, so no BLAS call or SIMD loop sets the
+oracle's bits.  Its defaults, rel_tol = 1e-11 and abs_tol = 1e-14, keep
+three periods of the CUQ orbit within a tenth of the benchmark's 1e-6
+trajectory bound for every r <= 0.9995 (worst 5.2e-8, at r = 0.99945).  The
+order-4 dense output is formed once, after the last step, from the stages
+each accepted step kept.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from ._base import _BLOCK_ROWS
-from .core import (IDENTITY2, BlochState, QubitModel, _as_vec3, _float_field,
+from .core import (IDENTITY2, BlochState, QubitModel, _float_field,
                    _generator, _is_cuq, _pauli)
 
 __all__ = [
@@ -73,6 +73,15 @@ _A = (
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
        -92097 / 339200, 187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[-1] + (0.0,), _B4))
+# the same coefficients by name, numbered from 1 as in Hairer, Norsett &
+# Wanner: a_ij weighs stage j in the input of stage i, a7j = b5_j
+((_a21,),
+ (_a31, _a32),
+ (_a41, _a42, _a43),
+ (_a51, _a52, _a53, _a54),
+ (_a61, _a62, _a63, _a64, _a65),
+ (_a71, _a72, _a73, _a74, _a75, _a76)) = _A
+_e1, _e2, _e3, _e4, _e5, _e6, _e7 = _E
 # DOPRI5's order-4 dense output at s in [0, 1] of a step h from y0 to y1:
 # (1 - s) y0 + s y1 + s (1 - s) (c1 + s (c2 + (1 - s) c3)), c3 = h (d . k).
 # c3 = 0 is cubic Hermite: c1 = h f0 - dy, c2 = dy - h f1 - c1, dy = y1 - y0.
@@ -114,16 +123,18 @@ class Trajectory:
 
 
 def evolve(model: QubitModel, b0, tau_end: float,
-           rel_tol: float = 3e-11, abs_tol: float = 3e-14) -> Trajectory:
-    """Integrate db/dtau from b0 over [0, tau_end].
+           rel_tol: float = 1e-11, abs_tol: float = 1e-14) -> Trajectory:
+    """Integrate db/dtau from b0 over [0, tau_end]; b0 is checked as a
+    `BlochState`, as by `propagate`.
 
     The defaults come from one rule: at theta = 90 degrees, three periods
     from e x gamma, gamma, -gamma, e or the mixed start stay within 1e-7 of
-    `propagate` for every r <= 0.999, a tenth of the benchmark's bound.  The
-    orbit is neutrally stable, so step errors add up: the worst case, r =
-    0.999 from gamma, is 9.0e-8 here and 3.7e-6 at rel_tol = 1e-9.  Every
-    step runs on Python floats, so its bits depend on no BLAS kernel and no
-    SIMD level.
+    `propagate` for every r <= 0.9995, a tenth of the benchmark's bound.
+    The orbit is neutrally stable, so step errors add up: the worst case,
+    r = 0.99945 from e x gamma, is 5.2e-8, and r = 0.9995 reads 1.9e-7 at
+    rel_tol = 3e-11.  Closer to r = 1 the drift passes the bound (3.6e-5 at
+    r = 0.99999).  Every step runs on Python floats, so its bits depend on
+    no BLAS kernel and no SIMD level.
     """
     if not 0.0 < tau_end < np.inf:
         raise ValueError(f"tau_end must be positive and finite, got {tau_end}")
@@ -131,10 +142,10 @@ def evolve(model: QubitModel, b0, tau_end: float,
         if not (0.0 < tol <= 1e-2):
             raise ValueError(f"tolerance {tol} outside (0, 1e-2]")
     rel_tol, abs_tol = float(rel_tol), float(abs_tol)  # a float32 stays double
-    x, y, z = _as_vec3(b0).tolist()
+    x, y, z = BlochState(b0).b.tolist()
 
     f = _float_field(model)
-    k0 = f(x, y, z)
+    k1x, k1y, k1z = f(x, y, z)
 
     # the accepted steps, flat: each keeps its seven stages (fx, fy, fz)
     taus, bs = array("d", [0.0]), array("d", (x, y, z))
@@ -145,42 +156,68 @@ def evolve(model: QubitModel, b0, tau_end: float,
     max_err = 0.0
 
     # a trial step that overflows has a non-finite error and is rejected;
-    # Python float arithmetic gives inf or nan there and does not raise
+    # Python float arithmetic gives inf or nan there and does not raise.
+    # Every sum runs left to right from 0.0, zero coefficients included, so
+    # any CPU rounds it alike, and as a loop over the tableau rows would
     while tau < tau_end:
         h = min(h, tau_end - tau)
         if h < 1e-14 * max(1.0, tau):
             raise StepSizeUnderflow(f"step underflow at tau={tau}")
-        k = [k0]
-        for row in _A:
-            # every sum runs left to right, so any CPU rounds it alike
-            sx = sy = sz = 0.0
-            for a, (fx, fy, fz) in zip(row, k):
-                sx += a * fx
-                sy += a * fy
-                sz += a * fz
-            u, v, w = x + h * sx, y + h * sy, z + h * sz
-            k.append(f(u, v, w))
+        k2x, k2y, k2z = f(x + h * (0.0 + _a21 * k1x),
+                          y + h * (0.0 + _a21 * k1y),
+                          z + h * (0.0 + _a21 * k1z))
+        k3x, k3y, k3z = f(x + h * (0.0 + _a31 * k1x + _a32 * k2x),
+                          y + h * (0.0 + _a31 * k1y + _a32 * k2y),
+                          z + h * (0.0 + _a31 * k1z + _a32 * k2z))
+        k4x, k4y, k4z = f(
+            x + h * (0.0 + _a41 * k1x + _a42 * k2x + _a43 * k3x),
+            y + h * (0.0 + _a41 * k1y + _a42 * k2y + _a43 * k3y),
+            z + h * (0.0 + _a41 * k1z + _a42 * k2z + _a43 * k3z))
+        k5x, k5y, k5z = f(
+            x + h * (0.0 + _a51 * k1x + _a52 * k2x + _a53 * k3x
+                     + _a54 * k4x),
+            y + h * (0.0 + _a51 * k1y + _a52 * k2y + _a53 * k3y
+                     + _a54 * k4y),
+            z + h * (0.0 + _a51 * k1z + _a52 * k2z + _a53 * k3z
+                     + _a54 * k4z))
+        k6x, k6y, k6z = f(
+            x + h * (0.0 + _a61 * k1x + _a62 * k2x + _a63 * k3x
+                     + _a64 * k4x + _a65 * k5x),
+            y + h * (0.0 + _a61 * k1y + _a62 * k2y + _a63 * k3y
+                     + _a64 * k4y + _a65 * k5y),
+            z + h * (0.0 + _a61 * k1z + _a62 * k2z + _a63 * k3z
+                     + _a64 * k4z + _a65 * k5z))
+        # the last row is b5, so (u, v, w) is y5 and k7 = f(y5) (FSAL)
+        u = x + h * (0.0 + _a71 * k1x + _a72 * k2x + _a73 * k3x
+                     + _a74 * k4x + _a75 * k5x + _a76 * k6x)
+        v = y + h * (0.0 + _a71 * k1y + _a72 * k2y + _a73 * k3y
+                     + _a74 * k4y + _a75 * k5y + _a76 * k6y)
+        w = z + h * (0.0 + _a71 * k1z + _a72 * k2z + _a73 * k3z
+                     + _a74 * k4z + _a75 * k5z + _a76 * k6z)
+        k7x, k7y, k7z = f(u, v, w)
         nfev += 6
-        # the last row is b5, so (u, v, w) is y5; err is the RMS over x, y,
-        # z in turn of h (E . k) / (abs_tol + rel_tol max(|y|, |y5|))
-        ex = ey = ez = 0.0
-        for c, (fx, fy, fz) in zip(_E, k):
-            ex += c * fx
-            ey += c * fy
-            ez += c * fz
-        s = 0.0
-        for e, y0, y1 in zip((ex, ey, ez), (x, y, z), (u, v, w)):
-            q = h * e / (abs_tol + rel_tol * max(abs(y0), abs(y1)))
-            s += q * q
-        err = math.sqrt(s / 3.0)
+        # err is the RMS over x, y, z of the error estimate h (E . k) over
+        # abs_tol + rel_tol max(|y|, |y5|)
+        qx = h * (0.0 + _e1 * k1x + _e2 * k2x + _e3 * k3x + _e4 * k4x
+                  + _e5 * k5x + _e6 * k6x + _e7 * k7x) / (
+            abs_tol + rel_tol * max(abs(x), abs(u)))
+        qy = h * (0.0 + _e1 * k1y + _e2 * k2y + _e3 * k3y + _e4 * k4y
+                  + _e5 * k5y + _e6 * k6y + _e7 * k7y) / (
+            abs_tol + rel_tol * max(abs(y), abs(v)))
+        qz = h * (0.0 + _e1 * k1z + _e2 * k2z + _e3 * k3z + _e4 * k4z
+                  + _e5 * k5z + _e6 * k6z + _e7 * k7z) / (
+            abs_tol + rel_tol * max(abs(z), abs(w)))
+        err = math.sqrt((0.0 + qx * qx + qy * qy + qz * qz) / 3.0)
         if err <= 1.0:
-            ks.extend(chain.from_iterable(k))
+            ks.extend((k1x, k1y, k1z, k2x, k2y, k2z, k3x, k3y, k3z,
+                       k4x, k4y, k4z, k5x, k5y, k5z, k6x, k6y, k6z,
+                       k7x, k7y, k7z))
             hs.append(h)
             tau += h
             x, y, z = u, v, w
             taus.append(tau)
             bs.extend((x, y, z))
-            k0 = k[6]  # FSAL
+            k1x, k1y, k1z = k7x, k7y, k7z  # FSAL
             n_acc += 1
             max_err = max(max_err, err)
         else:

@@ -187,6 +187,21 @@ class TestProjections:
             assert np.float64(s).tobytes() == np.float64(w).tobytes()
             assert a[1].tobytes() == np.float64(w).tobytes()
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, float("nan"),
+                                     np.float64(np.inf), [0.5, np.nan],
+                                     [np.inf, 0.5]])
+    def test_rejects_a_tau_that_is_not_finite(self, tau):
+        # nan returned nan unwarned; inf warned in np.cos
+        with pytest.raises(ValueError, match="tau must be finite"):
+            cuq_projections(tau, 0.85)
+
+    @pytest.mark.parametrize("tau", [1e308, -1e308, np.float64(1e308),
+                                     [0.5, -1e308]])
+    def test_overflowing_phase_is_an_overflow_error(self, tau):
+        # w = sqrt(1 - 0.01)/0.1 = 9.95, so w tau is past the float range
+        with pytest.raises(OverflowError, match=r"r = 0\.1, tau = 1e\+308"):
+            cuq_projections(tau, 0.1)
+
 
 class TestAsymptoticState:
     @pytest.mark.parametrize("r", [0.2, 0.6, 1.0, 1.4, 1.8])

@@ -1,6 +1,10 @@
 """Exact propagator, adaptive integrator, and asymptote detection."""
 
+import math
+import re
+from array import array
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,9 +14,10 @@ from scipy.linalg import expm
 
 from cuq.analytic import asymptotic_state, cuq_clock, cuq_projections
 from cuq.core import (SIGMA, BlochState, QubitModel, _effective_matrices,
-                      _vector_field, density_from_bloch, purity_rate)
-from cuq.integrate import (NON_CONVERGENT, StepSizeUnderflow, evolve,
-                           evolve_to_asymptote, propagate)
+                      _float_field, _vector_field, density_from_bloch,
+                      purity_rate)
+from cuq.integrate import (_A, _D, _E, NON_CONVERGENT, StepSizeUnderflow,
+                           evolve, evolve_to_asymptote, propagate)
 
 radii = st.floats(0.05, 20.0)
 angles = st.floats(0.0, 180.0)
@@ -22,6 +27,70 @@ unit_ball = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
 
 def perp_model(r):
     return QubitModel.from_angle(r, 90.0, degrees=True)
+
+
+def reference_evolve(model, b0, tau_end, rel_tol, abs_tol):
+    """`evolve` as a generic loop over the tableau rows, the reference its
+    straight-line sums are held to: (taus, bs, dense, stats).  Each sum
+    starts from 0.0 and runs left to right over a row, zero coefficients
+    included, so both forms round alike."""
+    x, y, z = BlochState(b0).b.tolist()
+    f = _float_field(model)
+    k0 = f(x, y, z)
+    taus, bs = array("d", [0.0]), array("d", (x, y, z))
+    hs, ks = array("d"), array("d")
+    tau, h = 0.0, 0.1
+    n_acc = n_rej = 0
+    nfev = 1
+    max_err = 0.0
+    while tau < tau_end:
+        h = min(h, tau_end - tau)
+        if h < 1e-14 * max(1.0, tau):
+            raise StepSizeUnderflow(f"step underflow at tau={tau}")
+        k = [k0]
+        for row in _A:
+            sx = sy = sz = 0.0
+            for a, (fx, fy, fz) in zip(row, k):
+                sx += a * fx
+                sy += a * fy
+                sz += a * fz
+            u, v, w = x + h * sx, y + h * sy, z + h * sz
+            k.append(f(u, v, w))
+        nfev += 6
+        ex = ey = ez = 0.0
+        for c, (fx, fy, fz) in zip(_E, k):
+            ex += c * fx
+            ey += c * fy
+            ez += c * fz
+        s = 0.0
+        for e, y0, y1 in zip((ex, ey, ez), (x, y, z), (u, v, w)):
+            q = h * e / (abs_tol + rel_tol * max(abs(y0), abs(y1)))
+            s += q * q
+        err = math.sqrt(s / 3.0)
+        if err <= 1.0:
+            ks.extend(chain.from_iterable(k))
+            hs.append(h)
+            tau += h
+            x, y, z = u, v, w
+            taus.append(tau)
+            bs.extend((x, y, z))
+            k0 = k[6]
+            n_acc += 1
+            max_err = max(max_err, err)
+        else:
+            n_rej += 1
+        h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** (-1 / 5)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.array(bs).reshape(-1, 3)
+        K = np.array(ks).reshape(-1, 7, 3)
+        H = np.array(hs)[:, None]
+        dy = B[1:] - B[:-1]
+        c1 = H * K[:, 0] - dy
+        c2 = dy - H * K[:, 6] - c1
+        c3 = H * sum(d * K[:, j] for j, d in enumerate(_D))
+    stats = {"n_accepted": n_acc, "n_rejected": n_rej, "n_fev": nfev,
+             "max_local_error": max_err}
+    return np.array(taus), B, np.stack([c1, c2, c3], axis=1), stats
 
 
 class TestEvolve:
@@ -98,6 +167,40 @@ class TestEvolve:
     def test_rejects_non_finite_b0(self):
         with pytest.raises(ValueError):
             evolve(perp_model(0.5), [0.0, np.nan, 0.0], 1.0)
+
+    @pytest.mark.parametrize("b0", [[2.0, 0.0, 0.0], [-3.0, 0.0, 0.0],
+                                    [0.0, 0.0, 1.0 + 1e-8]])
+    def test_rejects_a_start_outside_the_ball(self, b0):
+        # as propagate does: (2, 0, 0) ran on with |b| = 2 and (-3, 0, 0)
+        # ended in a step underflow at tau = 0.78
+        m = perp_model(0.5)
+        for run in (lambda: evolve(m, b0, 5.0),
+                    lambda: propagate(m, b0, [5.0])):
+            with pytest.raises(ValueError, match=r"\|b\| must be at most"):
+                run()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.02, 20.0), angles, unit_ball, st.floats(0.05, 10.0),
+           st.floats(-12.0, -3.0), st.floats(-15.0, -3.0))
+    @example(1e-20, 90.0, np.array([0.0, 1.0, 0.0]), 1.0, -11.0, -14.0)
+    @example(0.85, 90.0, np.zeros(3), 20.0, -11.0, -14.0)
+    def test_keeps_the_bits_of_the_generic_tableau_loop(self, r, theta, b0,
+                                                        tau_end, lg_rel,
+                                                        lg_abs):
+        # every output byte, a step underflow's message too, and the stats
+        m = QubitModel.from_angle(r, theta, degrees=True)
+        tols = (10.0 ** lg_rel, 10.0 ** lg_abs)
+        try:
+            want = reference_evolve(m, b0, tau_end, *tols)
+        except StepSizeUnderflow as exc:
+            with pytest.raises(StepSizeUnderflow,
+                               match=f"^{re.escape(str(exc))}$"):
+                evolve(m, b0, tau_end, *tols)
+            return
+        got = evolve(m, b0, tau_end, *tols)
+        for a, b in zip((got.taus, got.bs, got.dense), want[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert repr(got.controller_stats) == repr(want[3])
 
     def test_float32_tolerances_act_as_their_double_values(self):
         # the error test runs on Python floats, where a float32 scale
@@ -183,17 +286,32 @@ class TestInterpolation:
         got = evolve(m, b0, tau_end).interpolate(grid)
         assert np.max(np.abs(got - propagate(m, b0, grid))) <= 1e-6
 
-    @pytest.mark.parametrize("r", [0.99, 0.995, 0.998, 0.999])
+    @pytest.mark.parametrize("r", [0.99, 0.995, 0.998, 0.999, 0.99945,
+                                   0.9995])
     def test_default_tolerance_holds_the_cuq_orbit(self, r):
         # the rule the defaults come from: over three periods of the
         # neutrally stable CUQ orbit, within a tenth of the benchmark's
-        # bound from each of five starts (worst 9.0e-8, r = 0.999, gamma)
+        # bound from each of five starts (worst 5.2e-8, r = 0.99945, e x
+        # gamma; 1.9e-7 at r = 0.9995 with rel_tol = 3e-11)
         m = perp_model(r)
         tau_end = 3.0 * cuq_clock(r).P_hat
         grid = np.linspace(0.0, tau_end, 257)
         for b0 in (m.e_cross_gamma, m.gamma, -m.gamma, m.e, np.zeros(3)):
             got = evolve(m, b0, tau_end).interpolate(grid)
             assert np.max(np.abs(got - propagate(m, b0, grid))) <= 1e-7
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "step errors add up on the neutrally stable CUQ orbit: three periods "
+        "(tau = 4215) at r = 0.99999 drift 3.6e-5 at the default tolerances"))
+    def test_cuq_orbit_within_the_benchmark_bound_at_r_0_99999(self):
+        # inside the domain of test_dense_output_within_the_benchmark_bound
+        r = 0.99999
+        m = perp_model(r)
+        tau_end = 3.0 * cuq_clock(r).P_hat
+        grid = np.linspace(0.0, tau_end, 257)
+        b0 = m.e_cross_gamma
+        got = evolve(m, b0, tau_end).interpolate(grid)
+        assert np.max(np.abs(got - propagate(m, b0, grid))) <= 1e-6
 
     def test_dense_output_between_nodes(self):
         r = 0.7
