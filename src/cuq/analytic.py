@@ -69,6 +69,29 @@ def _clock_root(r: float) -> float:
     return root
 
 
+def _phase(tau, r: float):
+    """(sqrt(1 - r^2), w, w tau), w = sqrt(1 - r^2)/r = omega_hat, the
+    phase of the pure orbit that `cuq_theta`, `cuq_projections` and
+    `mixed_magnitude` read.  A tau that is not finite is a ValueError, and
+    a finite tau whose phase is past the float range an OverflowError, as
+    in `propagate`."""
+    root = _clock_root(r)
+    w = root / float(r)
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim == 0:  # Python floats: an overflowing product is inf, unwarned
+        phase = w * float(tau)
+        finite = math.isfinite(phase)
+    else:
+        with np.errstate(over="ignore"):
+            phase = w * tau
+        finite = np.isfinite(phase).all()
+    if not finite:
+        _finite("tau", tau)
+        raise OverflowError(f"the phase w tau overflows at r = {r!r}, "
+                            f"tau = {float(np.abs(tau).max())!r}")
+    return root, w, phase
+
+
 def cuq_clock(r: float) -> CuqClock:
     """P_hat = 2 pi r / sqrt(1 - r^2) and omega_hat = 2 pi / P_hat.
 
@@ -113,10 +136,13 @@ def cuq_theta(tau, r: float):
     """Continuous, unwrapped angle theta(tau) with theta(0) = 0.
 
     Solves d(theta)/dtau = -1/r - cos(theta) via the tangent half-angle
-    inversion; theta decreases by 2 pi every period.
+    inversion; theta decreases by 2 pi every period.  A tau that is not
+    finite, or whose phase omega_hat tau is past the float range, raises
+    as in `cuq_projections`.
     """
+    _phase(tau, r)
     clock = cuq_clock(r)
-    tau = _finite("tau", tau)
+    tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
     t = np.atleast_1d(tau)
     m = np.floor(t / clock.P_hat + 0.5)
@@ -138,22 +164,9 @@ def cuq_projections(tau, r: float):
     sqrt(1 - r^2) is formed once, by `_clock_root`, and gives both the
     prefactor and w = sqrt(1 - r^2)/r, `cuq_clock(r).omega_hat` bit for bit.
     A tau that is not finite is a ValueError, and a finite tau whose phase
-    w tau is past the float range an OverflowError, as in `propagate`.
+    w tau is past the float range an OverflowError (`_phase`).
     """
-    root = _clock_root(r)
-    w = root / float(r)
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim == 0:  # Python floats: an overflowing product is inf, unwarned
-        phase = w * float(tau)
-        finite = math.isfinite(phase)
-    else:
-        with np.errstate(over="ignore"):
-            phase = w * tau
-        finite = np.isfinite(phase).all()
-    if not finite:
-        _finite("tau", tau)
-        raise OverflowError(f"the phase w tau overflows at r = {r!r}, "
-                            f"tau = {float(np.abs(tau).max())!r}")
+    root, _, phase = _phase(tau, r)
     cos = np.cos(phase)
     denom = 1.0 - r * cos
     b_gamma = root * np.sin(phase) / denom
@@ -223,14 +236,17 @@ def mixed_magnitude(tau, r: float):
     u = 2 sin(omega_hat tau/2)/omega_hat (u = tau at r = 1, where
     omega_hat = 0).  So |b| = 2 s/(1 + s^2) with s = |u|/hypot(2, u) in
     [0, 1): one formula for 0 < r <= 1 that cancels nowhere, at r -> 1,
-    at small r or at small tau.  At omega_hat tau = pi, s = r.
+    at small r or at small tau.  At omega_hat tau = pi, s = r.  A tau
+    that is not finite, or whose phase omega_hat tau is past the float
+    range, raises as in `cuq_projections`.
     """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"r must be in (0, 1], got {r}")
-    u = _finite("tau", tau)
     if r < 1.0:
-        w = _clock_root(r) / float(r)
-        u = 2.0 * np.sin(w * u / 2.0) / w
+        _, w, phase = _phase(tau, r)
+        u = 2.0 * np.sin(phase / 2.0) / w
+    else:
+        u = _finite("tau", tau)
     s = np.abs(u) / np.hypot(2.0, u)
     return 2.0 * s / (1.0 + s * s)
 

@@ -209,15 +209,9 @@ def _float_field(model: QubitModel):
     return f
 
 
-def _vector_field(model: QubitModel):
-    """`_float_field` on a 3-vector b, returned as a float64 array."""
-    f = _float_field(model)
-    return lambda b: np.array(f(*b.tolist()))
-
-
 def bloch_derivative(state: BlochState, model: QubitModel) -> np.ndarray:
     """db/dtau = -(1/r) e x b + gamma - (b.gamma) b."""
-    return _vector_field(model)(state.b)
+    return np.array(_float_field(model)(*state.b.tolist()))
 
 
 def purity_rate(state: BlochState, model: QubitModel) -> float:

@@ -401,13 +401,20 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
     at tau = |Gamma| t_i plus Gaussian noise.  noise_sigma may be a scalar
     or a length-n_points schedule (e.g. widening late-time errors); the
     sigma column reflects it.  r must be in (0, 1) and |E| positive and
-    finite, as `restore_units` checks, and t_max positive and finite.
+    finite, as `restore_units` checks, and t_max positive and finite; a
+    |Gamma| = 2 r |E| or |Gamma| t_max past the float range is an
+    OverflowError.
     """
     _, omega = restore_units(r, E_mag)
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     t = np.linspace(0.0, t_max, n_points, endpoint=False)
-    gamma_mag = 2.0 * r * E_mag
+    # Python floats: an overflowing product is inf, unwarned
+    gamma_mag = 2.0 * float(r) * float(E_mag)
+    if gamma_mag * float(t_max) == math.inf:
+        raise OverflowError(f"tau = 2 r |E| t overflows at r = {float(r)!r}, "
+                            f"|E| = {float(E_mag)!r}, "
+                            f"t_max = {float(t_max)!r}")
     _, delta = cuq_projections(gamma_mag * t, r)
     sig = np.broadcast_to(np.asarray(noise_sigma, dtype=float),
                           (n_points,)).copy()

@@ -358,3 +358,13 @@ class TestPolarRates:
 def test_non_finite_time_or_angle_is_a_value_error_naming_it(call, name, x):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         call(x)
+
+
+@pytest.mark.parametrize("tau", [1e300, -1e300, [0.5, 1e300]])
+@pytest.mark.parametrize("call", [cuq_theta, cuq_projections, mixed_magnitude])
+def test_overflowing_phase_is_an_overflow_error_naming_r_and_tau(call, tau):
+    # w = sqrt(1 - r^2)/r is 1e10 at r = 1e-10, so w tau is past the float
+    # range; numpy warned, and mixed_magnitude returned nan unwarned
+    with pytest.raises(OverflowError, match=r"the phase w tau overflows at "
+                                            r"r = 1e-10, tau = 1e\+300"):
+        call(tau, 1e-10)

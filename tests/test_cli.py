@@ -21,8 +21,7 @@ from cuq.cli import MAX_ROWS, _parse_grid, _peak_magnitude, main
 from cuq.core import QubitModel
 from cuq.fit import AsymmetryDataset, save_dataset, synthesize_dataset
 from cuq.integrate import propagate
-
-DATA = Path(__file__).resolve().parent / "data"
+from goldens import CLI_GOLDEN, FIT_GOLDEN, GOLDEN_RUNS, argvs
 
 
 def run(argv):
@@ -251,40 +250,25 @@ class TestSweep:
         assert list(table[:, 2]) == [1.0, 1.0]
 
 
-GOLDEN = DATA / "cli_golden"
-
-FROZEN = [
-    ("sim_r085.csv", "trajectory.csv", ["simulate", "--r", "0.85"]),
-    ("sim_r1_mixed.csv", "trajectory.csv",
-     ["simulate", "--r", "1", "--b0", "mixed", "--t-max", "60"]),
-    ("sim_r25_37.csv", "trajectory.csv",
-     ["simulate", "--r", "2.5", "--theta-eg", "37", "--b0", "0.3,-0.2,0.1",
-      "--t-max", "40"]),
-    ("sim_r025_180.csv", "trajectory.csv",
-     ["simulate", "--r", "0.25", "--theta-eg", "180", "--b0=-0.6,0,0.8",
-      "--t-max", "100"]),
-    ("sweep_default.csv", "bmax.csv", ["sweep-bmax"]),
-    ("sweep_grid.csv", "bmax.csv",
-     ["sweep-bmax", "--r-grid", "1:30:60", "--b0-grid", "0:1:11"]),
-    ("spectrum.csv", "spectrum.csv",
-     ["fourier", "--r", "0.85", "--n-max", "6"]),
-    ("spectrum.json", "spectrum.json",
-     ["--format", "json", "fourier", "--r", "0.3"]),
-    ("catalogue.csv", "catalogue.csv", ["catalogue"]),
-    ("catalogue.json", "catalogue.json", ["--format", "json", "catalogue"]),
-    # many nodes per spectrum: the path the sampled projections take
-    ("spectrum_r099_n20.json", "spectrum.json",
-     ["--format", "json", "fourier", "--r", "0.99", "--n-max", "20"]),
-]
-
-
-# the ids keep the names that the first six cases had
-@pytest.mark.parametrize("golden, out, argv", FROZEN, ids=[
-    f"{golden}-argv{i}" for i, (golden, _, _) in enumerate(FROZEN)])
-def test_outputs_are_frozen(tmp_path, golden, out, argv):
+# the ids keep the names the first eleven cases had: the first golden, then
+# the run's place in the table
+@pytest.mark.parametrize("argv, goldens", GOLDEN_RUNS, ids=[
+    f"{next(iter(goldens.values())).name}-argv{i}"
+    for i, (_, goldens) in enumerate(GOLDEN_RUNS)])
+def test_outputs_are_frozen(tmp_path, argv, goldens):
     # output files of an earlier release, byte for byte
     assert run(["--output-dir", str(tmp_path)] + argv) == 0
-    assert (tmp_path / out).read_bytes() == (GOLDEN / golden).read_bytes()
+    for out, golden in goldens.items():
+        assert (tmp_path / out).read_bytes() == golden.read_bytes(), out
+
+
+def test_every_golden_belongs_to_exactly_one_run():
+    # an orphaned golden would go unchecked, a missing one unnoticed
+    named = [golden for _, goldens in GOLDEN_RUNS
+             for golden in goldens.values()]
+    on_disk = [*CLI_GOLDEN.iterdir(),
+               *(p for p in FIT_GOLDEN.iterdir() if p.name != "data.csv")]
+    assert sorted(named) == sorted(on_disk)
 
 
 class TestFourier:
@@ -400,16 +384,6 @@ class TestFit:
         assert rep["weighted_r"] == pytest.approx(0.85, abs=0.05)
         assert (tmp_path / "residuals.csv").exists()
 
-    def test_outputs_are_frozen(self, tmp_path):
-        # fit.json and residuals.csv from an earlier release on a fixed dataset
-        golden = DATA / "fit_golden"
-        assert run(["--output-dir", str(tmp_path), "fit",
-                    "--data", str(golden / "data.csv"), "--omega", "0.8",
-                    "--n-harmonics", "3", "--amplitude", "0.9"]) == 0
-        for name in ("fit.json", "residuals.csv"):
-            assert (tmp_path / name).read_bytes() == \
-                (golden / name).read_bytes()
-
     def test_signal_free_fit_with_amplitude_has_no_estimate(self, tmp_path,
                                                             capsys):
         data = tmp_path / "zero.csv"
@@ -437,7 +411,7 @@ class TestFit:
     def test_negative_harmonics_is_flag_error_naming_n(self, tmp_path,
                                                        capsys):
         assert run(["--output-dir", str(tmp_path), "fit", "--data",
-                    str(DATA / "fit_golden" / "data.csv"), "--omega", "0.8",
+                    str(FIT_GOLDEN / "data.csv"), "--omega", "0.8",
                     "--n-harmonics", "-1"]) == 2
         assert "N must be >= 0 harmonics, got N = -1" in \
             capsys.readouterr().err
@@ -643,7 +617,7 @@ def _argvs():
                         st.integers(-1, 8)).map(
         lambda a: ["fourier", "--r", _arg(a[0]), "--n-max", str(a[1])])
     fit = st.tuples(EDGE, st.integers(-1, 100), st.none() | EDGE).map(
-        lambda a: ["fit", "--data", str(DATA / "fit_golden" / "data.csv"),
+        lambda a: ["fit", "--data", str(FIT_GOLDEN / "data.csv"),
                    "--omega", _arg(a[0]), "--n-harmonics", str(a[1])]
         + ([] if a[2] is None else ["--amplitude", _arg(a[2])]))
     return st.one_of(simulate, sweep, convert, fourier, fit)
@@ -715,71 +689,54 @@ def _modules_after(code, package, *args):
                           check=True).stderr.strip()
 
 
+# argvs of the numpy-free path that write no file, so have no golden
+CONVERT_ARGVS = [["convert", "--from-bloch", "0.85", "90", "1"],
+                 ["convert", "--from-observables", "0.5069", "-0.0007",
+                  "1.001"]]
+# runs `cuq --output-dir sys.argv[2] sys.argv[3:]` in _modules_after
+_RUN_MAIN = ("from cuq.cli import main; "
+             "assert main(['--output-dir', *sys.argv[2:]]) == 0")
+
+
 class TestImport:
     def test_runtime_path_loads_no_scipy(self):
         assert _modules_after("import cuq, cuq.cli", "scipy") == ""
 
     def test_cold_fit_loads_no_scipy(self, tmp_path):
         # p-values included
-        code = ("from cuq.cli import main; "
-                "assert main(['--output-dir', sys.argv[2], 'fit', '--data', "
-                "sys.argv[3], '--omega', '0.8', '--n-harmonics', '3']) == 0")
-        assert _modules_after(code, "scipy", str(tmp_path),
-                              str(DATA / "fit_golden" / "data.csv")) == ""
+        (argv,) = argvs("fit")
+        assert _modules_after(_RUN_MAIN, "scipy", str(tmp_path), *argv) == ""
         assert (tmp_path / "fit.json").exists()
 
     def test_import_cuq_loads_no_numpy(self):
         assert _modules_after("import cuq", "numpy") == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["catalogue"],
-        ["--format", "json", "catalogue"],
-        ["convert", "--from-bloch", "0.85", "90", "1"],
-        ["convert", "--from-observables", "0.5069", "-0.0007", "1.001"],
-    ])
+    @pytest.mark.parametrize("argv", argvs("catalogue", "sweep-bmax")
+                             + CONVERT_ARGVS)
     def test_meson_commands_load_no_numpy(self, tmp_path, argv):
-        code = ("from cuq.cli import main; "
-                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
-        assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
+        assert _modules_after(_RUN_MAIN, "numpy", str(tmp_path), *argv) == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep-bmax"],
-        ["sweep-bmax", "--r-grid", "1:30:60", "--b0-grid", "0:1:11"],
-    ])
+    @pytest.mark.parametrize("argv", argvs("sweep-bmax"))
     def test_sweep_loads_no_numpy_and_no_meson(self, tmp_path, argv):
         # the peak is a closed form in math, so only cli and _base load
-        code = ("from cuq.cli import main; "
-                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
-        assert _modules_after(code, "numpy", str(tmp_path), *argv) == ""
-        assert set(_modules_after(code, "cuq", str(tmp_path), *argv)
+        assert _modules_after(_RUN_MAIN, "numpy", str(tmp_path), *argv) == ""
+        assert set(_modules_after(_RUN_MAIN, "cuq", str(tmp_path), *argv)
                    .split(",")) == {"cuq", "cuq.cli", "cuq._base"}
 
-    @pytest.mark.parametrize("argv", [
-        ["catalogue"],
-        ["--format", "json", "catalogue"],
-        ["convert", "--from-bloch", "0.85", "90", "1"],
-        ["convert", "--from-observables", "0.5069", "-0.0007", "1.001"],
-        ["sweep-bmax"],
-    ])
+    @pytest.mark.parametrize("argv", argvs("catalogue", "sweep-bmax")
+                             + CONVERT_ARGVS)
     def test_numpy_free_commands_load_no_dataclasses(self, tmp_path, argv):
         # the meson maps, their checks and the PDG table are plain floats in
         # _base, so no cold start pays for dataclasses and inspect
-        code = ("from cuq.cli import main; "
-                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
-        assert _modules_after(code, "dataclasses", str(tmp_path),
+        assert _modules_after(_RUN_MAIN, "dataclasses", str(tmp_path),
                               *argv) == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["fourier", "--r", "0.85"],
-        ["fit", "--data", str(DATA / "fit_golden" / "data.csv"),
-         "--omega", "0.8", "--n-harmonics", "3"],
-    ])
+    @pytest.mark.parametrize("argv", argvs("fourier", "fit"))
     def test_fourier_and_fit_load_no_integrate(self, tmp_path, argv):
         # the closed forms read the generator from core, not from the DP5
         # oracle's module
-        code = ("from cuq.cli import main; "
-                "assert main(['--output-dir', *sys.argv[2:]]) == 0")
-        mods = _modules_after(code, "cuq", str(tmp_path), *argv).split(",")
+        mods = _modules_after(_RUN_MAIN, "cuq", str(tmp_path),
+                              *argv).split(",")
         assert "cuq.core" in mods and "cuq.integrate" not in mods
 
     def test_exports_and_submodules_resolve_on_first_use(self):

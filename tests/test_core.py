@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from cuq.analytic import AsymptoticBranch, asymptotic_state
-from cuq.core import (BlochState, DensityMatrix, QubitModel, _is_cuq,
-                      _vector_field, bloch_derivative, density_evolution_rhs,
+from cuq.core import (BlochState, DensityMatrix, QubitModel, _float_field,
+                      _is_cuq, bloch_derivative, density_evolution_rhs,
                       density_from_bloch, purity_rate)
 
 SIGMA = np.array([
@@ -139,7 +139,7 @@ class TestBlochDerivative:
             exb = np.array([e2 * b3 - e3 * b2, e3 * b1 - e1 * b3,
                             e1 * b2 - e2 * b1])
             want = -exb / r + g - (b1 * g[0] + b2 * g[1] + b3 * g[2]) * b
-            got = _vector_field(m)(b)
+            got = np.array(_float_field(m)(*b.tolist()))
             assert np.max(np.abs(got - want)) <= 8.0 * eps * (1.0 + 1.0 / r)
             assert np.array_equal(got, bloch_derivative(BlochState(b), m))
 

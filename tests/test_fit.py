@@ -1,6 +1,7 @@
 """Data layer and Fourier-mode regression."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -411,6 +412,17 @@ class TestSynthesis:
                            match="E_mag must be positive and finite"):
             synthesize_dataset(r=0.5, E_mag=E_mag, n_points=10, t_max=1.0,
                                noise_sigma=0.0, seed=0)
+
+
+    @pytest.mark.parametrize("r, E_mag, t_max", [(0.5, 1e200, 1e200),
+                                                 (0.999999, 1.5e308, 1.0)])
+    def test_overflowing_tau_is_an_overflow_error_naming_it(self, r, E_mag,
+                                                            t_max):
+        # tau = 2 r |E| t: |Gamma| t_max, then |Gamma| = 2 r |E| itself, is
+        # past the float range while restore_units' scale is not
+        with pytest.raises(OverflowError, match=re.escape(
+                f"r = {r!r}, |E| = {E_mag!r}, t_max = {t_max!r}")):
+            synthesize_dataset(r, E_mag, 10, t_max, 0.0, 1)
 
 
 class TestSerialization:

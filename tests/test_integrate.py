@@ -14,8 +14,7 @@ from scipy.linalg import expm
 
 from cuq.analytic import asymptotic_state, cuq_clock, cuq_projections
 from cuq.core import (SIGMA, BlochState, QubitModel, _effective_matrices,
-                      _float_field, _vector_field, density_from_bloch,
-                      purity_rate)
+                      _float_field, density_from_bloch, purity_rate)
 from cuq.integrate import (_A, _D, _E, NON_CONVERGENT, StepSizeUnderflow,
                            evolve, evolve_to_asymptote, propagate)
 
@@ -367,9 +366,9 @@ class TestInterpolation:
         traj = evolve(m, [0.3, -0.2, 0.5], tau_end)
         if tau_end == 1e-3:
             assert traj.dense.shape == (1, 3, 3)
-        f = _vector_field(m)
+        f = _float_field(m)
         h = np.diff(traj.taus)[:, None]
-        fb = np.array([f(b) for b in traj.bs])
+        fb = np.array([f(*b) for b in traj.bs.tolist()])
         hf0, hf1 = h * fb[:-1], h * fb[1:]
         c1, c2, _ = traj.dense.transpose(1, 0, 2)
         dy = np.diff(traj.bs, axis=0)

@@ -80,7 +80,6 @@ dof = 1 once t^2 is past the float range, where p is about 1e-155.
 
 import math
 import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -91,17 +90,17 @@ from hypothesis import strategies as st
 from cuq.analytic import (AsymptoticBranch, asymptotic_state, cuq_clock,
                           cuq_projections, half_angle_slope, mixed_magnitude,
                           restore_units)
-from cuq.cli import _peak_magnitude
+from cuq.cli import _parse_b0, _peak_magnitude, build_parser
 from cuq.core import QubitModel
 from cuq.fit import _student_t_pvalue
 from cuq.fourier import closed_form_cn, closed_form_d0
 from cuq.integrate import NON_CONVERGENT, evolve_to_asymptote, propagate
 from cuq.meson import (BlochParameters, bloch_from_observables,
                        observables_from_bloch)
+from goldens import CLI_GOLDEN, GOLDEN_RUNS, command
 
 EPS = sys.float_info.epsilon
 BOUND = 4.0
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
 
 
 def _near(points, width):
@@ -269,17 +268,23 @@ def test_propagate_within_4_eps_times_its_condition(r, theta, b0, t):
     assert err <= PROPAGATE_BOUND * EPS * cond, err / (EPS * cond)
 
 
-@pytest.mark.parametrize("name, r, theta, b0", [
-    ("sim_r085.csv", 0.85, 90.0, None),
-    ("sim_r1_mixed.csv", 1.0, 90.0, [0.0, 0.0, 0.0]),
-    ("sim_r25_37.csv", 2.5, 37.0, [0.3, -0.2, 0.1]),
-    ("sim_r025_180.csv", 0.25, 180.0, [-0.6, 0.0, 0.8])])
+def _simulate_goldens():
+    """(golden file, r, theta_eg, --b0 spec) of each golden `simulate` run,
+    as the CLI parses its argv."""
+    for argv, goldens in GOLDEN_RUNS:
+        if command(argv) == "simulate":
+            args = build_parser().parse_args(argv)
+            yield (goldens["trajectory.csv"].name, args.r, args.theta_eg,
+                   args.b0)
+
+
+@pytest.mark.parametrize("name, r, theta, b0", list(_simulate_goldens()))
 def test_golden_trajectories_within_the_propagate_bound(name, r, theta, b0):
-    # 25 rows, first and last included, of the frozen `simulate` outputs;
-    # None is e x gamma
+    # 25 rows, first and last included, of the frozen `simulate` outputs,
+    # against the models their argvs give
     m = QubitModel.from_angle(r, theta, degrees=True)
-    b0 = m.e_cross_gamma if b0 is None else b0
-    table = np.loadtxt(GOLDEN / name, delimiter=",", skiprows=1)
+    b0 = _parse_b0(b0, m)
+    table = np.loadtxt(CLI_GOLDEN / name, delimiter=",", skiprows=1)
     for row in table[np.linspace(0, len(table) - 1, 25).astype(int)]:
         err, cond = _propagate_error(m, b0, row[0], row[1:4])
         assert err <= PROPAGATE_BOUND * EPS * cond, row[0]
@@ -369,7 +374,8 @@ def test_overdamped_sweep_end_within_1_eps(r, beta):
 
 def test_golden_sweep_within_1_eps():
     # 25 rows, first and last included, of the frozen overdamped sweep
-    table = np.loadtxt(GOLDEN / "sweep_grid.csv", delimiter=",", skiprows=1)
+    table = np.loadtxt(CLI_GOLDEN / "sweep_grid.csv", delimiter=",",
+                       skiprows=1)
     for r, beta, b_max in table[np.linspace(0, len(table) - 1, 25).astype(int)]:
         m = QubitModel.from_angle(r, 90.0, degrees=True)
         assert abs(b_max - _mp_peak(m, beta)) <= SWEEP_BOUND * EPS, (r, beta)
