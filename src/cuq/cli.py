@@ -73,19 +73,23 @@ def _parse_grid(spec: str) -> list[float]:
     """'lo:hi:n' linear grid or comma-separated values.  The grid has the
     bits of numpy.linspace(lo, hi, n): i step + lo, step = (hi - lo)/(n - 1),
     with hi last; where step underflows to 0, i/(n - 1) (hi - lo) + lo."""
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return [float(x) for x in spec.split(",")]
         lo, hi, n = spec.split(":")
-        if not 1 <= int(n) <= MAX_ROWS:
-            raise ValueError(f"grid '{spec}' needs 1 to {MAX_ROWS} points")
         lo, hi, n = float(lo), float(hi), int(n)
-        delta, div = hi - lo, max(n - 1, 1)
-        step = delta / div
-        grid = ([i / div * delta + lo for i in range(n)] if step == 0.0
-                else [i * step + lo for i in range(n)])
-        if n > 1:
-            grid[-1] = hi
-        return grid
-    return [float(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"grid '{spec}' must be 'lo:hi:n' with an integer "
+                         f"n, or comma-separated numbers") from None
+    if not 1 <= n <= MAX_ROWS:
+        raise ValueError(f"grid '{spec}' needs 1 to {MAX_ROWS} points")
+    delta, div = hi - lo, max(n - 1, 1)
+    step = delta / div
+    grid = ([i / div * delta + lo for i in range(n)] if step == 0.0
+            else [i * step + lo for i in range(n)])
+    if n > 1:
+        grid[-1] = hi
+    return grid
 
 
 def _time_grid(spec: str, r: float) -> np.ndarray:
@@ -352,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.format != "csv" and args.command in ("simulate", "sweep-bmax"):
+        parser.error(f"--format applies to fourier and catalogue; "
+                     f"{args.command} writes CSV only")
     try:
         return args.func(args)
     except (DatasetFormatError, OSError) as exc:

@@ -264,9 +264,15 @@ def _beta_fraction(a: float, b: float, v: float, w: float) -> float:
 
 def design_matrix(t, omega: float, N: int) -> np.ndarray:
     """Columns cos(n omega t) for n = 0..N, one row per time; omega must
-    be finite."""
+    be finite.  The largest phase, (max|t| N) |omega| on Python floats as
+    numpy rounds it, is checked first: past the float range it is an
+    OverflowError naming omega, N and max|t|."""
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
+    t_max = float(np.abs(t).max(initial=0.0))
+    if abs(t_max * float(N) * float(omega)) == math.inf:
+        raise OverflowError(f"the phase N omega t overflows at omega = "
+                            f"{omega}, N = {N}, max|t| = {t_max}")
     return np.cos(np.outer(t, np.arange(N + 1)) * omega)
 
 

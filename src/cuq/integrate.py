@@ -153,7 +153,6 @@ def evolve(model: QubitModel, b0, tau_end: float,
     tau, h = 0.0, 0.1
     n_acc = n_rej = 0
     nfev = 1
-    max_err = 0.0
 
     # a trial step that overflows has a non-finite error and is rejected;
     # Python float arithmetic gives inf or nan there and does not raise.
@@ -219,7 +218,6 @@ def evolve(model: QubitModel, b0, tau_end: float,
             bs.extend((x, y, z))
             k1x, k1y, k1z = k7x, k7y, k7z  # FSAL
             n_acc += 1
-            max_err = max(max_err, err)
         else:
             n_rej += 1
         # elementary controller, order-4 estimate; err = 0 grows h 5x
@@ -235,12 +233,7 @@ def evolve(model: QubitModel, b0, tau_end: float,
         c2 = dy - H * K[:, 6] - c1
         c3 = H * sum(d * K[:, j] for j, d in enumerate(_D))
 
-    stats = {
-        "n_accepted": n_acc,
-        "n_rejected": n_rej,
-        "n_fev": nfev,
-        "max_local_error": max_err,
-    }
+    stats = {"n_accepted": n_acc, "n_rejected": n_rej, "n_fev": nfev}
     return Trajectory(taus=np.array(taus), bs=B,
                       dense=np.stack([c1, c2, c3], axis=1),
                       controller_stats=stats)

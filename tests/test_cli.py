@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from cuq._base import _BLOCK_ROWS
 from cuq.cli import MAX_ROWS, _parse_grid, _peak_magnitude, main
 from cuq.core import QubitModel
-from cuq.fit import AsymmetryDataset, save_dataset, synthesize_dataset
+from cuq.fit import (AsymmetryDataset, design_matrix, save_dataset,
+                     synthesize_dataset)
 from cuq.integrate import propagate
 from goldens import CLI_GOLDEN, FIT_GOLDEN, GOLDEN_RUNS, argvs
 
@@ -553,6 +554,22 @@ def test_overflow_is_numerical_failure(tmp_path, argv, capsys):
         assert "r = 5e-324" in out.err
 
 
+def test_overflowing_fit_phase_is_an_overflow_error_naming_it(tmp_path,
+                                                              capsys):
+    # N omega max|t| past the float range, formed before any cos
+    with pytest.raises(OverflowError,
+                       match=r"omega = 1e\+200, N = 3, max\|t\| = 1e\+300"):
+        design_matrix(np.linspace(0.0, 1e300, 5), 1e200, 3)
+    assert design_matrix([], 1e308, 3).shape == (0, 4)
+    assert run(["--output-dir", str(tmp_path), "fit", "--data",
+                str(FIT_GOLDEN / "data.csv"), "--omega", "1e308",
+                "--n-harmonics", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the phase N omega t overflows")
+    assert "omega = 1e+308, N = 2, max|t| = " in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, want", [
     # theta = 90: |E| = Delta E (1 + q^2)/(4q)
     (["1e200", "0.5", "1e-8"], {"theta_eg_deg": 90.0, "E_mag": 2.5e207}),
@@ -675,6 +692,25 @@ class TestFlagErrors:
         # no subcommand draws random numbers
         assert run(["--output-dir", str(tmp_path), "--seed", "1",
                     "catalogue"]) == 2
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--format", "json", "simulate", "--r", "0.5"],
+         "--format applies to fourier and catalogue; simulate writes CSV"),
+        (["--format", "json", "sweep-bmax"],
+         "--format applies to fourier and catalogue; sweep-bmax writes CSV"),
+        (["sweep-bmax", "--r-grid", "1:2"], "grid '1:2' must be"),
+        (["sweep-bmax", "--r-grid", "0:1:2.5"], "grid '0:1:2.5' must be"),
+        (["sweep-bmax", "--b0-grid", ""], "grid '' must be"),
+    ], ids=["json-simulate", "json-sweep", "grid-two-fields",
+            "grid-fractional-n", "grid-empty"])
+    def test_ignored_or_malformed_flag_is_named(self, tmp_path, argv, want,
+                                                capsys):
+        assert run(["--output-dir", str(tmp_path)] + argv) == 2
+        err = capsys.readouterr().err
+        assert want in err
+        if "grid" in want:
+            assert "'lo:hi:n' with an integer n, or comma-separated" in err
+        assert not any(tmp_path.iterdir())
 
 
 def _modules_after(code, package, *args):

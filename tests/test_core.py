@@ -101,6 +101,7 @@ class TestQubitModel:
         flipped = dataclasses.replace(m, gamma=-m.gamma)
         assert np.array_equal(flipped.e_cross_gamma, [0.0, 0.0, -1.0])
         assert np.array_equal(m.e_cross_gamma, [0.0, 0.0, 1.0])
+        assert not m.e_cross_gamma.flags.writeable
 
 
 class TestBlochDerivative:
@@ -249,6 +250,7 @@ class TestDensityMatrix:
         rho = density_from_bloch(BlochState(b=b))
         assert np.allclose(rho.bloch_vector, b, atol=1e-14)
         assert rho.purity == pytest.approx(0.5 * (1 + b @ b))
+        assert DensityMatrix(np.diag([0.75, 0.25])).purity == 0.625
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,8 @@ class TestClosedForms:
             v = closed_form_cn(n, 1e-8)
             assert np.isfinite(v)
         assert closed_form_cn(1, 1e-8) == pytest.approx(1.0, abs=1e-7)
+        # r = 0 is the limit of the leading order r^(n-1)
+        assert [closed_form_cn(n, 0.0) for n in (1, 2, 5)] == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("r", [1.1125369292536007e-308, 8e-309, 5.6e-309])
     def test_prefactor_past_the_float_range(self, r):
@@ -51,6 +53,9 @@ class TestClosedForms:
         assert spec.order == 4
         assert spec.d0 == pytest.approx(-0.5567262498321918)
         assert spec.coefficient(3) == pytest.approx(closed_form_cn(3, 0.85))
+        spec = FourierSpectrum(0.0, [0.5, 0.25], SeriesKind.EVEN,
+                               coeff_errs=[0.1, 0.1])
+        assert spec.coefficient(1) == 0.5 and spec.coefficient_err(2) == 0.1
 
     def test_spectrum_rejects_negative_order(self):
         # as quadrature_spectrum does, rather than returning no coefficients
@@ -147,6 +152,13 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="signal is not finite"):
             quadrature_spectrum(signal, 2 * np.pi, 3, SeriesKind.EVEN)
         assert len(times) == calls  # not the 2^16 nodes of the whole budget
+
+    def test_quadrature_spectrum_owns_its_coefficients(self):
+        spec = quadrature_spectrum(lambda t: np.cos(t), 2.0 * np.pi, 3,
+                                   SeriesKind.EVEN)
+        assert type(spec.d0) is float
+        assert spec.coeffs.base is None  # no view that pins the (N+1)-vector
+        assert not spec.coeffs.flags.writeable
 
 
 class TestAnharmonicity:
