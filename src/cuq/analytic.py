@@ -74,14 +74,16 @@ def _phase(tau, r: float):
     phase of the pure orbit that `cuq_theta`, `cuq_projections` and
     `mixed_magnitude` read.  A tau that is not finite is a ValueError, and
     a finite tau whose phase is past the float range an OverflowError, as
-    in `propagate`."""
+    in `propagate`.  A float tau (np.float64 too) is read as it is, with
+    no 0-d array: `quadrature_spectrum` samples one float at a time."""
     root = _clock_root(r)
     w = root / float(r)
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim == 0:  # Python floats: an overflowing product is inf, unwarned
+    if isinstance(tau, float) or np.ndim(tau) == 0:
+        # Python floats: an overflowing product is inf, unwarned
         phase = w * float(tau)
         finite = math.isfinite(phase)
     else:
+        tau = np.asarray(tau, dtype=float)
         with np.errstate(over="ignore"):
             phase = w * tau
         finite = np.isfinite(phase).all()
@@ -129,7 +131,8 @@ def half_angle_slope(r: float) -> float:
     """
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must be in [0, 1), got {r}")
-    return r / (1.0 + np.sqrt(_one_minus_r2(r)))
+    r = float(r)
+    return r / (1.0 + math.sqrt(_one_minus_r2(r)))
 
 
 def cuq_theta(tau, r: float):
@@ -218,7 +221,7 @@ def asymptotic_state(model: QubitModel) -> AsymptoticState:
     _, smu, _ = _generator(model)
     e, exg = model.e, model.e_cross_gamma
     s, q, _ = _scaled_split(model.r)
-    alpha = smu.imag / q
+    alpha = float(smu.imag) / q
     D = s * s + smu.imag ** 2  # s^2 / (k r)
     b = alpha * e - (s * q / D) * exg - (s * smu.real / D) * np.cross(e, exg)
     branch = (AsymptoticBranch.ALIGNED if not exg.any()
@@ -283,12 +286,13 @@ class MixedEllipse(_Value):
 def mixed_ellipse(r: float) -> MixedEllipse:
     """Semi-axes r/sqrt(1+r^2), r/(1+r^2) and eccentricity r/sqrt(1+r^2)."""
     _check_r_oscillatory(r)
+    r = float(r)
     one_p = 1.0 + r * r
     return MixedEllipse(
         r=r,
-        semi_major=r / np.sqrt(one_p),
+        semi_major=r / math.sqrt(one_p),
         semi_minor=r / one_p,
-        eccentricity=r / np.sqrt(one_p),
+        eccentricity=r / math.sqrt(one_p),
     )
 
 

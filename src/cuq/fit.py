@@ -23,7 +23,7 @@ from ._base import (DatasetFormatError, RankDeficientDesign, _csv_blocks,
 from .analytic import cuq_projections, restore_units
 from .core import _read_only
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
-                      anharmonicity, correct_effective_r)
+                      _ratio, correct_effective_r)
 
 __all__ = [
     "AsymmetryDataset",
@@ -360,11 +360,16 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     R = amplitude_correction
     if R is not None and not 0.0 < R <= 1.0:
         raise ValueError(f"amplitude R must be in (0, 1], got {R}")
-    spec = fit.spectrum()
+    # the ratios on Python floats; a coefficient or an error that is not
+    # finite gets FourierSpectrum's ValueError from `fit.spectrum()`
+    coeffs, errs = fit.coefficients.tolist(), fit.errors.tolist()
+    if len(coeffs) != len(errs) or not all(map(math.isfinite, coeffs + errs)):
+        fit.spectrum()
     estimates = []
     for n in range(fit.n_harmonics):
-        est = anharmonicity(spec, n)
-        if R is not None and np.isfinite(est.r_hat):
+        est = _ratio(coeffs[n + 1], coeffs[n], errs[n + 1], errs[n],
+                     SeriesKind.EVEN, n)
+        if R is not None and math.isfinite(est.r_hat):
             r_corr = correct_effective_r(min(est.r_hat, 1.0), R)
             # dr/dr_tilde of the correction, chained onto the ratio error
             R2 = R ** 2
@@ -372,11 +377,11 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
             est = replace(est, r_hat=r_corr, r_err=est.r_err * R2 / denom)
         estimates.append(est)
     usable = [e for e in estimates
-              if e.reliable and np.isfinite(e.r_hat)
+              if e.reliable and math.isfinite(e.r_hat)
               and 0.0 < e.r_err < math.inf]
     if not usable:
         exact = [e for e in estimates
-                 if e.reliable and np.isfinite(e.r_hat) and e.r_err == 0.0]
+                 if e.reliable and math.isfinite(e.r_hat) and e.r_err == 0.0]
         if exact:  # error-free input (e.g. closed-form spectra): plain mean
             vals = np.array([e.r_hat for e in exact])
             return RExtraction(per_ratio=tuple(estimates),

@@ -132,14 +132,15 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
     t_j = -P_hat/2 + j P_hat/M.  M starts at max(64, 4N) and doubles,
     sampling only the new midpoints, until two successive coefficient
     vectors agree to _TOL.  d0 carries prefactor 1/P_hat, every n >= 1
-    carries 2/P_hat.  The signal is called with one scalar at a time, and
-    a set of samples that holds a value that is not finite is a ValueError.
+    carries 2/P_hat.  The signal is called with one Python float at a
+    time, and a set of samples that holds a value that is not finite is a
+    ValueError.
     """
     if not 0 <= N <= _MAX_ORDER:
         raise ValueError(f"N must be in [0, {_MAX_ORDER}], got {N}")
     if not 0.0 < P_hat < math.inf:
         raise ValueError(f"P_hat must be positive and finite, got {P_hat}")
-    half = P_hat / 2.0
+    half = float(P_hat) / 2.0
     M = max(64, 4 * N)
     f = _samples(signal, -half + P_hat / M * np.arange(M))
     mismatch = abs(f[0] - signal(half))
@@ -167,7 +168,7 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
 def _samples(signal: Callable[[float], float], nodes) -> np.ndarray:
     """The signal on the nodes, checked finite: a sum past a nan or an inf
     never settles, so it would sample up to _MAX_NODES for nothing."""
-    f = np.array([signal(t) for t in nodes])
+    f = np.array([signal(t) for t in nodes.tolist()])
     if not np.isfinite(f).all():
         raise ValueError(f"signal is not finite at one of {len(nodes)} "
                          f"trapezoid nodes in [{nodes[0]:.6g}, "
@@ -225,12 +226,20 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
     if n + 1 > spectrum.order:
         raise ValueError(f"spectrum only holds coefficients through "
                          f"n = {spectrum.order}")
-    num, den = spectrum.coefficient(n + 1), spectrum.coefficient(n)
-    num_err, den_err = spectrum.coefficient_err(n + 1), spectrum.coefficient_err(n)
+    return _ratio(spectrum.coefficient(n + 1), spectrum.coefficient(n),
+                  spectrum.coefficient_err(n + 1),
+                  spectrum.coefficient_err(n), spectrum.kind, n)
+
+
+def _ratio(num: float, den: float, num_err: float, den_err: float,
+           kind: SeriesKind, n: int) -> AnharmonicityEstimate:
+    """`anharmonicity` of order n from the coefficients of orders n + 1
+    and n and their errors, on floats; `fit.estimate_r` reads its ratios
+    here too, off the fit's coefficient lists."""
     reliable = abs(den) > den_err
     if den == 0.0:
-        return AnharmonicityEstimate(float("inf"), float("inf"), n,
-                                     spectrum.kind, reliable=False)
+        return AnharmonicityEstimate(float("inf"), float("inf"), n, kind,
+                                     reliable=False)
     # 2^-k as two floats, finite even for a subnormal den; a product past
     # the float range is inf, where math.ldexp would raise OverflowError
     h = -math.frexp(den)[1]
@@ -240,8 +249,8 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
     ratio = float(num / den)
     # first-order (delta-method) propagation; coefficients treated independent
     err = float(np.hypot(num_err / den, num * den_err / den ** 2))
-    return AnharmonicityEstimate(ratio, err, n, spectrum.kind, reliable,
-                                 *_invert_ratio(ratio, err, spectrum.kind, n))
+    return AnharmonicityEstimate(ratio, err, n, kind, reliable,
+                                 *_invert_ratio(ratio, err, kind, n))
 
 
 def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
@@ -261,13 +270,13 @@ def _invert_ratio(ratio: float, ratio_err: float, kind: SeriesKind,
     """`r_from_anharmonicity` of the ratio of order n, on floats."""
     rho = abs(ratio)
     if kind is SeriesKind.EVEN and n == 0:
-        if np.isinf(rho):
+        if math.isinf(rho):
             return 0.0, 0.0 if ratio_err == 0 else float("nan")
-        r = 1.0 / np.sqrt(1.0 + rho * rho / 4.0)
+        r = 1.0 / math.sqrt(1.0 + rho * rho / 4.0)
         drdrho = -(rho / 4.0) * r ** 3
         d2rdrho2 = (rho * rho - 2.0) / 8.0 * r ** 5
     else:
-        if np.isinf(rho):
+        if math.isinf(rho):
             return 0.0, float("nan")
         r = 2.0 * rho / (rho * rho + 1.0)
         drdrho = 2.0 * (1.0 - rho * rho) / (rho * rho + 1.0) ** 2
@@ -291,4 +300,4 @@ def correct_effective_r(r_tilde: float, amplitude: float) -> float:
         raise ValueError(f"amplitude R must be in (0, 1], got {amplitude}")
     k = math.frexp(max(r_tilde, amplitude))[1]
     t, a = math.ldexp(r_tilde, -k), math.ldexp(amplitude, -k)
-    return t / np.sqrt(a ** 2 + t ** 2 * (1.0 - amplitude ** 2))
+    return t / math.sqrt(a ** 2 + t ** 2 * (1.0 - amplitude ** 2))

@@ -173,19 +173,21 @@ class TestProjections:
     @settings(max_examples=300, deadline=None)
     @given(R_OSC, st.floats(-1e12, 1e12), st.booleans())
     def test_scalar_and_array_calls_keep_the_clocks_bits(self, r, tau, np64):
-        # one sample equals its element of an array call, and both are the
-        # form with omega_hat read off the clock and the prefactor taken
-        # as a root of its own, bit for bit
+        # one sample, as a Python float, an np.float64 or a 0-d array,
+        # equals its element of an array call, and both are the form with
+        # omega_hat read off the clock and the prefactor taken as a root of
+        # its own, bit for bit
         r = np.float64(r) if np64 else r
         phase = cuq_clock(r).omega_hat * np.asarray(tau, dtype=float)
         denom = 1.0 - r * np.cos(phase)
         want = (np.sqrt(_one_minus_r2(r)) * np.sin(phase) / denom,
                 (np.cos(phase) - r) / denom)
-        scalar = cuq_projections(tau, r)
         array = cuq_projections(np.array([0.0, tau, -tau]), r)
-        for w, s, a in zip(want, scalar, array):
-            assert np.float64(s).tobytes() == np.float64(w).tobytes()
-            assert a[1].tobytes() == np.float64(w).tobytes()
+        for sample in (tau, np.float64(tau), np.array(tau)):
+            scalar = cuq_projections(sample, r)
+            for w, s, a in zip(want, scalar, array):
+                assert np.float64(s).tobytes() == np.float64(w).tobytes()
+                assert a[1].tobytes() == np.float64(w).tobytes()
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, float("nan"),
                                      np.float64(np.inf), [0.5, np.nan],

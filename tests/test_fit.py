@@ -1,5 +1,6 @@
 """Data layer and Fourier-mode regression."""
 
+import dataclasses
 import math
 import re
 import time
@@ -17,7 +18,8 @@ from cuq.fit import (AsymmetryDataset, DatasetFormatError, FitResult,
                      RankDeficientDesign, _csv_blocks, design_matrix,
                      estimate_r, fit_fourier_modes, fit_result_to_json,
                      load_dataset, save_dataset, synthesize_dataset)
-from cuq.fourier import closed_form_cn, closed_form_d0
+from cuq.fourier import (anharmonicity, closed_form_cn, closed_form_d0,
+                         correct_effective_r)
 
 EPS = np.finfo(float).eps
 R_REF = 0.85
@@ -300,6 +302,45 @@ class TestREstimation:
         assert out.weighted_r == np.mean([e.r_hat for e in out.per_ratio])
         assert out.weighted_r == pytest.approx(r, abs=1e-12)
         assert out.weighted_r_err == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 0.9), st.integers(2, 8),
+           st.just(0.0) | st.floats(1e-5, 0.05),
+           st.integers(0, 2 ** 16), st.none() | st.floats(0.01, 1.0))
+    def test_ratios_are_the_spectrums_anharmonicity(self, r, N, noise, seed,
+                                                    R):
+        # estimate_r reads its ratios off the fit's coefficient lists: field
+        # for field they are `anharmonicity` of the fit's spectrum, with the
+        # amplitude correction chained onto each finite r
+        P, _ = restore_units(r, 1.0)
+        fit = fit_fourier_modes(
+            synthesize_dataset(r, 1.0, 200, 6 * P, noise, seed), N)
+        spec = fit.spectrum()
+        out = estimate_r(fit, R)
+        assert len(out.per_ratio) == N
+        for n, got in enumerate(out.per_ratio):
+            want = anharmonicity(spec, n)
+            if R is not None and math.isfinite(want.r_hat):
+                R2 = R ** 2
+                denom = (R2 + want.r_hat ** 2 * (1.0 - R2)) ** 1.5
+                want = dataclasses.replace(
+                    want, r_hat=correct_effective_r(min(want.r_hat, 1.0), R),
+                    r_err=want.r_err * R2 / denom)
+            np.testing.assert_equal(dataclasses.astuple(got),
+                                    dataclasses.astuple(want))
+
+    @pytest.mark.parametrize("coeffs, errs, match", [
+        ([0.5, np.nan, 0.1], [0.1, 0.1, 0.1], "coefficients must be finite"),
+        ([0.5, 0.2, 0.1], [np.inf, 0.1, 0.1], "coefficients must be finite"),
+        ([0.5, 0.2, 0.1], [0.1, 0.1, np.nan], "errors must be finite"),
+    ], ids=["coefficient", "d0-error", "error"])
+    def test_rejects_a_fit_that_is_not_finite(self, coeffs, errs, match):
+        # FourierSpectrum's check, which estimate_r keeps without building
+        # the spectrum on the finite path
+        fit = FitResult(coefficients=np.array(coeffs), errors=np.array(errs),
+                        covariance=np.eye(3), chi2=1.0, dof=5, omega=1.0)
+        with pytest.raises(ValueError, match=match):
+            estimate_r(fit)
 
     def test_diagnostics_when_hopeless(self):
         rng = np.random.default_rng(2)

@@ -153,6 +153,19 @@ class TestQuadrature:
             quadrature_spectrum(signal, 2 * np.pi, 3, SeriesKind.EVEN)
         assert len(times) == calls  # not the 2^16 nodes of the whole budget
 
+    @pytest.mark.parametrize("P_hat", [2.0 * np.pi, np.float64(2.0 * np.pi)],
+                             ids=["float", "float64"])
+    def test_signal_receives_one_python_float_at_a_time(self, P_hat):
+        # the nodes, the midpoints and the periodicity endpoint alike
+        types = []
+
+        def signal(t):
+            types.append(type(t))
+            return np.cos(t)
+
+        quadrature_spectrum(signal, P_hat, 3, SeriesKind.EVEN)
+        assert len(types) > 64 and set(types) == {float}
+
     def test_quadrature_spectrum_owns_its_coefficients(self):
         spec = quadrature_spectrum(lambda t: np.cos(t), 2.0 * np.pi, 3,
                                    SeriesKind.EVEN)

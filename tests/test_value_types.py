@@ -101,6 +101,20 @@ def test_owns_a_read_only_copy(value, name):
     assert not getattr(rebuilt, name).flags.writeable
 
 
+# (value, name) for every field of INSTANCES annotated `float`
+FLOAT_FIELDS = [(x, f.name) for x in INSTANCES for f in dataclasses.fields(x)
+                if f.type == "float"]
+
+
+@pytest.mark.parametrize("value, name", FLOAT_FIELDS,
+                         ids=[f"{type(x).__name__}.{name}"
+                              for x, name in FLOAT_FIELDS])
+def test_float_field_holds_a_python_float(value, name):
+    # np.float64 is a float subclass; a held one is numpy scalar arithmetic
+    # for every reader
+    assert type(getattr(value, name)) is float
+
+
 def test_returned_arrays_stay_writable():
     m = QubitModel.from_angle(2.0, 37.0, degrees=True)
     state = BlochState([0.1, 0.2, 0.3])
