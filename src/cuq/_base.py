@@ -1,5 +1,6 @@
 """The numpy-free base of the package: the base class of the value types,
-exact scalar forms, the checks of r and |b|, the one CSV writer and the
+exact scalar forms, `_check`, the one domain check that every input check
+is written with, the one CSV writer and the
 exceptions that `cli.main` maps to exit codes, plus the float level of
 `meson`: the checks of its two value types, the forward and inverse maps,
 `Damping` and the PDG table.
@@ -57,16 +58,22 @@ class _Value:
                                  for name in self.__match_args__)
 
 
+def _check(ok, name: str, domain: str, value) -> None:
+    """The one domain check: unless ok, a ValueError that reads
+    "{name} must be {domain}, got {value}".  Each caller writes its own
+    comparison, such as 0.0 < r < 1.0, so that nan fails it."""
+    if not ok:
+        raise ValueError(f"{name} must be {domain}, got {value}")
+
+
 def _check_r(r: float) -> None:
-    """The damping ratio's domain: 0 < r < inf (nan fails)."""
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"r must be positive and finite, got {r}")
+    """The damping ratio's domain: 0 < r < inf."""
+    _check(0.0 < r < math.inf, "r", "positive and finite", r)
 
 
 def _check_size(size: float) -> None:
-    """A Bloch vector's length: |b| <= 1 + STATE_EPS (nan fails)."""
-    if not size <= 1.0 + STATE_EPS:
-        raise ValueError(f"|b| must be at most 1 + {STATE_EPS}, got {size}")
+    """A Bloch vector's length: |b| <= 1 + STATE_EPS."""
+    _check(size <= 1.0 + STATE_EPS, "|b|", "at most 1 + STATE_EPS", size)
 
 
 def _sincosd(deg: float) -> tuple[float, float]:
@@ -117,11 +124,9 @@ def _csv_blocks(columns: dict):
 def _check_observables(delta_E: float, delta_Gamma: float,
                        q_over_p: float) -> None:
     """The checks of `meson.MesonObservables`, in its order."""
-    if not (math.isfinite(delta_E) and math.isfinite(delta_Gamma)
-            and math.isfinite(q_over_p)):
-        raise ValueError(f"observables must be finite, got delta_E="
-                         f"{delta_E!r}, delta_Gamma={delta_Gamma!r}, "
-                         f"q_over_p={q_over_p!r}")
+    _check(math.isfinite(delta_E), "delta_E", "finite", delta_E)
+    _check(math.isfinite(delta_Gamma), "delta_Gamma", "finite", delta_Gamma)
+    _check(math.isfinite(q_over_p), "q_over_p", "finite", q_over_p)
     if delta_E < 0.0:
         raise UnphysicalObservables("delta_E must be >= 0 by convention")
     if not q_over_p > 0.0:
@@ -131,19 +136,16 @@ def _check_observables(delta_E: float, delta_Gamma: float,
 def _check_bloch_parameters(r: float, theta_eg_deg: float,
                             E_mag: float) -> None:
     """The checks of `meson.BlochParameters`, in its order."""
-    if not (math.isfinite(r) and math.isfinite(theta_eg_deg)
-            and math.isfinite(E_mag)):
-        raise ValueError(f"Bloch parameters must be finite, got r={r!r}, "
-                         f"theta_eg_deg={theta_eg_deg!r}, E_mag={E_mag!r}")
     _check_r(r)
-    if not E_mag > 0.0:
-        raise ValueError("E_mag must be positive")
+    _check(math.isfinite(theta_eg_deg), "theta_eg_deg", "finite", theta_eg_deg)
+    _check(0.0 < E_mag < math.inf, "E_mag", "finite and positive", E_mag)
 
 
 def _forward(r: float, theta_deg: float,
              E_mag: float) -> tuple[float, float, float]:
     """(Delta E, Delta Gamma, |q/p|) of `meson.observables_from_bloch`,
     whose docstring gives the forms, from checked parameters."""
+    r, theta_deg, E_mag = float(r), float(theta_deg), float(E_mag)
     s, q, s_q = _scaled_split(r)
     cos = _sincosd(theta_deg)[0]
     z = cmath.sqrt(complex(-s_q * (s + q), -2.0 * cos * s * q))  # z/m

@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._base import _check_r, _one_minus_r2, _scaled_split, _Value
-from .core import (QubitModel, _e_dot_gamma, _generator, _is_cuq,
+from ._base import _check, _check_r, _one_minus_r2, _scaled_split, _Value
+from .core import (QubitModel, _e_dot_gamma, _finite, _generator, _is_cuq,
                    _read_only)
 
 __all__ = [
@@ -36,19 +36,6 @@ __all__ = [
 ]
 
 
-def _check_r_oscillatory(r: float):
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must be in (0, 1) for an oscillating qubit, got {r}")
-
-
-def _finite(name: str, x) -> np.ndarray:
-    """x as a float array, which must hold no inf or nan."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
-
-
 @dataclass(frozen=True, slots=True)
 class CuqClock(_Value):
     """Dimensionless oscillation period and angular frequency."""
@@ -61,7 +48,7 @@ def _clock_root(r: float) -> float:
     """sqrt(1 - r^2) for 0 < r < 1, the one checked root that the clock,
     the projections and the mixed magnitude read; a subnormal r, whose
     omega_hat = root/r overflows, is an OverflowError."""
-    _check_r_oscillatory(r)
+    _check(0.0 < r < 1.0, "r", "in (0, 1)", r)
     r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
     root = math.sqrt(_one_minus_r2(r))
     if root / r == math.inf:  # a subnormal r
@@ -112,9 +99,8 @@ def restore_units(r: float, E_mag: float) -> tuple[float, float]:
     P = pi / (|E| sqrt(1 - r^2)), omega = 2 |E| sqrt(1 - r^2), in plain
     floats; either one past the float range is an OverflowError.
     """
-    _check_r_oscillatory(r)
-    if not 0.0 < E_mag < math.inf:
-        raise ValueError(f"E_mag must be positive and finite, got {E_mag}")
+    _check(0.0 < r < 1.0, "r", "in (0, 1)", r)
+    _check(0.0 < E_mag < math.inf, "E_mag", "positive and finite", E_mag)
     r, E_mag = float(r), float(E_mag)
     scale = E_mag * math.sqrt(_one_minus_r2(r))
     P = math.pi / scale if scale > 0.0 else math.inf
@@ -129,8 +115,7 @@ def half_angle_slope(r: float) -> float:
 
     The geometric ratio of consecutive Fourier coefficients; finite as r -> 0.
     """
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must be in [0, 1), got {r}")
+    _check(0.0 <= r < 1.0, "r", "in [0, 1)", r)
     r = float(r)
     return r / (1.0 + math.sqrt(_one_minus_r2(r)))
 
@@ -243,8 +228,7 @@ def mixed_magnitude(tau, r: float):
     that is not finite, or whose phase omega_hat tau is past the float
     range, raises as in `cuq_projections`.
     """
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"r must be in (0, 1], got {r}")
+    _check(0.0 < r <= 1.0, "r", "in (0, 1]", r)
     if r < 1.0:
         _, w, phase = _phase(tau, r)
         u = 2.0 * np.sin(phase / 2.0) / w
@@ -260,11 +244,10 @@ def mixed_magnitude_vs_angle(phi, r: float):
     Defined for phi with sin(phi) <= 0 (the fully mixed trajectory sweeps
     only the lower half-plane); raises for queries off that branch.
     """
-    _check_r_oscillatory(r)
+    _check(0.0 < r < 1.0, "r", "in (0, 1)", r)
     s = np.sin(_finite("phi", phi))
-    if np.any(s > 1e-12):
-        raise ValueError("phi is outside the lower half-plane branch "
-                         "(the formula would be negative)")
+    _check(not np.any(s > 1e-12), "phi",
+           "on the lower half-plane branch, sin(phi) <= 0", phi)
     return -2.0 * r * s / (1.0 + r * r * s * s)
 
 
@@ -285,7 +268,7 @@ class MixedEllipse(_Value):
 
 def mixed_ellipse(r: float) -> MixedEllipse:
     """Semi-axes r/sqrt(1+r^2), r/(1+r^2) and eccentricity r/sqrt(1+r^2)."""
-    _check_r_oscillatory(r)
+    _check(0.0 < r < 1.0, "r", "in (0, 1)", r)
     r = float(r)
     one_p = 1.0 + r * r
     return MixedEllipse(
@@ -299,13 +282,16 @@ def mixed_ellipse(r: float) -> MixedEllipse:
 def polar_rates(b_mag: float, phi: float, r: float) -> tuple[float, float]:
     """(d|b|/dtau, d phi/dtau) of the planar polar representation.
 
-    d|b|/dtau = (1 - |b|^2) cos(phi);  d phi/dtau = -1/r - sin(phi)/|b|.
-    The angular rate is singular at |b| = 0 (use the Cartesian form there).
+    d|b|/dtau = (1 - |b|^2) cos(phi);  d phi/dtau = -1/r - sin(phi)/|b|,
+    on Python floats.  The angular rate is singular at |b| = 0 (use the
+    Cartesian form there); a d phi/dtau past the float range, at a
+    subnormal r or |b|, is an OverflowError.
     """
-    if not (0.0 < b_mag <= 1.0):
-        raise ValueError(f"|b| must be in (0, 1], got {b_mag}")
+    _check(0.0 < b_mag <= 1.0, "|b|", "in (0, 1]", b_mag)
     _check_r(r)
-    phi = _finite("phi", phi)
-    db = (1.0 - b_mag * b_mag) * np.cos(phi)
-    dphi = -1.0 / r - np.sin(phi) / b_mag
-    return float(db), float(dphi)
+    b_mag, r, phi = float(b_mag), float(r), float(_finite("phi", phi))
+    dphi = -1.0 / r - math.sin(phi) / b_mag
+    if not math.isfinite(dphi):
+        raise OverflowError(f"d phi/dtau overflows at r = {r!r}, "
+                            f"|b| = {b_mag!r}")
+    return (1.0 - b_mag * b_mag) * math.cos(phi), dphi

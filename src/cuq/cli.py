@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._base import (DatasetFormatError, QuadratureNotConverged,
-                    RankDeficientDesign, UnphysicalObservables,
+                    RankDeficientDesign, UnphysicalObservables, _check,
                     _check_bloch_parameters, _check_observables, _check_r,
                     _check_size, _csv_blocks, _forward, _inverse,
                     _one_minus_r2, _scaled_split, catalogue_to_csv,
@@ -64,8 +64,7 @@ def _parse_b0(spec: str, model: QubitModel) -> np.ndarray:
     except ValueError:
         raise ValueError(
             f"--b0 must be one of {sorted(named)} or 'x,y,z', got '{spec}'")
-    if vec.shape != (3,):
-        raise ValueError("--b0 vector needs three components")
+    _check(vec.shape == (3,), "--b0", "a vector of three components", spec)
     return vec
 
 
@@ -81,8 +80,8 @@ def _parse_grid(spec: str) -> list[float]:
     except ValueError:
         raise ValueError(f"grid '{spec}' must be 'lo:hi:n' with an integer "
                          f"n, or comma-separated numbers") from None
-    if not 1 <= n <= MAX_ROWS:
-        raise ValueError(f"grid '{spec}' needs 1 to {MAX_ROWS} points")
+    _check(1 <= n <= MAX_ROWS, f"grid '{spec}'", f"of 1 to {MAX_ROWS} points",
+           n)
     delta, div = hi - lo, max(n - 1, 1)
     step = delta / div
     grid = ([i / div * delta + lo for i in range(n)] if step == 0.0
@@ -100,17 +99,15 @@ def _time_grid(spec: str, r: float) -> np.ndarray:
     from .analytic import cuq_clock
     period = cuq_clock(r).P_hat if r < 1.0 else math.inf
     if spec.lower().endswith("p"):
-        if period == math.inf:
-            raise ValueError("period-relative --t-max needs r < 1")
+        _check(r < 1.0, "r", "below 1 for a period-relative --t-max", r)
         tau_end = float(spec[:-1] or 1.0) * period
     else:
         tau_end = float(spec)
-    if not 0.0 < tau_end < np.inf:
-        raise ValueError(f"--t-max must be positive and finite, got {tau_end}")
+    _check(0.0 < tau_end < math.inf, "--t-max", "positive and finite",
+           tau_end)
     rows = max(float(MIN_ROWS), ROWS_PER_PERIOD * tau_end / period + 1.0)
-    if rows > MAX_ROWS:
-        raise ValueError(f"tau range needs {rows:.3g} rows, more than "
-                         f"{MAX_ROWS}")
+    _check(rows <= MAX_ROWS, "the tau range's rows", f"at most {MAX_ROWS}",
+           f"{rows:.3g}")
     return np.linspace(0.0, tau_end, math.ceil(rows))
 
 
@@ -256,9 +253,8 @@ def cmd_fit(args) -> int:
     from .fit import (design_matrix, estimate_r, fit_fourier_modes,
                       fit_result_to_json, load_dataset)
     # checked before the file is read; fit_fourier_modes rejects N < 0 itself
-    if 0 <= args.n_harmonics < 2:
-        raise ValueError("--n-harmonics must be at least 2 for an r estimate, "
-                         f"got {args.n_harmonics}")
+    _check(not 0 <= args.n_harmonics < 2, "--n-harmonics",
+           "at least 2 for an r estimate", args.n_harmonics)
     data = load_dataset(args.data, omega=args.omega)
     fit = fit_fourier_modes(data, args.n_harmonics)
     extraction = estimate_r(fit, amplitude_correction=args.amplitude)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _base
-from ._base import STATE_EPS, _check_r, _check_size, _sincosd, _Value
+from ._base import (STATE_EPS, _check, _check_r, _check_size, _sincosd,
+                    _Value)
 
 _UNIT_TOL = 1e-12
 
@@ -47,14 +48,11 @@ def _pauli(v) -> np.ndarray:
     return np.einsum("i,ijk->jk", v, SIGMA)
 
 
-def _as_vec3(x) -> np.ndarray:
+def _as_vec3(name: str, x) -> np.ndarray:
     """A checked copy of x, so no later write by the caller reaches it."""
     v = np.array(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a real 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"expected a finite 3-vector, got {v}")
-    return v
+    _check(v.shape == (3,), name, "a real 3-vector", v.shape)
+    return _finite(name, v)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -62,6 +60,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     read-only so the invariant it checked holds for the value's life."""
     a.flags.writeable = False
     return a
+
+
+def _finite(name: str, x) -> np.ndarray:
+    """x as a float array, checked to hold no inf or nan."""
+    x = np.asarray(x, dtype=float)
+    _check(np.isfinite(x).all(), name, "finite", x)
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +77,7 @@ class BlochState(_Value):
     b: np.ndarray
 
     def __post_init__(self):
-        b = _as_vec3(self.b)
+        b = _as_vec3("b", self.b)
         _check_size(math.hypot(*b))  # no overflow where |b| is finite
         object.__setattr__(self, "b", _read_only(b))
 
@@ -92,13 +97,15 @@ class QubitModel(_Value):
     r: float
 
     def __post_init__(self):
-        e = _as_vec3(self.e)
-        g = _as_vec3(self.gamma)
-        if abs(np.linalg.norm(e) - 1.0) > _UNIT_TOL:
-            raise ValueError("e must be a unit vector")
-        if abs(np.linalg.norm(g) - 1.0) > _UNIT_TOL:
-            raise ValueError("gamma must be a unit vector")
+        e = _as_vec3("e", self.e)
+        g = _as_vec3("gamma", self.gamma)
+        with np.errstate(over="ignore"):  # a norm past the float range: inf
+            _check(abs(np.linalg.norm(e) - 1.0) <= _UNIT_TOL, "e",
+                   "a unit vector", e)
+            _check(abs(np.linalg.norm(g) - 1.0) <= _UNIT_TOL, "gamma",
+                   "a unit vector", g)
         _check_r(self.r)
+        object.__setattr__(self, "r", float(self.r))  # no numpy scalar math
         object.__setattr__(self, "e", _read_only(e))
         object.__setattr__(self, "gamma", _read_only(g))
 
@@ -119,8 +126,7 @@ class QubitModel(_Value):
         In degrees gamma is exact at multiples of 90: on an axis, with no
         rounding tilt.
         """
-        if not math.isfinite(theta_eg):
-            raise ValueError(f"theta_eg must be finite, got {theta_eg}")
+        _check(math.isfinite(theta_eg), "theta_eg", "finite", theta_eg)
         g = (_sincosd(theta_eg) if degrees
              else (math.cos(theta_eg), math.sin(theta_eg)))
         return cls(e=np.array([1.0, 0.0, 0.0]), gamma=np.array([*g, 0.0]), r=r)
@@ -168,15 +174,14 @@ class DensityMatrix(_Value):
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("density matrix must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise ValueError("normalised density matrix must have unit trace")
+        _check(m.shape == (2, 2), "entries", "2x2", m.shape)
+        _check(not np.max(np.abs(m - m.conj().T)) > 1e-12, "entries",
+               "Hermitian", m)
+        tr = np.trace(m).real
+        _check(not abs(tr - 1.0) > 1e-12, "entries", "of unit trace", tr)
         ev = np.linalg.eigvalsh(m)
-        if ev.min() < -STATE_EPS or ev.max() > 1.0 + STATE_EPS:
-            raise ValueError(f"eigenvalues {ev} outside [0, 1]")
+        _check(not (ev.min() < -STATE_EPS or ev.max() > 1.0 + STATE_EPS),
+               "entries' eigenvalues", "in [0, 1]", ev)
         object.__setattr__(self, "entries", _read_only(m))
 
     @property
@@ -195,9 +200,10 @@ def _float_field(model: QubitModel):
     e/r and gamma are read as floats once per model; one evaluation forms
     d = b.gamma and each component left to right, as e3 y - e2 z + g1 - d x,
     and returns the tuple (fx, fy, fz), so no BLAS call or SIMD loop sets
-    its bits.  `evolve` steps on this form.
+    its bits; an e/r past the float range is inf, unwarned.  `evolve`
+    steps on this form.
     """
-    e1, e2, e3 = (model.e / model.r).tolist()
+    e1, e2, e3 = (x / model.r for x in model.e.tolist())
     g1, g2, g3 = model.gamma.tolist()
 
     def f(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -210,8 +216,12 @@ def _float_field(model: QubitModel):
 
 
 def bloch_derivative(state: BlochState, model: QubitModel) -> np.ndarray:
-    """db/dtau = -(1/r) e x b + gamma - (b.gamma) b."""
-    return np.array(_float_field(model)(*state.b.tolist()))
+    """db/dtau = -(1/r) e x b + gamma - (b.gamma) b; past the float range,
+    at a subnormal r, it is an OverflowError."""
+    db = np.array(_float_field(model)(*state.b.tolist()))
+    if not np.isfinite(db).all():
+        raise OverflowError(f"db/dtau overflows at r = {model.r!r}")
+    return db
 
 
 def purity_rate(state: BlochState, model: QubitModel) -> float:

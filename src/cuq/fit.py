@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._base import (DatasetFormatError, RankDeficientDesign, _csv_blocks,
-                    _Value)
+from ._base import (DatasetFormatError, RankDeficientDesign, _check,
+                    _csv_blocks, _Value)
 from .analytic import cuq_projections, restore_units
-from .core import _read_only
+from .core import _finite, _read_only
 from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
                       _ratio, correct_effective_r)
 
@@ -62,17 +62,14 @@ class AsymmetryDataset(_Value):
         t = np.array(self.t, dtype=float)
         d = np.array(self.delta, dtype=float)
         s = np.array(self.sigma, dtype=float)
-        if not (t.shape == d.shape == s.shape) or t.ndim != 1:
-            raise ValueError("t, delta, sigma must be equal-length 1-D arrays")
-        if len(t) and np.any(np.diff(t) <= 0.0):
-            raise ValueError("t must be strictly increasing")
-        if not np.all(np.isfinite([t, d, s])):
-            raise ValueError("t, delta, sigma must be finite")
-        if np.any(s <= 0.0):
-            raise ValueError("every sigma must be positive")
-        if not 0.0 < self.omega < np.inf:
-            raise ValueError(f"omega must be positive and finite, "
-                             f"got {self.omega}")
+        _check(t.shape == d.shape == s.shape and t.ndim == 1,
+               "t, delta, sigma", "equal-length 1-D arrays",
+               (t.shape, d.shape, s.shape))
+        _check(not np.any(np.diff(t) <= 0.0), "t", "strictly increasing", t)
+        _finite("t, delta, sigma", [t, d, s])
+        _check(not np.any(s <= 0.0), "every sigma", "positive", s)
+        _check(0.0 < self.omega < math.inf, "omega", "positive and finite",
+               self.omega)
         object.__setattr__(self, "t", _read_only(t))
         object.__setattr__(self, "delta", _read_only(d))
         object.__setattr__(self, "sigma", _read_only(s))
@@ -155,8 +152,7 @@ class FitResult(_Value):
         Uses the statistic d_n / err(d_n) on a t-distribution with the fit's
         residual degrees of freedom.  A zero standard error yields NaN.
         """
-        if self.dof < 1:
-            raise ValueError("p-values need at least one degree of freedom")
+        _check(self.dof >= 1, "dof", "at least 1 for p-values", self.dof)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = np.where(self.errors > 0.0,
                              self.coefficients / self.errors, np.nan)
@@ -267,8 +263,7 @@ def design_matrix(t, omega: float, N: int) -> np.ndarray:
     be finite.  The largest phase, (max|t| N) |omega| on Python floats as
     numpy rounds it, is checked first: past the float range it is an
     OverflowError naming omega, N and max|t|."""
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
+    _check(math.isfinite(omega), "omega", "finite", omega)
     t_max = float(np.abs(t).max(initial=0.0))
     if abs(t_max * float(N) * float(omega)) == math.inf:
         raise OverflowError(f"the phase N omega t overflows at omega = "
@@ -287,9 +282,10 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     sigma is weighted as sigma 2^-k, the smallest in [1/2, 1): every step
     is exact under a power-of-two scaling, so the coefficients have the
     same bits at any scale of sigma, and chi2, the errors and the
-    covariance are scaled back exactly.  A chi2 past the largest float, or
-    a standard error below the smallest normal or whose square is past the
-    largest float, is an OverflowError; the covariance may underflow.
+    covariance are scaled back exactly.  A standard error below the
+    smallest normal or whose square is past the largest float, and then a
+    chi2 past the largest float (the weighted data delta/sigma too), is an
+    OverflowError, with no numpy warning; the covariance may underflow.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0 harmonics, got N = {N}")
@@ -299,7 +295,6 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     k = math.frexp(data.sigma.min())[1]
     sigma = np.ldexp(data.sigma, -k)
     Xw = X / sigma[:, None]
-    yw = data.delta / sigma
     q, r = np.linalg.qr(Xw)
     diag = np.abs(np.diag(r))
     with np.errstate(over="ignore"):  # inf past the float range
@@ -307,17 +302,9 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
     if cond > 1e10:
         raise RankDeficientDesign(
             f"design matrix condition estimate {cond:.2e} (aliased times?)")
-    coeff = np.linalg.solve(r, q.T @ yw)
     rinv = np.linalg.inv(r)
     cov = rinv @ rinv.T
     errors = np.sqrt(np.diag(cov))
-    resid = yw - Xw @ coeff
-    # back to the scale of sigma: chi2 times 4^-k, errors times 2^k
-    try:
-        chi2 = math.ldexp(float(resid @ resid), -2 * k)
-    except OverflowError:
-        raise OverflowError(f"chi2 overflows at sigma down to "
-                            f"{data.sigma.min():.3g}") from None
     e = errors.tolist()  # cov is at most max(e)^2, so it stays finite
     if (math.frexp(max(e))[1] + k > 512
             or math.ldexp(min(e), k) < sys.float_info.min):
@@ -325,6 +312,22 @@ def fit_fourier_modes(data: AsymmetryDataset, N: int) -> FitResult:
                             f"float range at sigma from "
                             f"{data.sigma.min():.3g} to "
                             f"{data.sigma.max():.3g}")
+    # the data: an inf or a nan past the float range is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        yw = data.delta / sigma
+        qy = q.T @ yw
+        coeff = np.linalg.solve(r, qy) if np.isfinite(qy).all() else qy
+        resid = yw - Xw @ coeff
+        rss = float(resid @ resid)
+    # back to the scale of sigma: chi2 times 4^-k, errors times 2^k
+    try:
+        chi2 = math.ldexp(rss, -2 * k)
+    except OverflowError:
+        chi2 = math.inf
+    if not math.isfinite(chi2):
+        raise OverflowError(f"chi2 overflows at sigma down to "
+                            f"{data.sigma.min():.3g}, |delta| up to "
+                            f"{np.abs(data.delta).max():.3g}")
     dof = len(data) - (N + 1)
     return FitResult(coefficients=coeff, errors=np.ldexp(errors, k),
                      covariance=np.ldexp(cov, 2 * k), chi2=chi2, dof=dof,
@@ -355,11 +358,11 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     the full-amplitude value before averaging.
     The correction R is checked to lie in (0, 1] even when no estimate is.
     """
-    if fit.n_harmonics < 2:
-        raise ValueError("estimate_r needs a fit with at least 2 harmonics")
+    _check(fit.n_harmonics >= 2, "the fit's harmonics",
+           "at least 2 for estimate_r", fit.n_harmonics)
     R = amplitude_correction
-    if R is not None and not 0.0 < R <= 1.0:
-        raise ValueError(f"amplitude R must be in (0, 1], got {R}")
+    _check(R is None or 0.0 < R <= 1.0, "amplitude R", "in (0, 1]", R)
+    R = None if R is None else float(R)
     # the ratios on Python floats; a coefficient or an error that is not
     # finite gets FourierSpectrum's ValueError from `fit.spectrum()`
     coeffs, errs = fit.coefficients.tolist(), fit.errors.tolist()
@@ -374,6 +377,13 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
             # dr/dr_tilde of the correction, chained onto the ratio error
             R2 = R ** 2
             denom = (R2 + est.r_hat ** 2 * (1.0 - R2)) ** 1.5
+            if denom == 0.0:  # both squares underflow: scale by 2^h as
+                # correct_effective_r does, with 2^h split in two factors,
+                # so that a slope past the float range is inf, not an error
+                h = -math.frexp(max(R, est.r_hat))[1]
+                a, t = math.ldexp(R, h), math.ldexp(est.r_hat, h)
+                R2 = a * a * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)
+                denom = (a * a + t * t) ** 1.5
             est = replace(est, r_hat=r_corr, r_err=est.r_err * R2 / denom)
         estimates.append(est)
     usable = [e for e in estimates
@@ -412,13 +422,15 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
     at tau = |Gamma| t_i plus Gaussian noise.  noise_sigma may be a scalar
     or a length-n_points schedule (e.g. widening late-time errors); the
     sigma column reflects it.  r must be in (0, 1) and |E| positive and
-    finite, as `restore_units` checks, and t_max positive and finite; a
-    |Gamma| = 2 r |E| or |Gamma| t_max past the float range is an
-    OverflowError.
+    finite, as `restore_units` checks, t_max positive and finite,
+    noise_sigma non-negative and finite, and n_points and seed >= 0; a
+    |Gamma| = 2 r |E|, a |Gamma| t_max or a noisy value past the float
+    range is an OverflowError.
     """
     _, omega = restore_units(r, E_mag)
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    _check(0.0 < t_max < math.inf, "t_max", "positive and finite", t_max)
+    _check(n_points >= 0, "n_points", ">= 0", n_points)
+    _check(seed >= 0, "seed", ">= 0", seed)
     t = np.linspace(0.0, t_max, n_points, endpoint=False)
     # Python floats: an overflowing product is inf, unwarned
     gamma_mag = 2.0 * float(r) * float(E_mag)
@@ -429,10 +441,14 @@ def synthesize_dataset(r: float, E_mag: float, n_points: int, t_max: float,
     _, delta = cuq_projections(gamma_mag * t, r)
     sig = np.broadcast_to(np.asarray(noise_sigma, dtype=float),
                           (n_points,)).copy()
-    if np.any(sig < 0.0):
-        raise ValueError("noise_sigma must be non-negative")
+    _check(np.all((sig >= 0.0) & (sig < math.inf)), "noise_sigma",
+           "non-negative and finite", noise_sigma)
     rng = np.random.default_rng(seed)
-    noisy = delta + rng.standard_normal(n_points) * sig
+    with np.errstate(over="ignore"):  # inf past the float range, named below
+        noisy = delta + rng.standard_normal(n_points) * sig
+    if not np.isfinite(noisy).all():
+        raise OverflowError(f"the noise overflows at noise_sigma up to "
+                            f"{float(sig.max())!r}")
     return AsymmetryDataset(t=t, delta=noisy,
                             sigma=np.where(sig > 0.0, sig, 1e-12),
                             omega=omega, label="synthetic")

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._base import QuadratureNotConverged, _one_minus_r2, _Value
+from ._base import QuadratureNotConverged, _check, _one_minus_r2, _Value
 from .analytic import half_angle_slope
-from .core import _read_only
+from .core import _finite, _read_only
 
 __all__ = [
     "SeriesKind",
@@ -60,30 +60,27 @@ class FourierSpectrum(_Value):
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float)
-        if not (math.isfinite(self.d0) and math.isfinite(self.d0_err)
-                and np.isfinite(coeffs).all()):
-            raise ValueError(f"d0, d0_err and the coefficients must be "
-                             f"finite, got d0={self.d0!r}, "
-                             f"d0_err={self.d0_err!r}, coeffs={coeffs}")
+        _check(math.isfinite(self.d0) and math.isfinite(self.d0_err)
+               and np.isfinite(coeffs).all(),
+               "d0, d0_err and the coefficients", "finite",
+               (self.d0, self.d0_err, coeffs))
         if self.coeff_errs is not None:
             errs = np.array(self.coeff_errs, dtype=float)
             if errs.shape != coeffs.shape:
                 raise ValueError("coefficient errors must match coefficients")
-            if not np.isfinite(errs).all():
-                raise ValueError(f"coefficient errors must be finite, "
-                                 f"got {errs}")
+            _finite("coefficient errors", errs)
             object.__setattr__(self, "coeff_errs", _read_only(errs))
         object.__setattr__(self, "coeffs", _read_only(coeffs))
 
     def coefficient(self, n: int) -> float:
-        """Coefficient of order n (n = 0 returns d0)."""
+        """Coefficient of order n (n = 0 returns d0), a Python float."""
         if n == 0:
-            return self.d0
+            return float(self.d0)
         return float(self.coeffs[n - 1])
 
     def coefficient_err(self, n: int) -> float:
         if n == 0:
-            return self.d0_err
+            return float(self.d0_err)
         if self.coeff_errs is None:
             return 0.0
         return float(self.coeff_errs[n - 1])
@@ -95,8 +92,7 @@ class FourierSpectrum(_Value):
 
 def closed_form_cn(n: int, r: float) -> float:
     """c_n = 2 (sqrt(1-r^2)/r) q^n, finite as r -> 0 (leading order r^{n-1})."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check(n >= 1, "n", ">= 1", n)
     q = half_angle_slope(r)
     if r == 0.0:
         return 1.0 if n == 1 else 0.0
@@ -115,8 +111,7 @@ def closed_form_d0(r: float) -> float:
 
 def closed_form_spectrum(r: float, N: int) -> FourierSpectrum:
     """Exact even spectrum of the pure oscillation through order N."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    _check(N >= 0, "N", ">= 0", N)
     coeffs = np.array([closed_form_cn(n, r) for n in range(1, N + 1)])
     return FourierSpectrum(d0=closed_form_d0(r), coeffs=coeffs,
                            kind=SeriesKind.EVEN)
@@ -136,10 +131,8 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
     time, and a set of samples that holds a value that is not finite is a
     ValueError.
     """
-    if not 0 <= N <= _MAX_ORDER:
-        raise ValueError(f"N must be in [0, {_MAX_ORDER}], got {N}")
-    if not 0.0 < P_hat < math.inf:
-        raise ValueError(f"P_hat must be positive and finite, got {P_hat}")
+    _check(0 <= N <= _MAX_ORDER, "N", f"in [0, {_MAX_ORDER}]", N)
+    _check(0.0 < P_hat < math.inf, "P_hat", "positive and finite", P_hat)
     half = float(P_hat) / 2.0
     M = max(64, 4 * N)
     f = _samples(signal, -half + P_hat / M * np.arange(M))
@@ -219,13 +212,9 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
     by 2^-k, which puts |den| in [1/2, 1): both are homogeneous of degree
     0, so they keep their bits, and den^2 cannot underflow.
     """
-    if spectrum.kind is SeriesKind.ODD and n < 1:
-        raise ValueError("odd-series anharmonicity needs n >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n + 1 > spectrum.order:
-        raise ValueError(f"spectrum only holds coefficients through "
-                         f"n = {spectrum.order}")
+    lo = 1 if spectrum.kind is SeriesKind.ODD else 0
+    _check(lo <= n < spectrum.order, "n",
+           f"in [{lo}, {spectrum.order - 1}] for this spectrum", n)
     return _ratio(spectrum.coefficient(n + 1), spectrum.coefficient(n),
                   spectrum.coefficient_err(n + 1),
                   spectrum.coefficient_err(n), spectrum.kind, n)
@@ -294,10 +283,8 @@ def correct_effective_r(r_tilde: float, amplitude: float) -> float:
     in [1/2, 1), so no square underflows (R = 1e-200 is no 0/0), and the
     quotient keeps its bits wherever none did.
     """
-    if not (0.0 <= r_tilde <= 1.0):
-        raise ValueError(f"r_tilde must be in [0, 1], got {r_tilde}")
-    if not (0.0 < amplitude <= 1.0):
-        raise ValueError(f"amplitude R must be in (0, 1], got {amplitude}")
+    _check(0.0 <= r_tilde <= 1.0, "r_tilde", "in [0, 1]", r_tilde)
+    _check(0.0 < amplitude <= 1.0, "amplitude R", "in (0, 1]", amplitude)
     k = math.frexp(max(r_tilde, amplitude))[1]
     t, a = math.ldexp(r_tilde, -k), math.ldexp(amplitude, -k)
     return t / math.sqrt(a ** 2 + t ** 2 * (1.0 - amplitude ** 2))

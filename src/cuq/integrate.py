@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._base import _BLOCK_ROWS
+from ._base import _BLOCK_ROWS, _check
 from .core import (IDENTITY2, BlochState, QubitModel, _float_field,
                    _generator, _is_cuq, _pauli)
 
@@ -103,16 +103,15 @@ class Trajectory:
     def interpolate(self, tau) -> np.ndarray:
         """DP5's order-4 dense output between accepted steps."""
         tau = np.asarray(tau, dtype=float)
-        if tau.ndim > 1:
-            raise ValueError("interpolation query must be a scalar or a 1-D "
-                             "array of times")
+        _check(tau.ndim <= 1, "interpolation query",
+               "a scalar or a 1-D array of times", tau.shape)
         scalar = tau.ndim == 0
         t = np.atleast_1d(tau)
         if not np.all(np.isfinite(t)):
             raise ValueError("interpolation query is not finite")
-        if t.size and (t.min() < self.taus[0] - 1e-12
-                       or t.max() > self.taus[-1] + 1e-12):
-            raise ValueError("interpolation query outside the integrated range")
+        _check(not t.size or (t.min() >= self.taus[0] - 1e-12
+                              and t.max() <= self.taus[-1] + 1e-12),
+               "interpolation query", "within the integrated range", t)
         idx = np.searchsorted(self.taus[1:-1], t, side="right")
         t0 = self.taus[idx]
         s = ((t - t0) / (self.taus[idx + 1] - t0))[:, None]
@@ -136,11 +135,10 @@ def evolve(model: QubitModel, b0, tau_end: float,
     r = 0.99999).  Every step runs on Python floats, so its bits depend on
     no BLAS kernel and no SIMD level.
     """
-    if not 0.0 < tau_end < np.inf:
-        raise ValueError(f"tau_end must be positive and finite, got {tau_end}")
-    for tol in (rel_tol, abs_tol):
-        if not (0.0 < tol <= 1e-2):
-            raise ValueError(f"tolerance {tol} outside (0, 1e-2]")
+    _check(0.0 < tau_end < math.inf, "tau_end", "positive and finite",
+           tau_end)
+    _check(0.0 < rel_tol <= 1e-2, "rel_tol", "in (0, 1e-2]", rel_tol)
+    _check(0.0 < abs_tol <= 1e-2, "abs_tol", "in (0, 1e-2]", abs_tol)
     rel_tol, abs_tol = float(rel_tol), float(abs_tol)  # a float32 stays double
     x, y, z = BlochState(b0).b.tolist()
 
@@ -276,8 +274,8 @@ def propagate(model: QubitModel, b0, taus) -> np.ndarray:
     """
     b0 = BlochState(b0).b
     t = np.atleast_1d(np.asarray(taus, dtype=float))
-    if t.ndim != 1 or not np.all((t >= 0.0) & (t < np.inf)):
-        raise ValueError("taus must be a 1-D array of finite times >= 0")
+    _check(t.ndim == 1 and np.all((t >= 0.0) & (t < np.inf)), "taus",
+           "a 1-D array of finite times >= 0", t)
     n, mu, rate = _generator(model)  # U takes s n/(s mu) = n/mu
     L = _state_root(b0)
     nL = _pauli(n) @ L
