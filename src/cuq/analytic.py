@@ -124,23 +124,17 @@ def cuq_theta(tau, r: float):
     """Continuous, unwrapped angle theta(tau) with theta(0) = 0.
 
     Solves d(theta)/dtau = -1/r - cos(theta) via the tangent half-angle
-    inversion; theta decreases by 2 pi every period.  A tau that is not
-    finite, or whose phase omega_hat tau is past the float range, raises
-    as in `cuq_projections`.
+    inversion, tan(theta/2) = -sqrt((1 + r)/(1 - r)) tan(w tau/2), with
+    both sides of the atan2 scaled by sqrt(1 - r^2); theta decreases by
+    2 pi every period.  A tau that is not finite, or whose phase w tau is
+    past the float range, raises as in `cuq_projections`.
     """
-    _phase(tau, r)
-    clock = cuq_clock(r)
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    t = np.atleast_1d(tau)
-    m = np.floor(t / clock.P_hat + 0.5)
-    frac = t - m * clock.P_hat  # in [-P/2, P/2), up to rounding
-    amp = np.sqrt((1.0 + r) / (1.0 - r))
-    half = clock.omega_hat * frac / 2.0
-    # atan2, not arctan(amp tan(half)): continuous where frac rounds to +-P/2
-    theta = (-2.0 * np.arctan2(amp * np.sin(half), np.cos(half))
-             - 2.0 * np.pi * m)
-    return float(theta[0]) if scalar else theta
+    root, _, phase = _phase(tau, r)
+    m = np.floor(phase / (2.0 * np.pi) + 0.5)
+    half = (phase - 2.0 * np.pi * m) / 2.0  # in [-pi/2, pi/2], up to rounding
+    # atan2, not arctan: continuous where half rounds to +-pi/2
+    return (-2.0 * np.arctan2((1.0 + r) * np.sin(half), root * np.cos(half))
+            - 2.0 * np.pi * m)
 
 
 def cuq_projections(tau, r: float):

@@ -166,21 +166,23 @@ def _is_cuq(model: QubitModel) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class DensityMatrix(_Value):
-    """Trace-normalised 2x2 density matrix, checked to be Hermitian with
-    eigenvalues in [0, 1] and held as a read-only copy; the type of the
-    matrix-equation cross-check."""
+    """Trace-normalised 2x2 density matrix, checked to be finite and
+    Hermitian with eigenvalues in [0, 1] and held as a read-only copy; the
+    type of the matrix-equation cross-check."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
         _check(m.shape == (2, 2), "entries", "2x2", m.shape)
-        _check(not np.max(np.abs(m - m.conj().T)) > 1e-12, "entries",
-               "Hermitian", m)
+        _check(np.isfinite(m).all(), "entries", "finite", m)
+        with np.errstate(over="ignore"):  # a difference past the range: inf
+            _check(np.max(np.abs(m - m.conj().T)) <= 1e-12, "entries",
+                   "Hermitian", m)
         tr = np.trace(m).real
-        _check(not abs(tr - 1.0) > 1e-12, "entries", "of unit trace", tr)
+        _check(abs(tr - 1.0) <= 1e-12, "entries", "of unit trace", tr)
         ev = np.linalg.eigvalsh(m)
-        _check(not (ev.min() < -STATE_EPS or ev.max() > 1.0 + STATE_EPS),
+        _check(-STATE_EPS <= ev.min() and ev.max() <= 1.0 + STATE_EPS,
                "entries' eigenvalues", "in [0, 1]", ev)
         object.__setattr__(self, "entries", _read_only(m))
 

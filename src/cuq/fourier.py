@@ -14,6 +14,7 @@ any periodic signal by the trapezoid rule, independently of these forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -129,10 +130,11 @@ def quadrature_spectrum(signal: Callable[[float], float], P_hat: float,
     vectors agree to _TOL.  d0 carries prefactor 1/P_hat, every n >= 1
     carries 2/P_hat.  The signal is called with one Python float at a
     time, and a set of samples that holds a value that is not finite is a
-    ValueError.
+    ValueError, as is a subnormal P_hat, whose nodes would round together.
     """
     _check(0 <= N <= _MAX_ORDER, "N", f"in [0, {_MAX_ORDER}]", N)
-    _check(0.0 < P_hat < math.inf, "P_hat", "positive and finite", P_hat)
+    _check(sys.float_info.min <= P_hat < math.inf, "P_hat",
+           "positive and finite, not subnormal", P_hat)
     half = float(P_hat) / 2.0
     M = max(64, 4 * N)
     f = _samples(signal, -half + P_hat / M * np.arange(M))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -169,7 +170,8 @@ ROWS = [
     # core
     Row("BlochState", _state, {"x": B}, cuq.BlochState),
     Row("DensityMatrix", lambda p: cuq.DensityMatrix(np.diag([p, 1.0 - p])),
-        {"p": Domain(("entries must be of unit trace",
+        {"p": Domain(("entries must be finite",
+                      "entries must be of unit trace",
                       "entries' eigenvalues must be in [0, 1]"),
                      lambda p: -STATE_EPS <= p <= 1.0 + STATE_EPS, 0.0, 1.0)},
         cuq.DensityMatrix),
@@ -243,7 +245,9 @@ ROWS = [
     Row("quadrature_spectrum", lambda P, N: cuq.quadrature_spectrum(
         lambda t: math.cos(2.0 * math.pi * (t / P)), P, N,
         cuq.SeriesKind.EVEN),
-        {"P": positive("P_hat"), "N": count("N", 0, 64)},
+        {"P": Domain(("P_hat must be positive and finite",),
+                     lambda P: sys.float_info.min <= P < math.inf, 1e-300),
+         "N": count("N", 0, 64)},
         cuq.FourierSpectrum, raises=(cuq.fourier.QuadratureNotConverged,)),
     Row("r_from_anharmonicity", lambda c, e, n: cuq.r_from_anharmonicity(
         cuq.anharmonicity(_spectrum(c, e), n)),

@@ -4,17 +4,18 @@ One test puts each parameter in turn at every edge value of the float
 range (+-0, the smallest subnormal, 1 +- ulp, 1e16, 1e300, 1.7e308, +-inf,
 nan), the others inside their domains; one property draws all of a row's
 parameters at once from the edge values and from inside each domain, as
-Python floats, `np.float64` and 0-d arrays.  Each call must return the
-declared type with every float
-finite, or a declared sentinel; or raise a ValueError that states the
-domain of a parameter drawn outside it, an OverflowError that names a
-parameter, or an exception the docs declare.  It must warn nothing and
+Python floats, `np.float64` and 0-d arrays.  A call with a parameter
+outside its domain must raise a ValueError that states that domain.  A
+call with every parameter inside must return the declared type with every
+float finite, or a declared sentinel; or raise an OverflowError that names
+a parameter, or an exception the docs declare.  It must warn nothing and
 finish within the deadline.  Imports neither scipy nor mpmath.
 """
 
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -69,15 +70,17 @@ def _keeps_contract(row, kwargs):
         warnings.simplefilter("error")
         try:
             result = row.call(**kwargs)
-        except row.raises:
-            return
-        except ValueError as exc:
-            assert any(str(exc).startswith(m)
-                       for d in outside for m in d.messages), (kwargs, exc)
-            return
-        except OverflowError as exc:
-            assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", str(exc))
-                       for n in names), (kwargs, exc)
+        except (ValueError, OverflowError, *row.raises) as exc:
+            # a draw outside a domain ends in that domain's ValueError alone
+            if outside:
+                assert isinstance(exc, ValueError) and any(
+                    str(exc).startswith(m)
+                    for d in outside for m in d.messages), (kwargs, exc)
+            elif isinstance(exc, OverflowError):
+                assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", str(exc))
+                           for n in names), (kwargs, exc)
+            else:
+                assert isinstance(exc, row.raises), (kwargs, exc)
             return
     assert not outside, f"accepted {kwargs}, outside its domain"
     assert isinstance(result, row.returns), kwargs
@@ -90,16 +93,7 @@ def _keeps_contract(row, kwargs):
             assert np.isfinite(leaf).all(), (kwargs, name, leaf)
 
 
-# DensityMatrix checks its entries by comparisons that nan passes and inf
-# warns in (inf - inf in the Hermitian test); rejecting nan would reject a
-# value that passes today
-_HOLES = {"DensityMatrix": "DensityMatrix accepts nan entries, and inf ones "
-                           "warn before the trace check rejects them"}
-_ROWS = pytest.mark.parametrize("row", [
-    pytest.param(row, marks=pytest.mark.xfail(strict=True,
-                                              reason=_HOLES[row.name]))
-    if row.name in _HOLES else row for row in ROWS],
-    ids=[row.name for row in ROWS])
+_ROWS = pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 
 
 @_ROWS
@@ -114,7 +108,7 @@ def test_each_parameter_keeps_the_contract_at_every_edge(row):
 
 
 @_ROWS
-# derandomized, so the same draws run every time and a strict xfail holds
+# derandomized, so the same draws run every time
 @settings(max_examples=40, deadline=1000, derandomize=True)
 @given(data=st.data())
 def test_a_call_keeps_its_contract_at_any_input(row, data):
@@ -122,6 +116,13 @@ def test_a_call_keeps_its_contract_at_any_input(row, data):
 
 
 _T = np.linspace(0.0, 10.0, 20, endpoint=False)
+_SUBNORMAL_PERIODS = [5e-324, 1e-322, 1e-314, 1e-312]
+
+
+def _cosine_spectrum(P, N):
+    """The even spectrum of cos(2 pi t/P): d0 = 0, c_1 = 1, c_n = 0."""
+    return cuq.quadrature_spectrum(lambda t: math.cos(2.0 * math.pi * (t / P)),
+                                   P, N, cuq.SeriesKind.EVEN)
 
 
 def _fit(amplitude, sigma):
@@ -165,6 +166,17 @@ def _fit(amplitude, sigma):
     # a norm past the float range warned
     (lambda: cuq.QubitModel([1e300, 0.0, 0.0], [0.0, 1.0, 0.0], 0.5),
      ValueError, "e must be a unit vector"),
+    # inf - inf warned in the Hermitian test, and nan entries were accepted
+    (lambda: cuq.DensityMatrix(np.diag([math.inf, 0.0])), ValueError,
+     "entries must be finite"),
+    (lambda: cuq.DensityMatrix([[0.5, math.nan], [math.nan, 0.5]]),
+     ValueError, "entries must be finite"),
+    # m - m^dagger overflowed in the Hermitian test
+    (lambda: cuq.DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]), ValueError,
+     "entries must be Hermitian"),
+    # nodes P_hat/M apart rounded together: c_1 was 1.0 to 2.5e-11 off
+    *[(lambda P=P: _cosine_spectrum(P, 3), ValueError, "P_hat must be")
+      for P in _SUBNORMAL_PERIODS],
     # numpy's own messages named neither parameter
     (lambda: cuq.synthesize_dataset(0.5, 1.0, -1, 10.0, 0.0, 0), ValueError,
      "n_points must be >= 0"),
@@ -175,8 +187,9 @@ def _fit(amplitude, sigma):
         "fit-1e300", "fit-1.7e308", "estimate_r-tiny-R",
         "asymptotic_state-0d-r", "observables-numpy-E",
         "anharmonicity-numpy-error", "bloch_derivative-subnormal-r",
-        "model-huge-e", "synthesize-n_points",
-        "synthesize-seed"])
+        "model-huge-e", "density-inf", "density-nan", "density-huge",
+        *[f"quadrature-P{P!r}" for P in _SUBNORMAL_PERIODS],
+        "synthesize-n_points", "synthesize-seed"])
 def test_a_mended_hole_warns_nothing(call, exc, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -196,15 +209,19 @@ def test_polar_rates_keep_the_bits_of_the_numpy_form():
             float(-1.0 / r - np.sin(np.asarray(phi)) / b))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "quadrature_spectrum at P_hat = 5e-324 rounds P_hat/2 and P_hat/M to 0, "
-    "samples every node at t = 0 and returns the constant f(0)'s spectrum"))
 def test_a_subnormal_period_gives_the_signals_spectrum_or_an_error():
     P = 5e-324
     try:
-        spec = cuq.quadrature_spectrum(
-            lambda t: math.cos(2.0 * math.pi * (t / P)), P, 3,
-            cuq.SeriesKind.EVEN)
+        spec = _cosine_spectrum(P, 3)
     except (ValueError, cuq.fourier.QuadratureNotConverged):
         return
     assert (spec.d0, spec.coefficient(1)) == pytest.approx((0.0, 1.0))
+
+
+@pytest.mark.parametrize("N", [0, 3, 64])
+def test_the_smallest_normal_period_gives_the_signals_spectrum(N):
+    spec = _cosine_spectrum(sys.float_info.min, N)
+    want = ([0.0, 1.0] + [0.0] * N)[:N + 1]
+    got = [spec.coefficient(n) for n in range(N + 1)]
+    assert max(abs(g - w) for g, w in zip(got, want, strict=True)) <= (
+        cuq.fourier._TOL)
