@@ -41,6 +41,10 @@ ROWS_PER_PERIOD = 64
 MIN_ROWS = 257
 MAX_ROWS = 1_000_001
 
+# what the subcommands that write files but take no --format write
+_FIXED_OUTPUTS = {"simulate": "CSV only", "sweep-bmax": "CSV only",
+                  "fit": "fit.json and residuals.csv only"}
+
 
 def _write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -354,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format != "csv" and args.command in ("simulate", "sweep-bmax"):
+    if args.format != "csv" and args.command in _FIXED_OUTPUTS:
         parser.error(f"--format applies to fourier and catalogue; "
-                     f"{args.command} writes CSV only")
+                     f"{args.command} writes {_FIXED_OUTPUTS[args.command]}")
     try:
         return args.func(args)
     except (DatasetFormatError, OSError) as exc:

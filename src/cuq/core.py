@@ -252,10 +252,15 @@ def density_evolution_rhs(rho: DensityMatrix, model: QubitModel) -> np.ndarray:
     Evaluated in units of |Gamma| (dimensionless time), so its Pauli
     decomposition coincides with `bloch_derivative`.  Trace parts of E and
     Gamma would cancel identically, so they are left out; the result is
-    traceless.
+    traceless.  As for `bloch_derivative`, past the float range, at a
+    subnormal r, it is an OverflowError.
     """
     m = rho.entries
-    E, G = _effective_matrices(model)
-    return (-1j * (E @ m - m @ E)
-            - 0.5 * (G @ m + m @ G)
-            + m * np.trace(m @ G))
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        E, G = _effective_matrices(model)
+        rhs = (-1j * (E @ m - m @ E)
+               - 0.5 * (G @ m + m @ G)
+               + m * np.trace(m @ G))
+    if not np.isfinite(rhs).all():
+        raise OverflowError(f"d(rho)/dtau overflows at r = {model.r!r}")
+    return rhs

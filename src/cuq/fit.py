@@ -150,10 +150,11 @@ class FitResult(_Value):
         """Two-sided p-value of each d_n against the null d_n = 0.
 
         Uses the statistic d_n / err(d_n) on a t-distribution with the fit's
-        residual degrees of freedom.  A zero standard error yields NaN.
+        residual degrees of freedom.  A zero standard error yields NaN, and
+        a statistic past the float range is inf, whose p-value is 0.
         """
         _check(self.dof >= 1, "dof", "at least 1 for p-values", self.dof)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tstat = np.where(self.errors > 0.0,
                              self.coefficients / self.errors, np.nan)
         return np.array([_student_t_pvalue(t, self.dof)
@@ -259,13 +260,16 @@ def _beta_fraction(a: float, b: float, v: float, w: float) -> float:
 
 
 def design_matrix(t, omega: float, N: int) -> np.ndarray:
-    """Columns cos(n omega t) for n = 0..N, one row per time; omega must
-    be finite.  The largest phase, (max|t| N) |omega| on Python floats as
-    numpy rounds it, is checked first: past the float range it is an
-    OverflowError naming omega, N and max|t|."""
+    """Columns cos(n omega t) for n = 0..N, one row per time; omega and
+    every t must be finite, and N >= 0.  The largest phase, (max|t| N)
+    |omega| on Python floats as numpy rounds it, is checked first: past
+    the float range it is an OverflowError naming omega, N and max|t|, as
+    is a max|t| N past it at omega = 0, which numpy would make inf times 0."""
     _check(math.isfinite(omega), "omega", "finite", omega)
-    t_max = float(np.abs(t).max(initial=0.0))
-    if abs(t_max * float(N) * float(omega)) == math.inf:
+    _check(N >= 0, "N", ">= 0", N)
+    t_max = float(np.abs(t).max(initial=0.0))  # nan if any t is
+    _check(math.isfinite(t_max), "t", "finite", t)
+    if not abs(t_max * float(N) * float(omega)) < math.inf:
         raise OverflowError(f"the phase N omega t overflows at omega = "
                             f"{omega}, N = {N}, max|t| = {t_max}")
     return np.cos(np.outer(t, np.arange(N + 1)) * omega)
@@ -464,15 +468,15 @@ def fit_result_to_json(fit: FitResult, extraction: RExtraction) -> str:
     not finite is null, so the text is strict JSON."""
     out = {
         "label": fit.label,
-        "omega": fit.omega,
+        "omega": _json_float(fit.omega),
         "N": fit.n_harmonics,
         "coefficients": [
-            {"n": int(n), "value": float(v), "error": float(e),
+            {"n": int(n), "value": _json_float(v), "error": _json_float(e),
              "p_value": _json_float(p)}
             for n, v, e, p in zip(range(fit.n_harmonics + 1),
                                   fit.coefficients, fit.errors, fit.p_values)
         ],
-        "chi2": fit.chi2,
+        "chi2": _json_float(fit.chi2),
         "dof": fit.dof,
         "r_estimates": [
             {"kind": e.kind.value, "order": e.order_n,

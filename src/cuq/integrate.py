@@ -157,9 +157,10 @@ def evolve(model: QubitModel, b0, tau_end: float,
     # Every sum runs left to right from 0.0, zero coefficients included, so
     # any CPU rounds it alike, and as a loop over the tableau rows would
     while tau < tau_end:
-        h = min(h, tau_end - tau)
+        # the floor tests the controller's step, before the horizon clips it
         if h < 1e-14 * max(1.0, tau):
             raise StepSizeUnderflow(f"step underflow at tau={tau}")
+        h = min(h, tau_end - tau)
         k2x, k2y, k2z = f(x + h * (0.0 + _a21 * k1x),
                           y + h * (0.0 + _a21 * k1y),
                           z + h * (0.0 + _a21 * k1z))

@@ -1,6 +1,8 @@
 """The input domains of the public API, in one table.
 
-`ROWS` has one row per callable in `cuq.__all__`.  A row draws the
+`ROWS` has one row per public callable of `analytic`, `core`, `fit`,
+`fourier`, `integrate` and `meson`, but for their exception classes and
+the DP5 oracle (`tests/test_domains.py` names them).  A row draws the
 parameters it names, each from its `Domain`, and builds the call from
 them: a composite argument (a model, a state, a spectrum, a dataset) is
 drawn as the scalars its constructor checks.  A domain is written in the
@@ -87,6 +89,10 @@ THETA = finite("theta_eg")
 # b = (x, 0, 0): finite, then |b| <= 1 + STATE_EPS
 B = Domain(("b must be finite", "|b| must be at most 1 + STATE_EPS"),
            lambda x: abs(x) <= 1.0 + STATE_EPS, -1.0, 1.0)
+# rho = diag(p, 1 - p): finite, of unit trace, eigenvalues in [0, 1]
+DIAGONAL = Domain(("entries must be finite", "entries must be of unit trace",
+                   "entries' eigenvalues must be in [0, 1]"),
+                  lambda p: -STATE_EPS <= p <= 1.0 + STATE_EPS, 0.0, 1.0)
 E_MAG = positive("E_mag", aka=("|E|",))
 TAU = finite("tau")
 # the coefficients and errors of a spectrum
@@ -137,6 +143,7 @@ class Row:
 
 
 _RATIO = ("ratio", "ratio_err", "r_hat", "r_err")
+_OBSERVABLES = cuq.MesonObservables(0.5, 0.1, 1.0)
 
 ROWS = [
     # analytic
@@ -148,6 +155,9 @@ ROWS = [
         {"alpha": ANY}, cuq.AsymptoticState, ("alpha", "b_star")),
     Row("CuqClock", lambda P, w: cuq.CuqClock(P, w), {"P": ANY, "w": ANY},
         cuq.CuqClock, ("P_hat", "omega_hat")),
+    Row("MixedEllipse", lambda r: cuq.analytic.MixedEllipse(r, r, r, r),
+        {"r": ANY}, cuq.analytic.MixedEllipse,
+        ("r", "semi_major", "semi_minor", "eccentricity")),
     Row("asymptotic_state", lambda r, theta: cuq.asymptotic_state(
         _model(r, theta)), {"r": R, "theta": THETA}, cuq.AsymptoticState,
         ("alpha", "b_star")),
@@ -157,11 +167,20 @@ ROWS = [
         {"tau": TAU, "r": OSCILLATING}, tuple),
     Row("cuq_theta", lambda tau, r: cuq.cuq_theta(tau, r),
         {"tau": TAU, "r": OSCILLATING}, (float, np.ndarray)),
+    Row("half_angle_slope", lambda r: cuq.analytic.half_angle_slope(r),
+        {"r": interval("r", 0.0, 1.0, "[)")}, float),
     Row("mixed_ellipse", lambda r: cuq.mixed_ellipse(r), {"r": OSCILLATING},
         cuq.analytic.MixedEllipse),
     Row("mixed_magnitude", lambda tau, r: cuq.mixed_magnitude(tau, r),
         {"tau": TAU, "r": interval("r", 0.0, 1.0, "(]")},
         (float, np.ndarray)),
+    Row("mixed_magnitude_vs_angle", lambda phi, r:
+        cuq.analytic.mixed_magnitude_vs_angle(phi, r),
+        {"phi": Domain(("phi must be finite",
+                        "phi must be on the lower half-plane branch"),
+                       lambda phi: math.isfinite(phi)
+                       and math.sin(phi) <= 1e-12),
+         "r": OSCILLATING}, (float, np.ndarray)),
     Row("polar_rates", lambda b, phi, r: cuq.polar_rates(b, phi, r),
         {"b": interval("|b|", 0.0, 1.0, "(]"), "phi": finite("phi"), "r": R},
         tuple),
@@ -169,11 +188,12 @@ ROWS = [
         {"r": OSCILLATING, "E": E_MAG}, tuple),
     # core
     Row("BlochState", _state, {"x": B}, cuq.BlochState),
-    Row("DensityMatrix", lambda p: cuq.DensityMatrix(np.diag([p, 1.0 - p])),
-        {"p": Domain(("entries must be finite",
-                      "entries must be of unit trace",
-                      "entries' eigenvalues must be in [0, 1]"),
-                     lambda p: -STATE_EPS <= p <= 1.0 + STATE_EPS, 0.0, 1.0)},
+    # z is the lower-left entry, the upper-right one 0
+    Row("DensityMatrix",
+        lambda p, z: cuq.DensityMatrix([[p, 0.0], [z, 1.0 - p]]),
+        {"p": DIAGONAL,
+         "z": Domain(("entries must be finite", "entries must be Hermitian"),
+                     lambda z: abs(z) <= 1e-12, -1e-12, 1e-12)},
         cuq.DensityMatrix),
     Row("QubitModel",
         lambda x, r: cuq.QubitModel([x, 0.0, 0.0], [0.0, 1.0, 0.0], r),
@@ -183,6 +203,10 @@ ROWS = [
     Row("bloch_derivative", lambda x, r, theta: cuq.bloch_derivative(
         _state(x), _model(r, theta)), {"x": B, "r": R, "theta": THETA},
         np.ndarray),
+    Row("density_evolution_rhs", lambda p, r, theta:
+        cuq.core.density_evolution_rhs(
+            cuq.DensityMatrix(np.diag([p, 1.0 - p])), _model(r, theta)),
+        {"p": DIAGONAL, "r": R, "theta": THETA}, np.ndarray),
     Row("density_from_bloch", lambda x: cuq.density_from_bloch(_state(x)),
         {"x": B}, cuq.DensityMatrix),
     Row("purity_rate", lambda x, r, theta: cuq.purity_rate(
@@ -198,6 +222,10 @@ ROWS = [
     Row("RExtraction", lambda r, err: cuq.RExtraction((), r, err),
         {"r": ANY, "err": ANY}, cuq.RExtraction,
         ("weighted_r", "weighted_r_err")),
+    Row("design_matrix", lambda t, omega, N: cuq.fit.design_matrix(
+        np.array([0.0, t]), omega, N),
+        {"t": finite("t"), "omega": finite("omega"), "N": count("N", 0)},
+        np.ndarray),
     Row("estimate_r", lambda c, R: cuq.estimate_r(
         cuq.FitResult([c, c / 2, c / 4], [0.01] * 3, np.eye(3), 1.0, 5, 1.0),
         R), {"c": COEFFS,
@@ -210,6 +238,11 @@ ROWS = [
          "N": count("N", 0, 18, ("N must be >= 0", "need at least"))},
         cuq.FitResult,
         raises=(cuq.fit.RankDeficientDesign,)),
+    Row("fit_result_to_json", lambda c, e, chi2, omega:
+        cuq.fit.fit_result_to_json(cuq.FitResult(
+            [c, c / 2, c / 4], [e] * 3, np.eye(3), chi2, 5, omega),
+            cuq.RExtraction((), 0.5, 0.01)),
+        {"c": ANY, "e": ANY, "chi2": ANY, "omega": ANY}, str),
     Row("load_dataset", lambda omega: cuq.load_dataset(FIT_GOLDEN / "data.csv",
                                                   omega),
         {"omega": OMEGA}, cuq.AsymmetryDataset),
@@ -224,6 +257,10 @@ ROWS = [
                          lambda s: 0.0 <= s < math.inf, 0.0, 1e300),
          "seed": count("seed", 0)}, cuq.AsymmetryDataset),
     # fourier
+    Row("AnharmonicityEstimate", lambda ratio, err:
+        cuq.fourier.AnharmonicityEstimate(ratio, err, 0, cuq.SeriesKind.EVEN),
+        {"ratio": ANY, "err": ANY}, cuq.fourier.AnharmonicityEstimate,
+        _RATIO),
     Row("FourierSpectrum", _spectrum, {"c": COEFFS, "e": ERRS},
         cuq.FourierSpectrum),
     Row("SeriesKind", lambda: cuq.SeriesKind("odd"), returns=cuq.SeriesKind),
@@ -270,6 +307,10 @@ ROWS = [
                                    lambda E: 0.0 < E < math.inf, 1e-300)},
         cuq.BlochParameters),
     Row("Damping", lambda: cuq.Damping("critical"), returns=cuq.Damping),
+    Row("MesonCatalogueEntry", lambda r, err: cuq.meson.MesonCatalogueEntry(
+        "K0", _OBSERVABLES, _OBSERVABLES, cuq.BlochParameters(r, 90.0, 1.0),
+        (err, err, err)), {"r": R, "err": ANY}, cuq.meson.MesonCatalogueEntry,
+        ("bloch_err",)),
     Row("MesonObservables", lambda dE, dG, qop: cuq.MesonObservables(
         dE, dG, qop), {"dE": Domain(("delta_E must be finite",
                                       "delta_E must be >= 0"),
@@ -289,6 +330,10 @@ ROWS = [
         cuq.meson.BlochInversion,
         raises=(cuq.meson.UnphysicalObservables,)),
     Row("catalogue", lambda: cuq.catalogue(), returns=list),
+    Row("catalogue_rows", lambda: cuq.meson.catalogue_rows(), returns=list),
+    Row("catalogue_to_csv", lambda: cuq.meson.catalogue_to_csv(), returns=str),
+    Row("catalogue_to_json", lambda: cuq.meson.catalogue_to_json(),
+        returns=str),
     Row("classify_damping", lambda r: cuq.classify_damping(r), {"r": R},
         cuq.Damping),
     Row("flavour_asymmetry", lambda x: cuq.flavour_asymmetry(_state(x)),

@@ -698,10 +698,14 @@ class TestFlagErrors:
          "--format applies to fourier and catalogue; simulate writes CSV"),
         (["--format", "json", "sweep-bmax"],
          "--format applies to fourier and catalogue; sweep-bmax writes CSV"),
+        (["--format", "json", "fit", "--data", str(FIT_GOLDEN / "data.csv"),
+          "--omega", "1"],
+         "--format applies to fourier and catalogue; fit writes fit.json "
+         "and residuals.csv only"),
         (["sweep-bmax", "--r-grid", "1:2"], "grid '1:2' must be"),
         (["sweep-bmax", "--r-grid", "0:1:2.5"], "grid '0:1:2.5' must be"),
         (["sweep-bmax", "--b0-grid", ""], "grid '' must be"),
-    ], ids=["json-simulate", "json-sweep", "grid-two-fields",
+    ], ids=["json-simulate", "json-sweep", "json-fit", "grid-two-fields",
             "grid-fractional-n", "grid-empty"])
     def test_ignored_or_malformed_flag_is_named(self, tmp_path, argv, want,
                                                 capsys):

@@ -58,8 +58,27 @@ def _leaves(value, name, fields=()):
         yield name, value
 
 
+# The DP5 oracle has no row: its work has no cap, so an edge tau_end of
+# 1e300 on a CUQ model would never return.
+_NO_ROW = {"evolve", "Trajectory"}
+
+
+def _public_callables(module):
+    """The callables of the module's `__all__`, or, with none, those it
+    defines, but for exception classes."""
+    names = getattr(module, "__all__", None) or [
+        n for n, v in vars(module).items()
+        if not n.startswith("_") and getattr(v, "__module__", None)
+        == module.__name__]
+    values = {n: getattr(module, n) for n in names}
+    return [n for n, v in values.items() if callable(v) and not (
+        isinstance(v, type) and issubclass(v, Exception))]
+
+
 def test_every_public_callable_has_one_row():
-    public = sorted(n for n in cuq.__all__ if callable(getattr(cuq, n)))
+    public = sorted(n for module in (cuq.analytic, cuq.core, cuq.fit,
+                                     cuq.fourier, cuq.integrate, cuq.meson)
+                    for n in _public_callables(module) if n not in _NO_ROW)
     assert sorted(row.name for row in ROWS) == public
 
 
@@ -98,9 +117,10 @@ _ROWS = pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 
 @_ROWS
 def test_each_parameter_keeps_the_contract_at_every_edge(row):
-    # the other parameters at 1, or at 0.5 where 1 is outside their domain
-    inside = {name: (int if d.integer else float)(1.0 if d.holds(1.0) else 0.5)
-              for name, d in row.params.items()}
+    # the other parameters at the first of 1, 0.5 and 0 inside their domain
+    inside = {name: (int if d.integer else float)(
+        next(x for x in (1.0, 0.5, 0.0) if d.holds(x)))
+        for name, d in row.params.items()}
     _keeps_contract(row, inside)
     for name, domain in row.params.items():
         for value in INT_EDGES if domain.integer else EDGES:

@@ -42,9 +42,9 @@ def reference_evolve(model, b0, tau_end, rel_tol, abs_tol):
     n_acc = n_rej = 0
     nfev = 1
     while tau < tau_end:
-        h = min(h, tau_end - tau)
         if h < 1e-14 * max(1.0, tau):
             raise StepSizeUnderflow(f"step underflow at tau={tau}")
+        h = min(h, tau_end - tau)
         k = [k0]
         for row in _A:
             sx = sy = sz = 0.0
@@ -253,6 +253,14 @@ class TestEvolve:
         m = perp_model(1e-20)
         with pytest.raises(StepSizeUnderflow, match="tau=0.0"):
             evolve(m, m.gamma, 1.0)
+
+    @pytest.mark.parametrize("tau_end", [5e-324, 1e-300, 1e-15])
+    def test_a_horizon_below_the_step_floor_is_one_step(self, tau_end):
+        # the 1e-14 floor was tested on the step clipped to the horizon,
+        # so any tau_end < 1e-14 was a step underflow at tau = 0
+        traj = evolve(perp_model(0.5), np.zeros(3), tau_end)
+        assert traj.taus.tolist() == [0.0, tau_end]
+        assert traj.controller_stats["n_accepted"] == 1
 
     @pytest.mark.parametrize("r", [0.9, 0.95, 0.99])
     def test_repelling_pure_state_at_180_degrees_stays_in_the_ball(self, r):
