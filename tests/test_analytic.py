@@ -78,6 +78,13 @@ class TestClock:
         root = np.sqrt(_one_minus_r2(r))
         assert restore_units(r, E) == (np.pi / (E * root), 2.0 * E * root)
 
+    @pytest.mark.parametrize("E", [np.inf, np.nan, 0.0, -1.0])
+    def test_restore_units_rejects_a_scale_that_is_not_positive_and_finite(
+            self, E):
+        with pytest.raises(ValueError, match="E_mag must be positive and "
+                                             "finite"):
+            restore_units(0.85, E)
+
     @pytest.mark.parametrize("r, E", [(0.1, 1e308), (0.85, 1e-320)])
     def test_restore_units_overflow_names_r_and_the_scale(self, r, E):
         # omega = 2 |E| sqrt(1 - r^2) and P = pi / (|E| sqrt(1 - r^2))
@@ -89,6 +96,10 @@ class TestClock:
         # 2 |E| = 2e308 is past the float range, omega = 1.7e308 is not
         assert restore_units(0.5, 1e308)[1] / 1e308 == pytest.approx(
             math.sqrt(3.0))
+
+    def test_rejects_overdamped(self):
+        with pytest.raises(ValueError):
+            cuq_clock(1.0)
 
 
 class TestPhaseAngle:
@@ -322,6 +333,15 @@ class TestPolarRates:
         assert db_mag == pytest.approx((1 - b_mag ** 2) * np.cos(phi),
                                        rel=1e-14)
         assert dphi == pytest.approx(-1 / r - np.sin(phi) / b_mag, rel=1e-14)
+
+    def test_rejects_degenerate_radius(self):
+        with pytest.raises(ValueError):
+            polar_rates(0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_r_outside_its_domain(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            polar_rates(0.5, -1.0, r)
 
 
 @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, [0.0, np.nan]])

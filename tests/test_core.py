@@ -38,11 +38,25 @@ class TestBlochState:
         s = BlochState(b=[0.3, 0.0, 0.4])
         assert np.linalg.norm(s.b) == pytest.approx(0.5)
 
+    def test_rejects_exterior_point(self):
+        with pytest.raises(ValueError):
+            BlochState(b=[1.1, 0.0, 0.0])
+
 
 class TestQubitModel:
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(ValueError):
             QubitModel(e=[1, 0, 0], gamma=[0, 2, 0], r=0.5)
+
+    def test_rejects_nonpositive_r(self):
+        with pytest.raises(ValueError):
+            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], r=0.0)
+
+    @pytest.mark.parametrize("field", ["r"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+    def test_rejects_scale_outside_zero_to_inf(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QubitModel(e=[1, 0, 0], gamma=[0, 1, 0], **{field: value})
 
     def test_from_angle_takes_degrees_by_keyword_only(self):
         # an old positional |E| argument must not be read as degrees=1.0
@@ -237,6 +251,14 @@ class TestDensityMatrix:
         assert np.allclose(rho.bloch_vector, b, atol=1e-14)
         assert rho.purity == pytest.approx(0.5 * (1 + b @ b))
         assert DensityMatrix(np.diag([0.75, 0.25])).purity == 0.625
+
+    def test_rejects_nonhermitian(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex))
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array([[1.1, 0.0], [0.0, -0.1]], dtype=complex))
 
 
 class TestDensityEvolutionConsistency:

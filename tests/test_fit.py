@@ -151,6 +151,13 @@ class TestRegression:
         with pytest.raises(RankDeficientDesign):
             fit_fourier_modes(ds, 4)
 
+    def test_needs_positive_dof(self):
+        t = np.linspace(0.0, 5.0, 3)
+        ds = AsymmetryDataset(t=t, delta=np.zeros(3), sigma=np.ones(3),
+                              omega=1.0)
+        with pytest.raises(ValueError):
+            fit_fourier_modes(ds, 3)
+
     def test_pvalues_flag_real_modes(self):
         ds = reference_dataset(noise=0.02, seed=21)
         fit = fit_fourier_modes(ds, 3)
@@ -429,6 +436,25 @@ class TestSynthesis:
         ds = synthesize_dataset(r=0.5, E_mag=1.0, n_points=30, t_max=10.0,
                                 noise_sigma=sched, seed=0)
         assert np.array_equal(ds.sigma, sched)
+
+    def test_rejects_overdamped(self):
+        with pytest.raises(ValueError):
+            synthesize_dataset(r=1.2, E_mag=1.0, n_points=10, t_max=1.0,
+                               noise_sigma=0.0, seed=0)
+
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_t_max_that_is_not_finite_and_positive(self, t_max):
+        with pytest.raises(ValueError,
+                           match="t_max must be positive and finite"):
+            synthesize_dataset(r=0.5, E_mag=1.0, n_points=10, t_max=t_max,
+                               noise_sigma=0.0, seed=0)
+
+    @pytest.mark.parametrize("E_mag", [np.inf, -np.inf])
+    def test_rejects_an_infinite_E_mag_before_it_computes(self, E_mag):
+        with pytest.raises(ValueError,
+                           match="E_mag must be positive and finite"):
+            synthesize_dataset(r=0.5, E_mag=E_mag, n_points=10, t_max=1.0,
+                               noise_sigma=0.0, seed=0)
 
 
     @pytest.mark.parametrize("r, E_mag, t_max", [(0.5, 1e200, 1e200),

@@ -57,6 +57,11 @@ class TestClosedForms:
                                coeff_errs=[0.1, 0.1])
         assert spec.coefficient(1) == 0.5 and spec.coefficient_err(2) == 0.1
 
+    def test_spectrum_rejects_negative_order(self):
+        # as quadrature_spectrum does, rather than returning no coefficients
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            closed_form_spectrum(0.85, -1)
+
     @pytest.mark.parametrize("field", [
         {"d0": np.inf}, {"d0": np.nan}, {"coeffs": [0.5, np.nan]},
         {"d0_err": np.nan}, {"coeff_errs": [0.1, np.inf]}],
@@ -118,6 +123,20 @@ class TestQuadrature:
 
         with pytest.raises(ValueError, match="endpoint mismatch nan"):
             quadrature_spectrum(signal, 2 * np.pi, 3, SeriesKind.EVEN)
+
+    def test_rejects_excessive_order(self):
+        with pytest.raises(ValueError):
+            quadrature_spectrum(np.cos, 2 * np.pi, 65, SeriesKind.EVEN)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            quadrature_spectrum(np.cos, 2 * np.pi, -1, SeriesKind.EVEN)
+
+    @pytest.mark.parametrize("P_hat", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_period_that_is_not_finite_and_positive(self, P_hat):
+        with pytest.raises(ValueError,
+                           match="P_hat must be positive and finite"):
+            quadrature_spectrum(np.cos, P_hat, 3, SeriesKind.EVEN)
 
     @pytest.mark.parametrize("bad, calls", [
         (lambda t: True, 64),            # the first 64 nodes
@@ -250,3 +269,7 @@ class TestEffectiveR:
         for r_t, R in rng.uniform(1e-3, 1.0, (2000, 2)).tolist():
             plain = r_t / np.sqrt(R ** 2 + r_t ** 2 * (1.0 - R ** 2))
             assert correct_effective_r(r_t, R) == plain
+
+    def test_rejects_bad_amplitude(self):
+        with pytest.raises(ValueError):
+            correct_effective_r(0.5, 0.0)

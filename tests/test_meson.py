@@ -223,13 +223,27 @@ class TestInversion:
         assert got.E_mag == pytest.approx((1.0 + qop ** 2) / (4.0 * qop),
                                           rel=1e-12)
 
-    def test_a_value_that_is_not_finite_is_bad_input_not_unphysical(self):
-        # tests/domains.py draws each field's domain; this is the subclass
-        for make in (lambda: MesonObservables(np.nan, 0.0, 1.0),
-                     lambda: BlochParameters(0.5, np.nan, 1.0)):
-            with pytest.raises(ValueError, match="must be finite") as info:
-                make()
-            assert not isinstance(info.value, UnphysicalObservables)
+    @pytest.mark.parametrize("fields", [
+        (np.inf, 0.1, 1.0), (1.0, np.nan, 1.0), (1.0, 0.1, np.inf),
+        (np.nan, 0.0, 1.0)])
+    def test_rejects_non_finite_observables(self, fields):
+        # a plain ValueError (bad input), not UnphysicalObservables
+        with pytest.raises(ValueError, match="finite") as info:
+            MesonObservables(*fields)
+        assert not isinstance(info.value, UnphysicalObservables)
+
+    @pytest.mark.parametrize("fields", [
+        (np.inf, 90.0, 1.0), (0.5, np.nan, 1.0), (0.5, 90.0, np.inf),
+        (0.5, -np.inf, 1.0)])
+    def test_rejects_non_finite_parameters(self, fields):
+        with pytest.raises(ValueError, match="finite") as info:
+            BlochParameters(*fields)
+        assert not isinstance(info.value, UnphysicalObservables)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, -5e-324])
+    def test_rejects_non_positive_r(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            BlochParameters(r, 90.0, 1.0)
 
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalObservables):
