@@ -146,9 +146,16 @@ def cuq_projections(tau, r: float):
     sqrt(1 - r^2) is formed once, by `_clock_root`, and gives both the
     prefactor and w = sqrt(1 - r^2)/r, `cuq_clock(r).omega_hat` bit for bit.
     A tau that is not finite is a ValueError, and a finite tau whose phase
-    w tau is past the float range an OverflowError (`_phase`).
+    w tau is past the float range an OverflowError (`_phase`).  A scalar
+    tau gives two Python floats through libm's cos and sin, which round as
+    numpy's float64 cos and sin do, so a sample keeps the array call's bits.
     """
     root, _, phase = _phase(tau, r)
+    if type(phase) is float:
+        r = float(r)
+        cos = math.cos(phase)
+        denom = 1.0 - r * cos
+        return root * math.sin(phase) / denom, (cos - r) / denom
     cos = np.cos(phase)
     denom = 1.0 - r * cos
     b_gamma = root * np.sin(phase) / denom

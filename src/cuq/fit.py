@@ -489,7 +489,7 @@ def fit_result_to_json(fit: FitResult, extraction: RExtraction) -> str:
         "weighted_r": (None if not extraction.has_estimate
                        else extraction.weighted_r),
         "weighted_r_err": (None if not extraction.has_estimate
-                           else extraction.weighted_r_err),
+                           else _json_float(extraction.weighted_r_err)),
     }
     if extraction.diagnostics:
         out["diagnostics"] = extraction.diagnostics

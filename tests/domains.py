@@ -238,11 +238,11 @@ ROWS = [
          "N": count("N", 0, 18, ("N must be >= 0", "need at least"))},
         cuq.FitResult,
         raises=(cuq.fit.RankDeficientDesign,)),
-    Row("fit_result_to_json", lambda c, e, chi2, omega:
+    Row("fit_result_to_json", lambda c, e, chi2, omega, r_err:
         cuq.fit.fit_result_to_json(cuq.FitResult(
             [c, c / 2, c / 4], [e] * 3, np.eye(3), chi2, 5, omega),
-            cuq.RExtraction((), 0.5, 0.01)),
-        {"c": ANY, "e": ANY, "chi2": ANY, "omega": ANY}, str),
+            cuq.RExtraction((), 0.5, r_err)),
+        {"c": ANY, "e": ANY, "chi2": ANY, "omega": ANY, "r_err": ANY}, str),
     Row("load_dataset", lambda omega: cuq.load_dataset(FIT_GOLDEN / "data.csv",
                                                   omega),
         {"omega": OMEGA}, cuq.AsymmetryDataset),

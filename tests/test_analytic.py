@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -171,13 +171,18 @@ class TestProjections:
         assert bexg == pytest.approx(1.0, abs=1e-15)
 
     @settings(max_examples=300, deadline=None)
-    @given(R_OSC, st.floats(-1e12, 1e12), st.booleans())
+    @given(R_OSC, st.floats(allow_nan=False, allow_infinity=False),
+           st.booleans())
+    @example(0.5, 1e300, False)
+    @example(1e-8, -1.7e300, True)
     def test_scalar_and_array_calls_keep_the_clocks_bits(self, r, tau, np64):
-        # one sample, as a Python float, an np.float64 or a 0-d array,
-        # equals its element of an array call, and both are the form with
-        # omega_hat read off the clock and the prefactor taken as a root of
-        # its own, bit for bit
+        # one sample, as a Python float, an np.float64 or a 0-d array, is a
+        # Python float that equals its element of an array call, and both
+        # are the form with omega_hat read off the clock and the prefactor
+        # taken as a root of its own, bit for bit, at any tau whose phase
+        # is finite
         r = np.float64(r) if np64 else r
+        assume(math.isfinite(cuq_clock(r).omega_hat * tau))
         phase = cuq_clock(r).omega_hat * np.asarray(tau, dtype=float)
         denom = 1.0 - r * np.cos(phase)
         want = (np.sqrt(_one_minus_r2(r)) * np.sin(phase) / denom,
@@ -186,6 +191,7 @@ class TestProjections:
         for sample in (tau, np.float64(tau), np.array(tau)):
             scalar = cuq_projections(sample, r)
             for w, s, a in zip(want, scalar, array):
+                assert type(s) is float
                 assert np.float64(s).tobytes() == np.float64(w).tobytes()
                 assert a[1].tobytes() == np.float64(w).tobytes()
 

@@ -166,6 +166,29 @@ class TestQuadrature:
         quadrature_spectrum(signal, P_hat, 3, SeriesKind.EVEN)
         assert len(types) > 64 and set(types) == {float}
 
+    @pytest.mark.parametrize("r", [1e-6, 0.3, 0.85, 0.99])
+    def test_projection_samples_are_floats_with_the_array_calls_bits(self, r):
+        # a float tau goes through libm's cos and sin, an array through
+        # numpy's: both round alike, on whatever CPU runs this, at taus from
+        # 1e-12 to far past one period and on either side of zero
+        rng = np.random.default_rng(39)
+        taus = (rng.choice([-1.0, 1.0], 300)
+                * 10.0 ** rng.uniform(-12.0, 12.0, 300)).tolist()
+        array = cuq_projections(np.array(taus), r)
+        for i, tau in enumerate(taus):
+            scalar = cuq_projections(tau, r)
+            for s, a in zip(scalar, array):
+                assert type(s) is float
+                assert np.float64(s).tobytes() == a[i].tobytes()
+        samples = []
+
+        def signal(t):
+            samples.append(cuq_projections(t, r)[1])
+            return samples[-1]
+
+        quadrature_spectrum(signal, cuq_clock(r).P_hat, 3, SeriesKind.EVEN)
+        assert len(samples) > 64 and set(map(type, samples)) == {float}
+
     def test_quadrature_spectrum_owns_its_coefficients(self):
         spec = quadrature_spectrum(lambda t: np.cos(t), 2.0 * np.pi, 3,
                                    SeriesKind.EVEN)
