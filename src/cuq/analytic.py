@@ -44,16 +44,17 @@ class CuqClock(_Value):
     omega_hat: float
 
 
-def _clock_root(r: float) -> float:
-    """sqrt(1 - r^2) for 0 < r < 1, the one checked root that the clock,
-    the projections and the mixed magnitude read; a subnormal r, whose
-    omega_hat = root/r overflows, is an OverflowError."""
+def _clock_root(r: float) -> tuple[float, float]:
+    """(sqrt(1 - r^2), omega_hat = sqrt(1 - r^2)/r) for 0 < r < 1, which
+    the clock, the projections and the mixed magnitude read; a subnormal
+    r, whose omega_hat overflows, is an OverflowError."""
     _check(0.0 < r < 1.0, "r", "in (0, 1)", r)
     r = float(r)  # Python floats: an overflowing quotient is inf, unwarned
     root = math.sqrt(_one_minus_r2(r))
-    if root / r == math.inf:  # a subnormal r
+    w = root / r
+    if w == math.inf:  # a subnormal r
         raise OverflowError(f"omega_hat overflows at r = {r!r}")
-    return root
+    return root, w
 
 
 def _phase(tau, r: float):
@@ -63,8 +64,7 @@ def _phase(tau, r: float):
     a finite tau whose phase is past the float range an OverflowError, as
     in `propagate`.  A float tau (np.float64 too) is read as it is, with
     no 0-d array: `quadrature_spectrum` samples one float at a time."""
-    root = _clock_root(r)
-    w = root / float(r)
+    root, w = _clock_root(r)
     if isinstance(tau, float) or np.ndim(tau) == 0:
         # Python floats: an overflowing product is inf, unwarned
         phase = w * float(tau)
@@ -87,10 +87,10 @@ def cuq_clock(r: float) -> CuqClock:
     omega_hat = sqrt(1 - r^2)/r is Im mu, the generator's root at
     e.gamma = 0 (`core._generator`), bit for bit: both form 1 - r^2
     with `_base._one_minus_r2`, so the clock and `propagate` keep time.
-    The root is `_clock_root`'s, which the projections read too."""
-    root = _clock_root(r)
-    r = float(r)
-    return CuqClock(P_hat=2.0 * math.pi * r / root, omega_hat=root / r)
+    The root and omega_hat are `_clock_root`'s, which the projections
+    read too."""
+    root, w = _clock_root(r)
+    return CuqClock(P_hat=2.0 * math.pi * float(r) / root, omega_hat=w)
 
 
 def restore_units(r: float, E_mag: float) -> tuple[float, float]:
@@ -143,8 +143,8 @@ def cuq_projections(tau, r: float):
     b.gamma       = sqrt(1-r^2) sin(w tau) / (1 - r cos(w tau))
     b.(e x gamma) = (cos(w tau) - r) / (1 - r cos(w tau))
 
-    sqrt(1 - r^2) is formed once, by `_clock_root`, and gives both the
-    prefactor and w = sqrt(1 - r^2)/r, `cuq_clock(r).omega_hat` bit for bit.
+    The prefactor sqrt(1 - r^2) and w = sqrt(1 - r^2)/r are formed once,
+    by `_clock_root`, so w is `cuq_clock(r).omega_hat` bit for bit.
     A tau that is not finite is a ValueError, and a finite tau whose phase
     w tau is past the float range an OverflowError (`_phase`).  A scalar
     tau gives two Python floats through libm's cos and sin, which round as

@@ -238,26 +238,20 @@ def density_from_bloch(state: BlochState) -> DensityMatrix:
     return DensityMatrix(0.5 * (IDENTITY2 + _pauli(state.b)))
 
 
-def _effective_matrices(model: QubitModel) -> tuple[np.ndarray, np.ndarray]:
-    """The traceless parts of E and Gamma over the Pauli basis, in units
-    of |Gamma|."""
-    E = -_pauli(model.e) / (2.0 * model.r)
-    G = -_pauli(model.gamma)
-    return E, G
-
-
 def density_evolution_rhs(rho: DensityMatrix, model: QubitModel) -> np.ndarray:
     """d(rho)/dtau = -i[E, rho] - (1/2){Gamma, rho} + rho Tr(rho Gamma).
 
     Evaluated in units of |Gamma| (dimensionless time), so its Pauli
-    decomposition coincides with `bloch_derivative`.  Trace parts of E and
-    Gamma would cancel identically, so they are left out; the result is
+    decomposition coincides with `bloch_derivative`.  E and Gamma are their
+    traceless parts over the Pauli basis, in units of |Gamma|: trace parts
+    would cancel identically, so they are left out; the result is
     traceless.  As for `bloch_derivative`, past the float range, at a
     subnormal r, it is an OverflowError.
     """
     m = rho.entries
     with np.errstate(over="ignore", invalid="ignore"):  # named below
-        E, G = _effective_matrices(model)
+        E = -_pauli(model.e) / (2.0 * model.r)
+        G = -_pauli(model.gamma)
         rhs = (-1j * (E @ m - m @ E)
                - 0.5 * (G @ m + m @ G)
                + m * np.trace(m @ G))

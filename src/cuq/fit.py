@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,7 @@ from ._base import (DatasetFormatError, RankDeficientDesign, _check,
                     _csv_blocks, _Value)
 from .analytic import cuq_projections, restore_units
 from .core import _finite, _read_only
-from .fourier import (AnharmonicityEstimate, FourierSpectrum, SeriesKind,
-                      _ratio, correct_effective_r)
+from .fourier import AnharmonicityEstimate, FourierSpectrum, SeriesKind, _ratio
 
 __all__ = [
     "AsymmetryDataset",
@@ -356,10 +355,10 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
                ) -> RExtraction:
     """Anharmonicity factors D_0..D_{N-1} mapped to damping-ratio estimates.
 
+    Each ratio and its r are `fourier._ratio`'s, which applies the
+    optional amplitude correction to each finite effective estimate.
     Unreliable ratios (denominator consistent with zero) and ratios whose r
-    error is not finite are excluded from the weighted average; the
-    optional amplitude correction maps each finite effective estimate to
-    the full-amplitude value before averaging.
+    error is not finite are excluded from the weighted average.
     The correction R is checked to lie in (0, 1] even when no estimate is.
     """
     _check(fit.n_harmonics >= 2, "the fit's harmonics",
@@ -372,24 +371,9 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
     coeffs, errs = fit.coefficients.tolist(), fit.errors.tolist()
     if len(coeffs) != len(errs) or not all(map(math.isfinite, coeffs + errs)):
         fit.spectrum()
-    estimates = []
-    for n in range(fit.n_harmonics):
-        est = _ratio(coeffs[n + 1], coeffs[n], errs[n + 1], errs[n],
-                     SeriesKind.EVEN, n)
-        if R is not None and math.isfinite(est.r_hat):
-            r_corr = correct_effective_r(min(est.r_hat, 1.0), R)
-            # dr/dr_tilde of the correction, chained onto the ratio error
-            R2 = R ** 2
-            denom = (R2 + est.r_hat ** 2 * (1.0 - R2)) ** 1.5
-            if denom == 0.0:  # both squares underflow: scale by 2^h as
-                # correct_effective_r does, with 2^h split in two factors,
-                # so that a slope past the float range is inf, not an error
-                h = -math.frexp(max(R, est.r_hat))[1]
-                a, t = math.ldexp(R, h), math.ldexp(est.r_hat, h)
-                R2 = a * a * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)
-                denom = (a * a + t * t) ** 1.5
-            est = replace(est, r_hat=r_corr, r_err=est.r_err * R2 / denom)
-        estimates.append(est)
+    estimates = [_ratio(coeffs[n + 1], coeffs[n], errs[n + 1], errs[n],
+                        SeriesKind.EVEN, n, R)
+                 for n in range(fit.n_harmonics)]
     usable = [e for e in estimates
               if e.reliable and math.isfinite(e.r_hat)
               and 0.0 < e.r_err < math.inf]
@@ -408,9 +392,13 @@ def estimate_r(fit: FitResult, amplitude_correction: float | None = None
                                        "(denominators consistent with zero "
                                        "or errors not finite)")
     # the errors scaled by 2^-k, the smallest in [1/2, 1): the weights are
-    # at most 4 and their sum at least 1, and the average keeps its bits
+    # at most 4 and their sum at least 1, and the average keeps its bits;
+    # an error 2^512 times the smallest, whose square would overflow,
+    # weighs below 2^-1024, so 0
     k = math.frexp(min(e.r_err for e in usable))[1]
-    w = np.array([1.0 / math.ldexp(e.r_err, -k) ** 2 for e in usable])
+    w = np.array([1.0 / math.ldexp(e.r_err, -k) ** 2
+                  if math.frexp(e.r_err)[1] - k <= 512 else 0.0
+                  for e in usable])
     vals = np.array([e.r_hat for e in usable])
     weighted = float(np.sum(w * vals) / np.sum(w))
     err = math.ldexp(float(1.0 / np.sqrt(np.sum(w))), k)

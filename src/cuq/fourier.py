@@ -223,10 +223,12 @@ def anharmonicity(spectrum: FourierSpectrum, n: int) -> AnharmonicityEstimate:
 
 
 def _ratio(num: float, den: float, num_err: float, den_err: float,
-           kind: SeriesKind, n: int) -> AnharmonicityEstimate:
+           kind: SeriesKind, n: int,
+           amplitude: float | None = None) -> AnharmonicityEstimate:
     """`anharmonicity` of order n from the coefficients of orders n + 1
     and n and their errors, on floats; `fit.estimate_r` reads its ratios
-    here too, off the fit's coefficient lists."""
+    here too, off the fit's coefficient lists.  With an amplitude R, a
+    finite r is the corrected one, with its error (`_corrected`)."""
     reliable = abs(den) > den_err
     if den == 0.0:
         return AnharmonicityEstimate(float("inf"), float("inf"), n, kind,
@@ -240,8 +242,10 @@ def _ratio(num: float, den: float, num_err: float, den_err: float,
     ratio = float(num / den)
     # first-order (delta-method) propagation; coefficients treated independent
     err = float(np.hypot(num_err / den, num * den_err / den ** 2))
-    return AnharmonicityEstimate(ratio, err, n, kind, reliable,
-                                 *_invert_ratio(ratio, err, kind, n))
+    r, r_err = _invert_ratio(ratio, err, kind, n)
+    if amplitude is not None and math.isfinite(r):
+        r, r_err = _corrected(min(r, 1.0), r_err, amplitude)
+    return AnharmonicityEstimate(ratio, err, n, kind, reliable, r, r_err)
 
 
 def r_from_anharmonicity(est: AnharmonicityEstimate) -> tuple[float, float]:
@@ -280,13 +284,25 @@ def correct_effective_r(r_tilde: float, amplitude: float) -> float:
     """Map the effective ratio of a reduced-amplitude oscillation to true r.
 
     r = r_tilde / sqrt(R^2 + r_tilde^2 (1 - R^2)), where R = `amplitude` is
-    the amplitude of the signal's projection along the decay direction.
-    r_tilde and R are scaled by the power of two 2^-k that puts the larger
-    in [1/2, 1), so no square underflows (R = 1e-200 is no 0/0), and the
-    quotient keeps its bits wherever none did.
+    the amplitude of the signal's projection along the decay direction,
+    formed by `_corrected` on r_tilde and R scaled by one power of two, so
+    that R = 1e-200 is no 0/0.
     """
     _check(0.0 <= r_tilde <= 1.0, "r_tilde", "in [0, 1]", r_tilde)
     _check(0.0 < amplitude <= 1.0, "amplitude R", "in (0, 1]", amplitude)
-    k = math.frexp(max(r_tilde, amplitude))[1]
-    t, a = math.ldexp(r_tilde, -k), math.ldexp(amplitude, -k)
-    return t / math.sqrt(a ** 2 + t ** 2 * (1.0 - amplitude ** 2))
+    return _corrected(r_tilde, 0.0, amplitude)[0]
+
+
+def _corrected(r_tilde: float, r_err: float, R: float) -> tuple[float, float]:
+    """`correct_effective_r`'s r, and r_err chained through it to
+    r_err R^2 / (R^2 + r_tilde^2 (1 - R^2))^(3/2), on (t, a) = 2^h
+    (r_tilde, R), the larger in [1/2, 1): no square underflows, and r keeps
+    its bits wherever none did.  D = a^2 + t^2 (1 - R^2) >= 3/16 (a >= 1/2,
+    or t >= 1/2 with R <= 1/2, or r_tilde = 1).  2^h, two factors, scales
+    a^2 before r_err does: a slope past the float range is inf, and r_err
+    a^2 2^h underflows only where the error is below 13 DBL_MIN."""
+    h = -math.frexp(max(r_tilde, R))[1]
+    t, a = math.ldexp(r_tilde, h), math.ldexp(R, h)
+    D = a ** 2 + t ** 2 * (1.0 - R ** 2)
+    num = a ** 2 * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)  # R^2 8^h
+    return t / math.sqrt(D), r_err * num / D ** 1.5

@@ -261,14 +261,6 @@ class TestREstimation:
                 hits += 1
         assert hits >= 37
 
-    def test_amplitude_correction_consistency(self):
-        # raw ratios from a mixed start measure r^2; the amplitude-corrected
-        # estimate must return r.  Use the analytic square law directly.
-        from cuq.fourier import correct_effective_r
-        r = 0.7
-        R = r / np.sqrt(1 + r * r)
-        assert correct_effective_r(r * r, R) == pytest.approx(r, rel=1e-12)
-
     def test_amplitude_correction_skips_signal_free_ratios(self):
         # zero asymmetry fits d_n = 0 exactly: every ratio is 0/0 and
         # carries no r to correct
@@ -289,6 +281,15 @@ class TestREstimation:
         assert out.per_ratio[0].r_err == math.inf
         assert not out.has_estimate
         assert "all ratios unreliable" in out.diagnostics
+        # D_1's r error, 2^602 times D_0's, has a scaled square past the
+        # float range and weighs below 2^-1024: the average is D_0's alone
+        fit = FitResult(coefficients=np.array([1.0, 0.5, 0.25]),
+                        errors=np.array([1e-300, 1e-300, 1e-120]),
+                        covariance=np.eye(3), chi2=1.0, dof=5, omega=1.0)
+        out = estimate_r(fit)
+        d0, d1 = out.per_ratio
+        assert math.frexp(d1.r_err)[1] - math.frexp(d0.r_err)[1] == 602
+        assert (out.weighted_r, out.weighted_r_err) == (d0.r_hat, d0.r_err)
 
     def test_exact_ratios_give_their_plain_mean(self):
         # error-free closed-form coefficients: every r error is 0, so no

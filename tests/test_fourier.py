@@ -1,14 +1,18 @@
 """Oscillation spectra: closed forms vs quadrature, ratio inversions."""
 
+import math
+import sys
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from cuq.analytic import cuq_clock, cuq_projections
+from cuq.analytic import cuq_clock, cuq_projections, half_angle_slope
 from cuq.fourier import (AnharmonicityEstimate, FourierSpectrum,
-                         QuadratureNotConverged, SeriesKind, anharmonicity,
-                         closed_form_cn, closed_form_d0, closed_form_spectrum,
-                         correct_effective_r, quadrature_spectrum,
-                         r_from_anharmonicity)
+                         QuadratureNotConverged, SeriesKind, _ratio,
+                         anharmonicity, closed_form_cn, closed_form_d0,
+                         closed_form_spectrum, correct_effective_r,
+                         quadrature_spectrum, r_from_anharmonicity)
 
 R_GRID = (0.1, 0.3, 0.5, 0.7, 0.85, 0.95, 0.99)
 
@@ -268,10 +272,10 @@ class TestEffectiveR:
     def test_pure_amplitude_is_identity(self):
         assert correct_effective_r(0.6, 1.0) == pytest.approx(0.6, rel=1e-14)
 
-    def test_mixed_start_square_law(self):
+    @pytest.mark.parametrize("r", [0.85, 0.7])
+    def test_mixed_start_square_law(self, r):
         # from the fully mixed state the measured ratio is r^2 and the
         # projection amplitude is r/sqrt(1+r^2)
-        r = 0.85
         R = r / np.sqrt(1 + r * r)
         assert correct_effective_r(r * r, R) == pytest.approx(r, rel=1e-12)
 
@@ -293,6 +297,33 @@ class TestEffectiveR:
             plain = r_t / np.sqrt(R ** 2 + r_t ** 2 * (1.0 - R ** 2))
             assert correct_effective_r(r_t, R) == plain
 
-    def test_rejects_bad_amplitude(self):
-        with pytest.raises(ValueError):
-            correct_effective_r(0.5, 0.0)
+    def test_corrected_error_is_the_chained_slope(self):
+        # a C_n ratio's r_err, corrected for R, against the 40-digit
+        # r_err R^2 / (R^2 + r~^2 (1 - R^2))^(3/2), for r~ and R log-uniform
+        # down to 1e-300, where R^2 and r~^2 underflow too.  Bounded where
+        # the error is normal (above 16 times the smallest normal, so its
+        # product before the division by D^(3/2) >= (3/16)^(3/2) is too)
+        # and neither square of the scaled pair is subnormal
+        rng = np.random.default_rng(40)
+        draws = 10.0 ** rng.uniform((-300, -300, -10), (0, 0, -1), (4000, 3))
+        worst, checked, both_tiny = 0.0, 0, 0
+        for r_t, R, rel in draws.tolist():
+            rho = half_angle_slope(r_t)  # the C_n ratio that inverts to r~
+            plain, est = (_ratio(rho, 1.0, rho * rel, 0.0, SeriesKind.ODD, 1,
+                                 amplitude) for amplitude in (None, R))
+            r_t, r_err = min(plain.r_hat, 1.0), plain.r_err
+            assert est.r_hat == correct_effective_r(r_t, R)
+            h = -math.frexp(max(r_t, R))[1]
+            if (not 2.0 ** -1018 <= est.r_err < math.inf
+                    or min(math.ldexp(r_t, h), math.ldexp(R, h)) ** 2
+                    < sys.float_info.min):
+                continue
+            with localcontext(prec=40):
+                R2, t2 = Decimal(R) ** 2, Decimal(r_t) ** 2
+                want = Decimal(r_err) * R2 / (R2 + t2 * (1 - R2)) ** (
+                    Decimal(3) / 2)
+                worst = max(worst, float(abs(Decimal(est.r_err) / want - 1)))
+            checked += 1
+            both_tiny += max(r_t, R) < 1e-154
+        assert checked > 1000 and both_tiny > 100
+        assert worst <= 3 * sys.float_info.epsilon, worst / 2 ** -52

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cuq.analytic import asymptotic_state, cuq_clock, cuq_projections
-from cuq.core import (SIGMA, BlochState, QubitModel, _effective_matrices,
-                      _float_field, density_from_bloch, purity_rate)
+from cuq.core import (SIGMA, BlochState, QubitModel, _float_field, _pauli,
+                      density_from_bloch, purity_rate)
 from cuq.integrate import (_A, _D, _E, NON_CONVERGENT, StepSizeUnderflow,
                            evolve, evolve_to_asymptote, propagate)
 
@@ -458,8 +458,8 @@ class TestAsymptote:
 
 def expm_path(m, b0, taus):
     """Bloch vectors from scipy's expm of K = -iE - Gamma/2 (units of |Gamma|)."""
-    E, G = _effective_matrices(m)
-    K = -1j * E - 0.5 * G
+    # the traceless parts of E and Gamma over the Pauli basis
+    K = 1j * _pauli(m.e) / (2.0 * m.r) + 0.5 * _pauli(m.gamma)
     # a real shift only rescales rho; it keeps e^{K tau} finite
     K = K - np.max(np.linalg.eigvals(K).real) * np.eye(2)
     U = expm(taus[:, None, None] * K)
